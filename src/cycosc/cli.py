@@ -53,6 +53,10 @@ SUITES = (
 )
 VARIANT_KINDS = ("pssqm", "pssqm-cubic", "pseudo1", "pseudo2", "ossqm")
 
+# Keeps every axis array under 8 MB and a sweep under about ten minutes at the
+# measured ~0.5 ms per point; the largest documented grid has 6084 points.
+MAX_GRID_POINTS = 1_000_000
+
 
 def _fmt(value) -> str:
     """Round-trip-exact text for a scalar; empty for None, lowercase booleans."""
@@ -93,8 +97,12 @@ _AXIS_RE = re.compile(r"a(\d+)=(-?[0-9.eE+-]+):(-?[0-9.eE+-]+):(-?[0-9.eE+-]+)\Z
 
 
 def _parse_grid(text: str, lam: int) -> list[np.ndarray]:
-    """Parse `a0=lo:hi:step[,a1=...]` into one value array per free parameter."""
-    axes: dict[int, np.ndarray] = {}
+    """Parse `a0=lo:hi:step[,a1=...]` into one value array per free parameter.
+
+    The point count is checked against MAX_GRID_POINTS before any axis array
+    is allocated.
+    """
+    spans: dict[int, tuple[float, float, int]] = {}
     for part in text.split(","):
         m = _AXIS_RE.match(part.strip())
         if m is None:
@@ -104,20 +112,27 @@ def _parse_grid(text: str, lam: int) -> list[np.ndarray]:
             lo, hi, step = (float(m.group(k)) for k in (2, 3, 4))
         except ValueError as exc:
             raise DomainError(f"malformed grid axis {part!r}: {exc}") from None
-        if idx in axes:
+        if idx in spans:
             raise DomainError(f"duplicate grid axis a{idx}")
+        if not all(math.isfinite(v) for v in (lo, hi, step)):
+            raise DomainError(f"grid axis a{idx} needs finite lo, hi and step")
         if step <= 0:
             raise DomainError(f"grid axis a{idx} needs step > 0, got {step}")
         if hi < lo:
             raise DomainError(f"grid axis a{idx} needs hi >= lo")
-        count = int(math.floor((hi - lo) / step + 1e-6)) + 1
-        axes[idx] = lo + step * np.arange(count)
+        steps = (hi - lo) / step + 1e-6
+        if not steps < MAX_GRID_POINTS:
+            raise DomainError(f"--grid axis a{idx} has more than {MAX_GRID_POINTS} points")
+        spans[idx] = (lo, step, int(math.floor(steps)) + 1)
     expected = set(range(lam - 1))
-    if set(axes) != expected:
+    if set(spans) != expected:
         want = ",".join(f"a{k}" for k in sorted(expected))
-        got = ",".join(f"a{k}" for k in sorted(axes)) or "none"
+        got = ",".join(f"a{k}" for k in sorted(spans)) or "none"
         raise DomainError(f"grid must cover exactly {want}; got {got}")
-    return [axes[k] for k in sorted(axes)]
+    total = math.prod(count for _, _, count in spans.values())
+    if total > MAX_GRID_POINTS:
+        raise DomainError(f"--grid has {total} points, more than {MAX_GRID_POINTS}")
+    return [lo + step * np.arange(count) for lo, step, count in map(spans.get, sorted(spans))]
 
 
 @contextlib.contextmanager
@@ -193,6 +208,30 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _run_variant(kind: str, args, params: AlgebraParams):
+    """Build one variant solution with the CLI defaults and check it: (sol, report).
+
+    Defaults: eta = sqrt(2)|c| for family 1, the equal-spacing r for family 2.
+    """
+    if kind in ("pssqm", "pssqm-cubic"):
+        sol = pssqm_build(params, args.mu, args.dim)
+        if kind == "pssqm":
+            return sol, pssqm_check(sol, params.lam - 1, args.tol)
+        return sol, pssqm_cubic_check(sol, args.tol)
+    if kind == "pseudo1":
+        eta = args.eta if args.eta is not None else math.sqrt(2.0) * abs(args.c)
+        sol = pseudo_family1_build(params, args.mu, args.c, eta, args.phi, args.dim)
+        return sol, pseudo_check(sol, args.c, args.tol)
+    if kind == "pseudo2":
+        r = args.r if args.r is not None else equal_spacing_r(params, args.mu)
+        sol = pseudo_family2_build(params, args.mu, args.c, r, args.dim)
+        return sol, pseudo_check(sol, args.c, args.tol)
+    if kind == "ossqm":
+        sol = ossqm_build(params, args.mu, args.xi, args.phi, args.dim)
+        return sol, ossqm_check(sol, args.tol)
+    raise DomainError(f"unknown variant kind {kind!r}")
+
+
 def _run_suite(args, params: AlgebraParams):
     suite = args.suite
     if suite == "algebra":
@@ -203,24 +242,7 @@ def _run_suite(args, params: AlgebraParams):
         return partner_check(build_hierarchy(params, args.dim), args.tol)
     if suite == "sqm2":
         return sqm2_check(build_hierarchy(params, args.dim), args.mu, args.tol)
-    if suite == "pssqm":
-        sol = pssqm_build(params, args.mu, args.dim)
-        return pssqm_check(sol, params.lam - 1, args.tol)
-    if suite == "pssqm-cubic":
-        sol = pssqm_build(params, args.mu, args.dim)
-        return pssqm_cubic_check(sol, args.tol)
-    if suite == "pseudo1":
-        eta = args.eta if args.eta is not None else math.sqrt(2.0) * abs(args.c)
-        sol = pseudo_family1_build(params, args.mu, args.c, eta, args.phi, args.dim)
-        return pseudo_check(sol, args.c, args.tol)
-    if suite == "pseudo2":
-        r = args.r if args.r is not None else equal_spacing_r(params, args.mu)
-        sol = pseudo_family2_build(params, args.mu, args.c, r, args.dim)
-        return pseudo_check(sol, args.c, args.tol)
-    if suite == "ossqm":
-        sol = ossqm_build(params, args.mu, args.xi, args.phi, args.dim)
-        return ossqm_check(sol, args.tol)
-    raise DomainError(f"unknown suite {suite!r}")
+    return _run_variant(suite, args, params)[1]
 
 
 def cmd_verify(args) -> int:
@@ -242,7 +264,7 @@ def cmd_sweep(args) -> int:
     head = [f"alpha_{k}" for k in range(args.lam - 1)]
     with _open_output(args.output) as fh:
         print(",".join(head + ["valid", "pattern", "threshold_energy"]), file=fh)
-        for rec in sweep(args.lam, axes, n_max=args.nmax, tol=args.tol, workers=args.workers):
+        for rec in sweep(args.lam, axes, n_max=args.nmax, tol=args.tol):
             values = [_fmt(v) for v in rec.params.alpha[: args.lam - 1]]
             if rec.report is None:
                 pattern, threshold = "", ""
@@ -283,26 +305,7 @@ def cmd_hierarchy(args) -> int:
 
 def cmd_variant(args) -> int:
     params = _resolve_params(args)
-    kind = args.kind
-    if kind in ("pssqm", "pssqm-cubic"):
-        sol = pssqm_build(params, args.mu, args.dim)
-        if kind == "pssqm":
-            report = pssqm_check(sol, params.lam - 1, args.tol)
-        else:
-            report = pssqm_cubic_check(sol, args.tol)
-    elif kind == "pseudo1":
-        eta = args.eta if args.eta is not None else math.sqrt(2.0) * abs(args.c)
-        sol = pseudo_family1_build(params, args.mu, args.c, eta, args.phi, args.dim)
-        report = pseudo_check(sol, args.c, args.tol)
-    elif kind == "pseudo2":
-        r = args.r if args.r is not None else equal_spacing_r(params, args.mu)
-        sol = pseudo_family2_build(params, args.mu, args.c, r, args.dim)
-        report = pseudo_check(sol, args.c, args.tol)
-    elif kind == "ossqm":
-        sol = ossqm_build(params, args.mu, args.xi, args.phi, args.dim)
-        report = ossqm_check(sol, args.tol)
-    else:
-        raise DomainError(f"unknown variant kind {kind!r}")
+    sol, report = _run_variant(args.kind, args, params)
     with _open_output(args.output) as fh:
         json.dump(variant_to_dict(sol, report, n_levels=args.nmax + 1), fh, indent=2)
         fh.write("\n")
@@ -374,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--grid", type=str, required=True, metavar="a0=lo:hi:step[,a1=...]")
     sw.add_argument("--nmax", type=int, default=60)
     sw.add_argument("--tol", type=float, default=1e-9)
-    sw.add_argument("--workers", type=int, default=1)
     sw.add_argument("--output", type=str, default=None)
     sw.set_defaults(func=cmd_sweep)
 
@@ -416,6 +418,11 @@ def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(_glue_values(raw))
+    # Every subcommand has both flags.
+    if args.nmax < 0:
+        parser.error(f"argument --nmax: must be >= 0, got {args.nmax}")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        parser.error(f"argument --tol: must be finite and > 0, got {args.tol}")
     try:
         return args.func(args)
     except InvalidParamsError as exc:

@@ -7,7 +7,6 @@ by clustering, period by period, rather than from analytic boundary formulas.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -21,7 +20,7 @@ from .algebra import (
     new_params,
     validate_fock,
 )
-from .fock import TruncatedRep, headroom_block, DEGREE2_HEADROOM
+from .fock import DEGREE2_HEADROOM, BandOp, TruncatedRep
 
 NONDEGENERATE = "nondegenerate"
 
@@ -78,20 +77,22 @@ class SweepRecord:
 def h0(rep: TruncatedRep) -> np.ndarray:
     """Oscillator Hamiltonian (1/2){a, adag} as a real diagonal matrix.
 
-    Asserts the rewrite N + 1/2 + sum gamma_mu P_mu on the headroom block and
-    exact diagonality there.
+    Raises DomainError unless, on the headroom block, it is exactly diagonal
+    and its diagonal matches N + 1/2 + sum gamma_mu P_mu within 1e-12.
     """
-    m = 0.5 * (rep.a @ rep.adag + rep.adag @ rep.a)
-    b = headroom_block(rep.dim, DEGREE2_HEADROOM)
-    off = m[b, b] - np.diag(np.diag(m[b, b]))
-    assert np.abs(off).max() == 0.0, "h0 must be diagonal away from the truncation edge"
+    a, adag = BandOp.of(rep.a), BandOp.of(rep.adag)
+    m = 0.5 * (a @ adag + adag @ a)
+    keep = np.arange(rep.dim) < rep.dim - DEGREE2_HEADROOM
+    diag = m.bands.get(0, np.zeros(rep.dim, dtype=np.clongdouble))
+    if (m - BandOp.diag(diag)).block_max(keep) != 0.0:
+        raise DomainError("h0 must be diagonal away from the truncation edge")
     gamma = derived_constants(rep.params).gamma
     levels = np.arange(rep.dim)
+    energies = diag.real.astype(float)
     formula = levels + 0.5 + gamma[levels % rep.params.lam]
-    assert (
-        np.abs(m.diagonal().real[b] - formula[b]).max() <= 1e-12
-    ), "h0 diagonal must match N + 1/2 + sum gamma_mu P_mu"
-    return np.diag(m.diagonal().real)
+    if np.abs(energies[keep] - formula[keep]).max() > 1e-12:
+        raise DomainError("h0 diagonal must match N + 1/2 + sum gamma_mu P_mu")
+    return np.diag(energies)
 
 
 def analytic_spectrum(params: AlgebraParams, n_max: int) -> list[SpectrumLine]:
@@ -143,6 +144,8 @@ def classify_degeneracy(
     if not check.ok:
         raise InvalidParamsError(check.violations)
     lam = params.lam
+    if n_max < lam - 1:
+        raise DomainError(f"n_max = {n_max} leaves a ladder empty; use n_max >= {3 * lam}")
     energies = np.array([line.energy for line in analytic_spectrum(params, n_max)])
     clusters = _cluster_energies(energies, tol)
 
@@ -223,26 +226,16 @@ def sweep(
     axes: Sequence[Iterable[float]],
     n_max: int = 60,
     tol: float = 1e-9,
-    workers: int = 1,
 ) -> Iterator[SweepRecord]:
     """Classify every point of a rectangular grid over (alpha_0..alpha_{lam-2}).
 
     Yields one record per grid point in row-major order; invalid points are
-    flagged rather than skipped.  Results stream one at a time, and with
-    workers > 1 grid points are evaluated concurrently without changing the
-    output order.
+    flagged rather than skipped.  Results stream one at a time.
     """
     arrs = [np.asarray(list(axis), dtype=float) for axis in axes]
     if len(arrs) != lam - 1:
         raise DomainError(f"grid needs {lam - 1} axes for order {lam}, got {len(arrs)}")
     if any(arr.size == 0 for arr in arrs):
         raise DomainError("grid axes must be nonempty")
-    points = _grid_points(arrs)
-    if workers <= 1:
-        for point in points:
-            yield _sweep_point(lam, point, n_max, tol)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(
-            lambda pt: _sweep_point(lam, pt, n_max, tol), points, chunksize=16
-        )
+    for point in _grid_points(arrs):
+        yield _sweep_point(lam, point, n_max, tol)

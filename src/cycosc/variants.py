@@ -11,6 +11,10 @@ and xi = sqrt(2) produce exact zeros instead of rounding dust.  The diagonal
 shift shared by the order-2 parasupersymmetric and family-1 pseudosupersymmetric
 Hamiltonians goes through one helper so the two coincide bitwise.
 
+Builders return dense arrays; every check converts them to fock.BandOp and
+evaluates its identities band by band in np.clongdouble, promoting the
+float64 and complex128 entries exactly.
+
 The parasupercharge is carried in np.longdouble.  Its order-p multilinear
 relation cancels p + 1 terms of size ~2 F(n)^{p/2} (about 1e6 at p = 4,
 dim = 60), so a relative error of one float64 rounding in each charge entry
@@ -18,8 +22,7 @@ leaves a residual of about 2e-10 however the relation is evaluated.  Building
 the charge band from alpha in extended precision and checking it band by band
 in that precision removes this floor where np.longdouble is wider than
 float64 (x86-64: 80-bit, eps 1.1e-19); where it is float64, a floor of
-1e-10 to 2e-10 at order 4 returns.  Hamiltonians stay float64, and the
-checks promote them exactly.
+1e-10 to 2e-10 at order 4 returns.  Hamiltonians stay float64.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .algebra import (
     derived_constants,
     validate_fock,
 )
-from .fock import RelationEntry, RelationReport, build_rep, headroom_block
+from .fock import BandOp, RelationReport, build_rep, relation_report
 
 KIND_PSSQM = "pssqm"
 KIND_PSEUDO1 = "pseudo-family1"
@@ -105,75 +108,6 @@ def _require_valid(params: AlgebraParams):
     check = validate_fock(params)
     if not check.ok:
         raise InvalidParamsError(check.violations)
-
-
-# Band form of a square matrix: {k: v} with v[i] = m[i, i + k], zero where
-# i + k leaves the matrix, in np.clongdouble.  Products and residuals are then
-# O(dim) per pair of diagonals and never go through a dense extended-precision
-# matmul, which has no BLAS path.
-
-
-def _span(n: int, k: int) -> tuple[int, int]:
-    """Rows i with 0 <= i < n and 0 <= i + k < n, as a half-open range."""
-    return max(0, -k), min(n, n - k)
-
-
-def _shift(v: np.ndarray, s: int) -> np.ndarray:
-    """w[i] = v[i + s], zero where i + s leaves the vector."""
-    w = np.zeros_like(v)
-    lo, hi = _span(v.size, s)
-    if lo < hi:
-        w[lo:hi] = v[lo + s : hi + s]
-    return w
-
-
-def _bands(m: np.ndarray) -> dict[int, np.ndarray]:
-    """The nonzero diagonals of m, promoted exactly to np.clongdouble."""
-    dim = m.shape[0]
-    rows, cols = np.nonzero(m)
-    out = {}
-    for k in sorted(set((cols - rows).tolist())):
-        v = np.zeros(dim, dtype=np.clongdouble)
-        lo, hi = _span(dim, k)
-        v[lo:hi] = np.diagonal(m, k)
-        out[k] = v
-    return out
-
-
-def _band_adjoint(x: dict) -> dict:
-    """Conjugate transpose: band k moves to band -k."""
-    return {-k: np.conj(_shift(v, -k)) for k, v in x.items()}
-
-
-def _band_matmul(x: dict, y: dict) -> dict:
-    """(x y)[i, i + kx + ky] = x[i, i + kx] y[i + kx, i + kx + ky]."""
-    out = {}
-    for kx, vx in x.items():
-        for ky, vy in y.items():
-            term = vx * _shift(vy, kx)
-            k = kx + ky
-            out[k] = out[k] + term if k in out else term
-    return out
-
-
-def _band_sum(*terms: tuple[float, dict]) -> dict:
-    """Linear combination sum_t c_t x_t of band forms."""
-    out = {}
-    for c, x in terms:
-        for k, v in x.items():
-            out[k] = out[k] + c * v if k in out else c * v
-    return out
-
-
-def _band_block_max(x: dict, dim: int, headroom: int) -> float:
-    """Max absolute entry on rows and columns below dim - headroom."""
-    n = dim - headroom
-    resid = 0.0
-    for k, v in x.items():
-        lo, hi = _span(n, k)
-        if lo < hi:
-            resid = max(resid, float(np.abs(v[lo:hi]).max()))
-    return resid
 
 
 def pssqm_r_constant(params: AlgebraParams, mu: int) -> float:
@@ -247,33 +181,21 @@ def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationRep
     if p != sol.params.lam - 1:
         raise DomainError(f"solution has order {sol.params.lam - 1}, got p = {p}")
     h = p + 2
-    Q = _bands(sol.Q)
-    Qd = _band_adjoint(Q)
-    H = _bands(sol.H)
-
-    powers = [{0: np.ones(sol.dim, dtype=np.clongdouble)}]
+    Q, H = BandOp.of(sol.Q), BandOp.of(sol.H)
+    powers = [BandOp.diag(np.ones(sol.dim))]
     for _ in range(p + 1):
-        powers.append(_band_matmul(powers[-1], Q))
-
-    entries = []
-
-    def add(name: str, m: dict, nonzero: bool = False):
-        resid = _band_block_max(m, sol.dim, h)
-        passed = resid > tol if nonzero else resid <= tol
-        entries.append(RelationEntry(name, resid, passed, nonzero=nonzero))
-
-    add(f"Q^{p + 1} = 0", powers[p + 1])
-    add(f"Q^{p} != 0", powers[p], nonzero=True)
-    add("[H, Q] = 0", _band_sum((1, _band_matmul(H, Q)), (-1, _band_matmul(Q, H))))
-    multilinear = [
-        (1, _band_matmul(_band_matmul(powers[p - j], Qd), powers[j]))
-        for j in range(p + 1)
+        powers.append(powers[-1] @ Q)
+    multilinear = sum(powers[p - j] @ Q.dag @ powers[j] for j in range(p + 1))
+    relations = [
+        (f"Q^{p + 1} = 0", powers[p + 1]),
+        (f"Q^{p} != 0", powers[p], True),
+        ("[H, Q] = 0", H @ Q - Q @ H),
+        (
+            "sum_j Q^{p-j} Qdag Q^j = 2p Q^{p-1} H",
+            multilinear - 2.0 * p * (powers[p - 1] @ H),
+        ),
     ]
-    add(
-        "sum_j Q^{p-j} Qdag Q^j = 2p Q^{p-1} H",
-        _band_sum(*multilinear, (-2.0 * p, _band_matmul(powers[p - 1], H))),
-    )
-    return RelationReport(entries=tuple(entries), headroom=h, tol=tol)
+    return relation_report(relations, np.arange(sol.dim) < sol.dim - h, h, tol)
 
 
 def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
@@ -290,25 +212,13 @@ def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationRepor
     if sol.params.lam != 3:
         raise DomainError(f"cubic relation applies at order 3, got {sol.params.lam}")
     h = 4
-    Q = _bands(sol.Q)
-    Qd = _band_adjoint(Q)
-    H = _bands(sol.H)
-    inner = _band_sum((1, _band_matmul(Qd, Q)), (-1, _band_matmul(Q, Qd)))
-    resid = _band_block_max(
-        _band_sum(
-            (1, _band_matmul(Q, inner)),
-            (-1, _band_matmul(inner, Q)),
-            (-2.0, _band_matmul(Q, H)),
-        ),
-        sol.dim,
-        h,
-    )
-    qmax = _band_block_max(Q, sol.dim, h)
-    entries = (
-        RelationEntry("[Q, [Qdag, Q]] = 2 Q H", resid, resid <= tol),
-        RelationEntry("Q != 0", qmax, qmax > tol, nonzero=True),
-    )
-    return RelationReport(entries=entries, headroom=h, tol=tol)
+    Q, H = BandOp.of(sol.Q), BandOp.of(sol.H)
+    inner = Q.dag @ Q - Q @ Q.dag
+    relations = [
+        ("[Q, [Qdag, Q]] = 2 Q H", Q @ inner - inner @ Q - 2.0 * (Q @ H)),
+        ("Q != 0", Q, True),
+    ]
+    return relation_report(relations, np.arange(sol.dim) < sol.dim - h, h, tol)
 
 
 def pseudo_family1_build(
@@ -417,20 +327,13 @@ def pseudo_check(sol: VariantSolution, c: float, tol: float = 1e-10) -> Relation
     if sol.kind not in (KIND_PSEUDO1, KIND_PSEUDO2):
         raise DomainError(f"expected a pseudosupersymmetric solution, got {sol.kind}")
     h = 4
-    b = headroom_block(sol.dim, h)
-    Q = sol.Q
-    Qd = Q.conj().T
-    H = sol.H.astype(complex)
-    entries = []
-
-    def add(name: str, m: np.ndarray):
-        resid = float(np.abs(m[b, b]).max())
-        entries.append(RelationEntry(name, resid, resid <= tol))
-
-    add("Q^2 = 0", Q @ Q)
-    add("[H, Q] = 0", H @ Q - Q @ H)
-    add("Q Qdag Q = 4 c^2 Q H", Q @ Qd @ Q - 4.0 * c * c * (Q @ H))
-    return RelationReport(entries=tuple(entries), headroom=h, tol=tol)
+    Q, H = BandOp.of(sol.Q), BandOp.of(sol.H)
+    relations = [
+        ("Q^2 = 0", Q @ Q),
+        ("[H, Q] = 0", H @ Q - Q @ H),
+        ("Q Qdag Q = 4 c^2 Q H", Q @ Q.dag @ Q - 4.0 * c * c * (Q @ H)),
+    ]
+    return relation_report(relations, np.arange(sol.dim) < sol.dim - h, h, tol)
 
 
 def ossqm_build(
@@ -500,33 +403,28 @@ def ossqm_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
     if sol.kind != KIND_OSSQM:
         raise DomainError(f"expected an {KIND_OSSQM} solution, got {sol.kind}")
     h = 3
-    b = headroom_block(sol.dim, h)
-    charges = (sol.Q, sol.Q2)
-    H = sol.H.astype(complex)
-    qdagq = sum(q.conj().T @ q for q in charges)
-    entries = []
-
-    def add(name: str, m: np.ndarray):
-        resid = float(np.abs(m[b, b]).max())
-        entries.append(RelationEntry(name, resid, resid <= tol))
-
-    for r in (0, 1):
-        for s in (0, 1):
-            add(f"Q{r + 1} Q{s + 1} = 0", charges[r] @ charges[s])
-    for r in (0, 1):
-        add(f"[H, Q{r + 1}] = 0", H @ charges[r] - charges[r] @ H)
+    q = (BandOp.of(sol.Q), BandOp.of(sol.Q2))
+    H = BandOp.of(sol.H)
+    qdagq = q[0].dag @ q[0] + q[1].dag @ q[1]
+    relations = [
+        (f"Q{r + 1} Q{s + 1} = 0", q[r] @ q[s]) for r in (0, 1) for s in (0, 1)
+    ]
+    relations += [(f"[H, Q{r + 1}] = 0", H @ q[r] - q[r] @ H) for r in (0, 1)]
     for r, s in ((0, 0), (0, 1), (1, 1)):
-        lhs = charges[r] @ charges[s].conj().T
+        lhs = q[r] @ q[s].dag
         if r == s:
-            add(f"Q{r + 1} Qdag{s + 1} + sum_t Qdag_t Q_t = 2 H", lhs + qdagq - 2.0 * H)
+            relations.append(
+                (f"Q{r + 1} Qdag{s + 1} + sum_t Qdag_t Q_t = 2 H", lhs + qdagq - 2.0 * H)
+            )
         else:
-            add(f"Q{r + 1} Qdag{s + 1} = 0", lhs)
-    q1, q2 = charges
-    add(
-        "corollary: Q1 Qdag1 + Qdag1 Q1 + Qdag2 Q2 = 2 H",
-        q1 @ q1.conj().T + q1.conj().T @ q1 + q2.conj().T @ q2 - 2.0 * H,
+            relations.append((f"Q{r + 1} Qdag{s + 1} = 0", lhs))
+    relations.append(
+        (
+            "corollary: Q1 Qdag1 + Qdag1 Q1 + Qdag2 Q2 = 2 H",
+            q[0] @ q[0].dag + q[0].dag @ q[0] + q[1].dag @ q[1] - 2.0 * H,
+        )
     )
-    return RelationReport(entries=tuple(entries), headroom=h, tol=tol)
+    return relation_report(relations, np.arange(sol.dim) < sol.dim - h, h, tol)
 
 
 def ground_state_analysis(sol: VariantSolution, tol: float = 1e-9) -> GroundState:

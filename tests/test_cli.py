@@ -327,6 +327,44 @@ class TestDump:
 
 
 class TestArgHandling:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("spectrum", "--lambda", "3", "--alpha", "0.5,0.1", "--nmax", "-1"), "--nmax"),
+            (("sweep", "--lambda", "2", "--grid", "a0=0:1:0.5", "--nmax", "-1"), "--nmax"),
+            (("hierarchy", "--lambda", "2", "--alpha", "0.5", "--nmax", "-3"), "--nmax"),
+            (
+                ("variant", "--kind", "pssqm", "--lambda", "3", "--alpha", "0.5,0.1",
+                 "--nmax", "-1"),
+                "--nmax",
+            ),
+            (
+                ("verify", "--suite", "algebra", "--lambda", "3", "--alpha", "0.5,0.1",
+                 "--tol", "nan"),
+                "--tol",
+            ),
+            (
+                ("verify", "--suite", "algebra", "--lambda", "3", "--alpha", "0.5,0.1",
+                 "--tol", "-1"),
+                "--tol",
+            ),
+            (("spectrum", "--lambda", "3", "--alpha", "0.5,0.1", "--tol", "nan"), "--tol"),
+            (("sweep", "--lambda", "2", "--grid", "a0=0:1:0.5", "--tol", "nan"), "--tol"),
+            (("sweep", "--lambda", "2", "--grid", "a0=0:1:1e-13"), "--grid"),
+            (("sweep", "--lambda", "3", "--grid", "a0=0:1:1e-3,a1=0:1:1e-3"), "--grid"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_flag(self, capsys, argv, flag):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert flag in err
+        assert "Traceback" not in err
+
+
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -13,15 +13,14 @@ from cycosc import (
     InvalidParamsError,
     RelationEntry,
     RelationReport,
-    block_max,
     build_rep,
     check_relations,
-    headroom_block,
     klein_reduction_check,
     new_params,
     rep_to_dict,
     structure_values,
 )
+from cycosc.fock import BandOp
 from conftest import fock_valid_params
 
 
@@ -96,16 +95,13 @@ class TestBuildRep:
 
 
 class TestHeadroom:
-    def test_block_excludes_top_rows(self):
-        b = headroom_block(10, 3)
-        assert (b.start, b.stop) == (0, 7)
-
     def test_block_max_ignores_truncation_edge(self):
+        keep = np.arange(10) < 7
         m = np.zeros((10, 10))
         m[9, 8] = 5.0
-        assert block_max(m, 3) == 0.0
+        assert BandOp.of(m).block_max(keep) == 0.0
         m[2, 3] = 0.25
-        assert block_max(m, 3) == 0.25
+        assert BandOp.of(m).block_max(keep) == 0.25
 
 
 class TestCheckRelations:

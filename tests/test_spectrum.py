@@ -1,5 +1,7 @@
 """Oscillator spectrum, degeneracy classification, and parameter sweeps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,19 @@ class TestH0:
             diag = np.diag(h0(rep))
             energies = [line.energy for line in analytic_spectrum(params, 36)]
             assert np.abs(diag[:37] - energies).max() <= 1e-12
+
+    @pytest.mark.parametrize("fault", ["off-diagonal", "off-formula"])
+    def test_bad_rep_raises_domain_error(self, fault):
+        # Validation must not be an assert, which python -O strips.
+        rep = build_rep(new_params(3, [1.0, -0.5]), 20)
+        a = rep.a.copy()
+        if fault == "off-diagonal":
+            a[2, 5] = 0.3
+        else:
+            a[4, 5] *= 1.001
+        bad = dataclasses.replace(rep, a=a, adag=a.conj().T.copy())
+        with pytest.raises(DomainError):
+            h0(bad)
 
 
 class TestAnalyticSpectrum:
@@ -129,9 +144,10 @@ class TestClassifyDegeneracy:
         assert shifted.pattern == base.pattern
         assert shifted.threshold_energy == pytest.approx(2.5, abs=1e-12)
 
-    def test_too_few_levels_rejected(self):
+    @pytest.mark.parametrize("n_max", [0, 1, 2])
+    def test_too_few_levels_rejected(self, n_max):
         with pytest.raises(DomainError):
-            classify_degeneracy(new_params(3, [0.0, 4.0]), 2, 1e-9)
+            classify_degeneracy(new_params(3, [0.0, 4.0]), n_max, 1e-9)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(InvalidParamsError):
@@ -165,18 +181,6 @@ class TestSweep:
         records = list(sweep(3, [[0.0], [4.0]], n_max=40))
         assert len(records) == 1
         assert records[0].report.pattern == "2-fold"
-
-    def test_parallel_matches_serial(self):
-        axes = [[-0.5, 0.0, 0.5, 2.0], [-4.0, 0.0, 4.0]]
-        serial = list(sweep(3, axes, n_max=40, workers=1))
-        parallel = list(sweep(3, axes, n_max=40, workers=4))
-        assert len(serial) == len(parallel) == 12
-        for s, p in zip(serial, parallel):
-            assert np.array_equal(s.params.alpha, p.params.alpha)
-            assert s.valid == p.valid
-            if s.report is not None:
-                assert s.report.pattern == p.report.pattern
-                assert s.report.threshold_energy == p.report.threshold_energy
 
     def test_wrong_axis_count_rejected(self):
         with pytest.raises(DomainError):

@@ -336,6 +336,14 @@ class TestPseudoCheck:
         assert report.residual("Q Qdag Q = 4 c^2 Q H") > 0.1
         assert not report.ok
 
+    def test_non_finite_hamiltonian_fails(self):
+        # inf - inf leaves NaN residuals, which must fail rather than vanish.
+        sol = pseudo_family2_build(new_params(3, [0.0, 0.0]), 0, 1.0, math.inf, dim=24)
+        with np.errstate(invalid="ignore"):
+            report = pseudo_check(sol, 1.0)
+        assert np.isnan(report.residual("[H, Q] = 0"))
+        assert not report.ok
+
     def test_kind_mismatch_rejected(self):
         sol = pssqm_build(new_params(3, [0.0, 0.0]), 0, dim=24)
         with pytest.raises(DomainError):
