@@ -144,8 +144,12 @@ class TestClassifyDegeneracy:
         assert shifted.pattern == base.pattern
         assert shifted.threshold_energy == pytest.approx(2.5, abs=1e-12)
 
-    @pytest.mark.parametrize("n_max", [0, 1, 2])
-    def test_too_few_levels_rejected(self, n_max):
+    def test_too_few_levels_rejected(self):
+        with pytest.raises(DomainError):
+            classify_degeneracy(new_params(3, [0.0, 4.0]), 2, 1e-9)
+
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_empty_ladder_rejected(self, n_max):
         with pytest.raises(DomainError):
             classify_degeneracy(new_params(3, [0.0, 4.0]), n_max, 1e-9)
 
