@@ -164,6 +164,13 @@ def validate_fock(params: AlgebraParams) -> FockValidation:
     return FockValidation(ok=not violations, violations=violations)
 
 
+def require_fock(params: AlgebraParams) -> None:
+    """Raise InvalidParamsError, naming the violations, unless validate_fock holds."""
+    check = validate_fock(params)
+    if not check.ok:
+        raise InvalidParamsError(check.violations)
+
+
 def structure_function(params: AlgebraParams, n: int) -> float:
     """Evaluate F(n) = n + beta_{n mod lam}; F(0) = 0 always."""
     if n < 0:

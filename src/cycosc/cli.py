@@ -144,19 +144,14 @@ def _open_output(path: str | None):
             yield fh
 
 
-def _report_dict(report: RelationReport, suite: str | None = None) -> dict:
-    out = {
+def _report_dict(report: RelationReport, suite: str) -> dict:
+    return {
+        "suite": suite,
         "ok": report.ok,
         "headroom": report.headroom,
         "tol": report.tol,
-        "relations": [
-            {"name": e.name, "residual": e.residual, "pass": e.passed}
-            for e in report.entries
-        ],
+        "relations": report.relation_dicts(),
     }
-    if suite is not None:
-        out = {"suite": suite, **out}
-    return out
 
 
 def _print_report(report: RelationReport, suite: str, fh) -> None:
@@ -287,7 +282,7 @@ def cmd_hierarchy(args) -> int:
                 "sectors": [
                     {
                         "sector": mu,
-                        "energies": [float(e) for e in np.diag(h.hmats[mu])[: args.nmax + 1]],
+                        "energies": [float(e) for e in h.hmats[mu].real_diagonal()[: args.nmax + 1]],
                     }
                     for mu in range(h.period + 1)
                 ],
@@ -297,7 +292,7 @@ def cmd_hierarchy(args) -> int:
         else:
             print("sector,n,energy", file=fh)
             for mu in range(h.period + 1):
-                diag = np.diag(h.hmats[mu])
+                diag = h.hmats[mu].real_diagonal()
                 for n in range(args.nmax + 1):
                     print(f"{mu},{n},{_fmt(diag[n])}", file=fh)
     return 0
@@ -399,18 +394,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A value token with a leading minus, which argparse would take for a flag.
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def _glue_values(argv: list[str]) -> list[str]:
-    """Join `--alpha -2,0` into `--alpha=-2,0` so leading minus signs parse."""
+    """Join `--alpha -2,0` into `--alpha=-2,0` (any flag) so leading minus signs parse."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--alpha", "--grid") and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -423,6 +418,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --nmax: must be >= 0, got {args.nmax}")
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         parser.error(f"argument --tol: must be finite and > 0, got {args.tol}")
+    # Only verify and variant have these.
+    for flag in ("c", "eta", "r", "xi", "phi"):
+        value = getattr(args, flag, None)
+        if value is not None and not math.isfinite(value):
+            parser.error(f"argument --{flag}: must be finite, got {value}")
     try:
         return args.func(args)
     except InvalidParamsError as exc:

@@ -1,11 +1,11 @@
 """Truncated Fock-space representation, band-wise relation evaluation, and checks.
 
 The representation acts on the number basis |0>..|D-1> with ladder matrix
-elements sqrt(F(n)), built as dense arrays.  Every relation check in the
-package converts its operators to BandOp, a sum of weighted shifts in
-np.clongdouble, and evaluates the identity band by band.  Truncation corrupts
-only the top of the tower, so every identity is verified on a
-headroom-restricted block of rows and columns.
+elements sqrt(F(n)).  Every operator the package builds is a BandOp, a sum of
+weighted shifts in np.clongdouble, and every relation check evaluates its
+identity band by band on those stored bands.  Truncation corrupts only the top
+of the tower, so every identity is verified on a headroom-restricted block of
+rows and columns.  Dense arrays are made only for the JSON dump (BandOp.dense).
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import numpy as np
 from .algebra import (
     AlgebraParams,
     DomainError,
-    InvalidParamsError,
     cyc,
-    derived_constants,
+    require_fock,
     structure_values,
-    validate_fock,
 )
 
 # Headroom covering every relation of degree <= 2 in the ladder operators.
@@ -70,25 +68,22 @@ class RelationReport:
         vals = [e.residual for e in self.entries if not e.nonzero]
         return max(vals) if vals else 0.0
 
+    def relation_dicts(self) -> list[dict]:
+        """JSON-ready entries {"name", "residual", "pass"}, in order."""
+        return [{"name": e.name, "residual": e.residual, "pass": e.passed} for e in self.entries]
+
 
 @dataclass(frozen=True)
 class TruncatedRep:
-    """Dense matrices for a, adag, N, T, P_mu at truncation dimension dim."""
+    """a, adag, N, T and P_mu at truncation dimension dim, as weighted shifts."""
 
     params: AlgebraParams
     dim: int
-    a: np.ndarray
-    adag: np.ndarray
-    nmat: np.ndarray
-    proj: tuple[np.ndarray, ...]
-    tmat: np.ndarray
-
-    def __post_init__(self):
-        for name in ("a", "adag", "nmat", "tmat"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
-        for p in self.proj:
-            p.setflags(write=False)
+    a: BandOp
+    adag: BandOp
+    nmat: BandOp
+    proj: tuple[BandOp, ...]
+    tmat: BandOp
 
 
 def _span(n: int, k: int) -> tuple[int, int]:
@@ -105,6 +100,7 @@ def _shift(v: np.ndarray, s: int) -> np.ndarray:
     return w
 
 
+@dataclass(eq=False)
 class BandOp:
     """A square operator as a sum of weighted shifts, in np.clongdouble.
 
@@ -113,19 +109,22 @@ class BandOp:
     bands, so a product or a masked maximum costs O(dim) per pair of bands
     instead of a dense O(dim^3) matmul (which has no BLAS path in extended
     precision), and the float64 rounding of the inputs dominates what is left.
+    Band vectors are promoted exactly to np.clongdouble and made read-only.
     """
 
-    __slots__ = ("dim", "bands")
+    dim: int
+    bands: dict[int, np.ndarray]
     # Lets numpy scalars and arrays defer to the reflected operators below.
     __array_ufunc__ = None
 
-    def __init__(self, dim: int, bands: dict[int, np.ndarray]):
-        self.dim = dim
-        self.bands = bands
+    def __post_init__(self):
+        self.bands = {k: np.asarray(v, dtype=np.clongdouble) for k, v in self.bands.items()}
+        for v in self.bands.values():
+            v.setflags(write=False)
 
     @classmethod
     def of(cls, m: np.ndarray) -> BandOp:
-        """The nonzero diagonals of a square array, of any dtype, promoted exactly."""
+        """The nonzero diagonals of any square array, promoted exactly (for injected matrices)."""
         dim = m.shape[0]
         rows, cols = np.nonzero(m)
         bands = {}
@@ -139,7 +138,19 @@ class BandOp:
     @classmethod
     def diag(cls, v: np.ndarray) -> BandOp:
         """The diagonal operator with entries v."""
-        return cls(len(v), {0: np.asarray(v).astype(np.clongdouble)})
+        return cls(len(v), {0: v})
+
+    def dense(self) -> np.ndarray:
+        """The dim x dim np.clongdouble matrix."""
+        m = np.zeros((self.dim, self.dim), dtype=np.clongdouble)
+        for k, v in self.bands.items():
+            rows = np.arange(*_span(self.dim, k))
+            m[rows, rows + k] = v[rows]
+        return m
+
+    def real_diagonal(self) -> np.ndarray:
+        """Real parts of the main diagonal in float64, exact for float64 entries."""
+        return self.bands.get(0, np.zeros(self.dim)).real.astype(float)
 
     @property
     def dag(self) -> BandOp:
@@ -211,23 +222,21 @@ def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
     a has sqrt(F(n)) at (n-1, n), adag is its conjugate transpose, N is
     diagonal, P_mu projects onto levels n = mu mod lam, and T = exp(2i pi N / lam).
     """
-    check = validate_fock(params)
-    if not check.ok:
-        raise InvalidParamsError(check.violations)
+    require_fock(params)
     lam = params.lam
     if dim < 2 * lam:
         raise DomainError(f"dimension must be >= {2 * lam}, got {dim}")
-    fvals = structure_values(params, dim - 1)
-    a = np.diag(np.sqrt(fvals[1:]), k=1).astype(complex)
-    adag = a.conj().T.copy()
-    nmat = np.diag(np.arange(dim, dtype=float))
+    # sqrt(F(n)) is adag's band -1 as it stands (F(0) = 0) and a's band +1 moved up one level.
+    roots = np.sqrt(structure_values(params, dim - 1))
     levels = np.arange(dim)
-    proj = tuple(
-        np.diag((levels % lam == mu).astype(complex)) for mu in range(lam)
-    )
-    tmat = np.diag(np.exp(2j * np.pi * levels / lam))
     return TruncatedRep(
-        params=params, dim=dim, a=a, adag=adag, nmat=nmat, proj=proj, tmat=tmat
+        params=params,
+        dim=dim,
+        a=BandOp(dim, {1: _shift(roots, 1)}),
+        adag=BandOp(dim, {-1: roots}),
+        nmat=BandOp.diag(levels.astype(float)),
+        proj=tuple(BandOp.diag((levels % lam == mu).astype(float)) for mu in range(lam)),
+        tmat=BandOp.diag(np.exp(2j * np.pi * levels / lam)),
     )
 
 
@@ -240,8 +249,7 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     lam = rep.params.lam
     dim = rep.dim
     alpha = rep.params.alpha
-    a, adag, nmat, tmat = (BandOp.of(m) for m in (rep.a, rep.adag, rep.nmat, rep.tmat))
-    proj = [BandOp.of(p) for p in rep.proj]
+    a, adag, nmat, tmat, proj = rep.a, rep.adag, rep.nmat, rep.tmat, rep.proj
     eye = BandOp.diag(np.ones(dim))
     fvals = structure_values(rep.params, dim)
     tpow = eye
@@ -288,11 +296,11 @@ def klein_reduction_check(rep: TruncatedRep, tol: float = 1e-12) -> RelationRepo
         raise DomainError(f"reduction requires order 2, got {rep.params.lam}")
     dim = rep.dim
     kappa = float(rep.params.alpha[0])
-    a, adag, tmat = (BandOp.of(m) for m in (rep.a, rep.adag, rep.tmat))
+    a, adag = rep.a, rep.adag
     klein = BandOp.diag((-1.0 + 0j) ** np.arange(dim))
     eye = BandOp.diag(np.ones(dim))
     relations = [
-        ("T = (-1)^N", (tmat - klein).block_max(np.ones(dim, dtype=bool))),
+        ("T = (-1)^N", (rep.tmat - klein).block_max(np.ones(dim, dtype=bool))),
         ("[a, adag] = I + kappa (-1)^N", a @ adag - adag @ a - (eye + kappa * klein)),
     ]
     h = DEGREE2_HEADROOM
@@ -307,14 +315,16 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
 
 def rep_to_dict(rep: TruncatedRep) -> dict:
     """JSON-ready dump of all generator matrices for cross-checking."""
+    a = rep.a.dense()
     matrices = {
-        "a": _matrix_to_pairs(rep.a),
-        "adag": _matrix_to_pairs(rep.adag),
-        "n": _matrix_to_pairs(rep.nmat),
-        "t": _matrix_to_pairs(rep.tmat),
+        "a": _matrix_to_pairs(a),
+        # As the conjugate transpose of a, whose zero imaginary parts print as -0.0.
+        "adag": _matrix_to_pairs(a.conj().T),
+        "n": _matrix_to_pairs(rep.nmat.dense()),
+        "t": _matrix_to_pairs(rep.tmat.dense()),
     }
     for mu, p in enumerate(rep.proj):
-        matrices[f"p{mu}"] = _matrix_to_pairs(p)
+        matrices[f"p{mu}"] = _matrix_to_pairs(p.dense())
     return {
         "lambda": rep.params.lam,
         "alpha": [float(x) for x in rep.params.alpha],

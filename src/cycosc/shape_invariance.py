@@ -15,12 +15,11 @@ import numpy as np
 from .algebra import (
     AlgebraParams,
     DomainError,
-    InvalidParamsError,
     cyc,
     cyclic_shift,
     derived_constants,
+    require_fock,
     structure_values,
-    validate_fock,
 )
 from .fock import (
     DEGREE2_HEADROOM,
@@ -42,23 +41,21 @@ class Hierarchy:
     reps: tuple[TruncatedRep, ...]
     e0: np.ndarray
     omega: np.ndarray
-    hmats: tuple[np.ndarray, ...]
+    hmats: tuple[BandOp, ...]
 
     def __post_init__(self):
         self.e0.setflags(write=False)
         self.omega.setflags(write=False)
-        for m in self.hmats:
-            m.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class BlockPair:
-    """Supercharges and Hamiltonian of one sector, as 2 dim x 2 dim blocks."""
+    """Supercharges and Hamiltonian of one sector, as 2 dim x 2 dim weighted shifts."""
 
     mu: int
-    H: np.ndarray
-    Qdag: np.ndarray
-    Q: np.ndarray
+    H: BandOp
+    Qdag: BandOp
+    Q: BandOp
 
 
 def window_violations(params: AlgebraParams) -> tuple[str, ...]:
@@ -85,9 +82,7 @@ def window_violations(params: AlgebraParams) -> tuple[str, ...]:
 
 def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     """Build the p = lam shifted representations and partner Hamiltonians."""
-    check = validate_fock(params)
-    if not check.ok:
-        raise InvalidParamsError(check.violations)
+    require_fock(params)
     bad = window_violations(params)
     if bad:
         raise DomainError("; ".join(bad))
@@ -96,7 +91,7 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     consts = derived_constants(params)
     e0 = np.concatenate(([0.0], np.cumsum(consts.omega)))
     fvals = structure_values(params, dim - 1 + p)
-    hmats = tuple(np.diag(fvals[mu : mu + dim]) for mu in range(p + 1))
+    hmats = tuple(BandOp.diag(fvals[mu : mu + dim]) for mu in range(p + 1))
     return Hierarchy(
         params=params,
         dim=dim,
@@ -114,30 +109,27 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
     dim = h.dim
     p = h.period
     eye = BandOp.diag(np.ones(dim))
-    a = [BandOp.of(rep.a) for rep in h.reps]
-    adag = [BandOp.of(rep.adag) for rep in h.reps]
-    H = [BandOp.of(m) for m in h.hmats]
-    relations = [("H^(0) = Adag_0 A_0", H[0] - adag[0] @ a[0])]
+    H, r = h.hmats, h.reps
+    relations = [("H^(0) = Adag_0 A_0", H[0] - r[0].adag @ r[0].a)]
     for mu in range(1, p + 1):
         prev, cur = mu - 1, cyc(mu, p)
         relations.append(
             (
                 f"H^({mu}) = A_{prev} Adag_{prev} + E0^({prev})",
-                H[mu] - a[prev] @ adag[prev] - h.e0[prev] * eye,
+                H[mu] - r[prev].a @ r[prev].adag - h.e0[prev] * eye,
             )
         )
         relations.append(
             (
                 f"H^({mu}) = Adag_{mu} A_{mu} + E0^({mu})",
-                H[mu] - adag[cur] @ a[cur] - h.e0[mu] * eye,
+                H[mu] - r[cur].adag @ r[cur].a - h.e0[mu] * eye,
             )
         )
 
     # Spacing claim: consecutive diagonal entries of H^(mu) differ by omega cyclically.
     worst = 0.0
     for mu in range(p + 1):
-        diag = np.diag(h.hmats[mu])
-        gaps = np.diff(diag[: dim - hr])
+        gaps = np.diff(H[mu].real_diagonal()[: dim - hr])
         target = h.omega[(np.arange(dim - hr - 1) + mu) % p]
         worst = max(worst, float(np.abs(gaps - target).max()))
     relations.append(("H^(mu) spacings realize omega cyclically", worst))
@@ -154,25 +146,22 @@ def block_pair(h: Hierarchy, mu: int) -> BlockPair:
         raise DomainError(f"sector must satisfy 0 <= mu < {h.period}, got {mu}")
     dim = h.dim
     rep = h.reps[mu]
-    zero = np.zeros((dim, dim), dtype=complex)
-    top = h.hmats[mu] - h.e0[mu] * np.eye(dim)
-    bottom = h.hmats[mu + 1] - h.e0[mu] * np.eye(dim)
-    H = np.block([[top.astype(complex), zero], [zero, bottom.astype(complex)]])
-    Qdag = np.block([[zero, rep.adag], [zero, zero]])
-    Q = np.block([[zero, zero], [rep.a, zero]])
-    return BlockPair(mu=mu, H=H, Qdag=Qdag, Q=Q)
+    zeros = np.zeros(dim)
+    # Adag_mu fills the upper right quadrant (offsets + dim), A_mu the lower left.
+    qdag = {k + dim: np.concatenate([v, zeros]) for k, v in rep.adag.bands.items()}
+    q = {k - dim: np.concatenate([zeros, v]) for k, v in rep.a.bands.items()}
+    diag = np.concatenate([h.hmats[nu].real_diagonal() - h.e0[mu] for nu in (mu, mu + 1)])
+    return BlockPair(mu=mu, H=BandOp.diag(diag), Qdag=BandOp(2 * dim, qdag), Q=BandOp(2 * dim, q))
 
 
 def sqm2_check(h: Hierarchy, mu: int, tol: float = 1e-12) -> RelationReport:
     """Verify Q^2 = 0, [H, Q] = 0, {Q, Qdag} = H for sector mu.
 
-    The 2 dim x 2 dim blocks are still weighted shifts (A_mu sits on the band
-    at offset 1 - dim), and the comparison keeps the headroom block of each
-    dim x dim quadrant.
+    The comparison keeps the headroom block of each dim x dim quadrant.
     """
     pair = block_pair(h, mu)
     hr = DEGREE2_HEADROOM
-    H, Q, Qdag = BandOp.of(pair.H), BandOp.of(pair.Q), BandOp.of(pair.Qdag)
+    H, Q, Qdag = pair.H, pair.Q, pair.Qdag
     relations = [
         ("Q^2 = 0", Q @ Q),
         ("[H, Q] = 0", H @ Q - Q @ H),

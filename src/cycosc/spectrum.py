@@ -15,9 +15,9 @@ import numpy as np
 from .algebra import (
     AlgebraParams,
     DomainError,
-    InvalidParamsError,
     derived_constants,
     new_params,
+    require_fock,
     validate_fock,
 )
 from .fock import DEGREE2_HEADROOM, BandOp, TruncatedRep
@@ -74,14 +74,13 @@ class SweepRecord:
     report: DegeneracyReport | None
 
 
-def h0(rep: TruncatedRep) -> np.ndarray:
-    """Oscillator Hamiltonian (1/2){a, adag} as a real diagonal matrix.
+def h0(rep: TruncatedRep) -> BandOp:
+    """Oscillator Hamiltonian (1/2){a, adag} as a diagonal BandOp of float64 energies.
 
     Raises DomainError unless, on the headroom block, it is exactly diagonal
     and its diagonal matches N + 1/2 + sum gamma_mu P_mu within 1e-12.
     """
-    a, adag = BandOp.of(rep.a), BandOp.of(rep.adag)
-    m = 0.5 * (a @ adag + adag @ a)
+    m = 0.5 * (rep.a @ rep.adag + rep.adag @ rep.a)
     keep = np.arange(rep.dim) < rep.dim - DEGREE2_HEADROOM
     diag = m.bands.get(0, np.zeros(rep.dim, dtype=np.clongdouble))
     if (m - BandOp.diag(diag)).block_max(keep) != 0.0:
@@ -92,14 +91,12 @@ def h0(rep: TruncatedRep) -> np.ndarray:
     formula = levels + 0.5 + gamma[levels % rep.params.lam]
     if np.abs(energies[keep] - formula[keep]).max() > 1e-12:
         raise DomainError("h0 diagonal must match N + 1/2 + sum gamma_mu P_mu")
-    return np.diag(energies)
+    return BandOp.diag(energies)
 
 
 def analytic_spectrum(params: AlgebraParams, n_max: int) -> list[SpectrumLine]:
     """Labeled energies E_{k lam + mu} = k lam + mu + gamma_mu + 1/2 for n = 0..n_max."""
-    check = validate_fock(params)
-    if not check.ok:
-        raise InvalidParamsError(check.violations)
+    require_fock(params)
     gamma = derived_constants(params).gamma
     lam = params.lam
     lines = []
@@ -140,9 +137,7 @@ def classify_degeneracy(
     so the pattern is read off the last period whose clusters are complete,
     and stabilization requires the period before it to agree.
     """
-    check = validate_fock(params)
-    if not check.ok:
-        raise InvalidParamsError(check.violations)
+    require_fock(params)
     lam = params.lam
     if n_max < lam - 1:
         raise DomainError(f"n_max = {n_max} leaves a ladder empty; use n_max >= {3 * lam}")

@@ -11,9 +11,10 @@ and xi = sqrt(2) produce exact zeros instead of rounding dust.  The diagonal
 shift shared by the order-2 parasupersymmetric and family-1 pseudosupersymmetric
 Hamiltonians goes through one helper so the two coincide bitwise.
 
-Builders return dense arrays; every check converts them to fock.BandOp and
-evaluates its identities band by band in np.clongdouble, promoting the
-float64 and complex128 entries exactly.
+Every charge and Hamiltonian is a fock.BandOp.  Each coefficient vector is
+computed in float64 (the parasupercharge in np.longdouble) and promoted
+exactly to np.clongdouble, and every check evaluates its identities band by
+band on those vectors.
 
 The parasupercharge is carried in np.longdouble.  Its order-p multilinear
 relation cancels p + 1 terms of size ~2 F(n)^{p/2} (about 1e6 at p = 4,
@@ -35,10 +36,9 @@ import numpy as np
 from .algebra import (
     AlgebraParams,
     DomainError,
-    InvalidParamsError,
     cyc,
     derived_constants,
-    validate_fock,
+    require_fock,
 )
 from .fock import BandOp, RelationReport, build_rep, relation_report
 
@@ -52,26 +52,20 @@ KIND_OSSQM = "ossqm"
 class VariantSolution:
     """A charge/Hamiltonian pair (plus a second charge for orthosupersymmetry).
 
-    Q is complex128, except for the parasupercharge, which is np.clongdouble
-    so that its order-p relations can be checked below the float64 floor.
-    H is always a real float64 diagonal matrix.
+    Q's coefficients are complex128 values, except for the parasupercharge,
+    whose np.longdouble band lets its order-p relations be checked below the
+    float64 floor.  H is always diagonal with float64 entries.
     """
 
     kind: str
     mu: int
     free_params: dict
     r_values: dict
-    Q: np.ndarray
-    H: np.ndarray
+    Q: BandOp
+    H: BandOp
     params: AlgebraParams
     dim: int
-    Q2: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.Q.setflags(write=False)
-        self.H.setflags(write=False)
-        if self.Q2 is not None:
-            self.Q2.setflags(write=False)
+    Q2: BandOp | None = None
 
 
 @dataclass(frozen=True)
@@ -83,11 +77,24 @@ class GroundState:
     broken: bool
 
 
-def _h_diagonal(lam: int, dim: int, shift: float, grade_weights: np.ndarray) -> np.ndarray:
-    """Real diagonal matrix n + shift + w_{n mod lam}, shared by all builders."""
+def _h_diagonal(lam: int, dim: int, shift: float, grade_weights: np.ndarray) -> BandOp:
+    """Diagonal n + shift + w_{n mod lam} in float64, shared by all builders."""
     n = np.arange(dim, dtype=float)
-    diag = n + shift + np.asarray(grade_weights, dtype=float)[np.arange(dim) % lam]
-    return np.diag(diag)
+    return BandOp.diag(n + shift + np.asarray(grade_weights, dtype=float)[np.arange(dim) % lam])
+
+
+def _masked_ladders(params: AlgebraParams, dim: int, lower: int, upper: int):
+    """Float64 bands of a P_lower (offset +1) and adag P_upper (offset -1), exactly."""
+    rep = build_rep(params, dim)
+    lowering = (rep.a @ rep.proj[lower]).bands[1]
+    raising = (rep.adag @ rep.proj[upper]).bands[-1]
+    return lowering.real.astype(float), raising.real.astype(float)
+
+
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 def _order2_shift(gamma_m2: float, r_m2: float, p: int) -> float:
@@ -102,12 +109,6 @@ def _order2_shift(gamma_m2: float, r_m2: float, p: int) -> float:
 def _check_lam(params: AlgebraParams, lam: int, what: str):
     if params.lam != lam:
         raise DomainError(f"{what} requires order {lam}, got {params.lam}")
-
-
-def _require_valid(params: AlgebraParams):
-    check = validate_fock(params)
-    if not check.ok:
-        raise InvalidParamsError(check.violations)
 
 
 def pssqm_r_constant(params: AlgebraParams, mu: int) -> float:
@@ -130,25 +131,24 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
     """Order-p parasupercharge Q = sqrt(2) sum_{nu=1..p} adag P_{mu+nu} and its H.
 
     Q has sqrt(2 F(n + 1)) at (n + 1, n) for every level n not in the mu
-    class, computed from alpha in np.longdouble and stored as np.clongdouble.
+    class, computed from alpha in np.longdouble, on the band at offset -1.
     """
     lam = params.lam
     p = lam - 1
     if not 0 <= mu <= p:
         raise DomainError(f"family index must satisfy 0 <= mu <= {p}, got {mu}")
-    _require_valid(params)
+    require_fock(params)
     if dim < 2 * lam:
         raise DomainError(f"dimension must be >= {2 * lam}, got {dim}")
     gamma = derived_constants(params).gamma
     m2 = cyc(mu + 2, lam)
 
-    # F(n + 1) = n + 1 + beta_{n+1 mod lam}, with beta the prefix sums of
-    # alpha, all in extended precision.
+    # F(n) = n + beta_{n mod lam}, with beta the prefix sums of alpha, all in
+    # extended precision; band -1 holds Q[n, n - 1].
     beta = np.concatenate(([0], np.cumsum(params.alpha.astype(np.longdouble))[:-1]))
-    n = np.arange(dim - 1)
-    fnext = (n + 1) + beta[(n + 1) % lam]
-    Q = np.zeros((dim, dim), dtype=np.clongdouble)
-    Q[n + 1, n] = np.where(n % lam != mu, np.sqrt(2 * fnext), 0)
+    n = np.arange(dim)
+    fvals = n + beta[n % lam]
+    Q = BandOp(dim, {-1: np.where((n - 1) % lam != mu, np.sqrt(2 * fvals), 0)})
 
     r = pssqm_r_constant(params, mu)
     weights = np.zeros(lam)
@@ -170,18 +170,18 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
 def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationReport:
     """Verify nilpotency at order p + 1 and the order-p multilinear relation.
 
-    Every entry is evaluated in np.longdouble from the nonzero diagonals of
-    sol.Q and sol.H, whatever their dtype or band structure, on rows and
-    columns n < dim - p - 2.  With the extended-precision charge of
-    pssqm_build the order-4 relation stays below 1e-10 where np.longdouble is
-    wider than float64; where it is float64 its floor is 1e-10 to 2e-10.
+    Every entry is evaluated in np.longdouble from the bands of sol.Q and
+    sol.H, whatever their band structure, on rows and columns n < dim - p - 2.
+    With the extended-precision charge of pssqm_build the order-4 relation
+    stays below 1e-10 where np.longdouble is wider than float64; where it is
+    float64 its floor is 1e-10 to 2e-10.
     """
     if sol.kind != KIND_PSSQM:
         raise DomainError(f"expected a {KIND_PSSQM} solution, got {sol.kind}")
     if p != sol.params.lam - 1:
         raise DomainError(f"solution has order {sol.params.lam - 1}, got p = {p}")
     h = p + 2
-    Q, H = BandOp.of(sol.Q), BandOp.of(sol.H)
+    Q, H = sol.Q, sol.H
     powers = [BandOp.diag(np.ones(sol.dim))]
     for _ in range(p + 1):
         powers.append(powers[-1] @ Q)
@@ -212,7 +212,7 @@ def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationRepor
     if sol.params.lam != 3:
         raise DomainError(f"cubic relation applies at order 3, got {sol.params.lam}")
     h = 4
-    Q, H = BandOp.of(sol.Q), BandOp.of(sol.H)
+    Q, H = sol.Q, sol.H
     inner = Q.dag @ Q - Q @ Q.dag
     relations = [
         ("[Q, [Qdag, Q]] = 2 Q H", Q @ inner - inner @ Q - 2.0 * (Q @ H)),
@@ -237,17 +237,17 @@ def pseudo_family1_build(
     _check_lam(params, 3, "family-1 pseudosupersymmetry")
     if not 0 <= mu < 3:
         raise DomainError(f"family index must satisfy 0 <= mu < 3, got {mu}")
+    _require_finite(c=c, eta=eta, phi=phi)
     if c == 0.0:
         raise DomainError("c must be nonzero")
     if not 0.0 < eta < 2.0 * abs(c):
         raise DomainError(f"eta must lie in (0, 2|c|) = (0, {2.0 * abs(c)}), got {eta}")
     if not 0.0 <= phi < 2.0 * math.pi:
         raise DomainError(f"phi must lie in [0, 2 pi), got {phi}")
-    _require_valid(params)
-    rep = build_rep(params, dim)
     alpha = params.alpha
     gamma = derived_constants(params).gamma
     m1, m2 = cyc(mu + 1, 3), cyc(mu + 2, 3)
+    lower, upper = _masked_ladders(params, dim, m2, m2)
 
     # Factored forms: exact zeros at eta = sqrt(2)|c| and at the 2|c| boundary.
     xi = complex(math.cos(phi), math.sin(phi)) * math.sqrt(
@@ -256,7 +256,7 @@ def pseudo_family1_build(
     root2c = math.sqrt(2.0) * abs(c)
     r = (1.0 + alpha[m2]) * ((eta - root2c) * (eta + root2c)) / (2.0 * c * c)
 
-    Q = (eta * rep.adag + xi * rep.a) @ rep.proj[m2]
+    Q = BandOp(dim, {-1: eta * upper, 1: xi * lower})
     weights = np.zeros(3)
     weights[m1] = 2.0
     weights[m2] = 1.0
@@ -284,15 +284,14 @@ def pseudo_family2_build(
     _check_lam(params, 3, "family-2 pseudosupersymmetry")
     if not 0 <= mu < 3:
         raise DomainError(f"family index must satisfy 0 <= mu < 3, got {mu}")
+    _require_finite(c=c, r_mu=r_mu)
     if c == 0.0:
         raise DomainError("c must be nonzero")
-    _require_valid(params)
-    rep = build_rep(params, dim)
     alpha = params.alpha
     gamma = derived_constants(params).gamma
     m1, m2 = cyc(mu + 1, 3), cyc(mu + 2, 3)
 
-    Q = 2.0 * abs(c) * (rep.a @ rep.proj[m2])
+    Q = BandOp(dim, {1: 2.0 * abs(c) * _masked_ladders(params, dim, m2, m2)[0]})
     weights = np.zeros(3)
     weights[mu] = 0.5 * (1.0 - alpha[m1] + alpha[m2] + r_mu)
     weights[m1] = 1.0
@@ -327,7 +326,7 @@ def pseudo_check(sol: VariantSolution, c: float, tol: float = 1e-10) -> Relation
     if sol.kind not in (KIND_PSEUDO1, KIND_PSEUDO2):
         raise DomainError(f"expected a pseudosupersymmetric solution, got {sol.kind}")
     h = 4
-    Q, H = BandOp.of(sol.Q), BandOp.of(sol.H)
+    Q, H = sol.Q, sol.H
     relations = [
         ("Q^2 = 0", Q @ Q),
         ("[H, Q] = 0", H @ Q - Q @ H),
@@ -355,6 +354,7 @@ def ossqm_build(
         )
     if mu not in (0, 1):
         raise DomainError(f"family index must be 0 or 1, got {mu}")
+    _require_finite(xi=xi, phi=phi)
     root2 = math.sqrt(2.0)
     if not 0.0 < xi <= root2:
         raise DomainError(f"xi must lie in (0, sqrt(2)], got {xi}")
@@ -366,15 +366,14 @@ def ossqm_build(
         raise DomainError(
             f"alpha_{m1} must equal -1 for the mu = {mu} family, got {alpha[m1]}"
         )
-    _require_valid(params)
-    rep = build_rep(params, dim)
+    lower, upper = _masked_ladders(params, dim, m2, mu)
     gamma = derived_constants(params).gamma
 
     # Factored so xi = sqrt(2) yields an exact zero partner coefficient.
     w = math.sqrt((root2 - xi) * (root2 + xi))
     phase = complex(math.cos(phi), math.sin(phi))
-    Q1 = xi * (rep.a @ rep.proj[m2]) + (phase * w) * (rep.adag @ rep.proj[mu])
-    Q2 = (-np.conj(phase) * w) * (rep.a @ rep.proj[m2]) + xi * (rep.adag @ rep.proj[mu])
+    Q1 = BandOp(dim, {-1: (phase * w) * upper, 1: xi * lower})
+    Q2 = BandOp(dim, {-1: xi * upper, 1: (-np.conj(phase) * w) * lower})
 
     weights = np.zeros(3)
     weights[mu] = 2.0
@@ -403,8 +402,8 @@ def ossqm_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
     if sol.kind != KIND_OSSQM:
         raise DomainError(f"expected an {KIND_OSSQM} solution, got {sol.kind}")
     h = 3
-    q = (BandOp.of(sol.Q), BandOp.of(sol.Q2))
-    H = BandOp.of(sol.H)
+    q = (sol.Q, sol.Q2)
+    H = sol.H
     qdagq = q[0].dag @ q[0] + q[1].dag @ q[1]
     relations = [
         (f"Q{r + 1} Q{s + 1} = 0", q[r] @ q[s]) for r in (0, 1) for s in (0, 1)
@@ -429,7 +428,7 @@ def ossqm_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
 
 def ground_state_analysis(sol: VariantSolution, tol: float = 1e-9) -> GroundState:
     """Lowest level of H, its cluster multiplicity, and broken flag (energy > tol)."""
-    diag = np.diag(sol.H)
+    diag = sol.H.real_diagonal()
     lowest = float(diag.min())
     multiplicity = int(np.sum(np.abs(diag - lowest) <= tol))
     return GroundState(
@@ -441,7 +440,7 @@ def variant_to_dict(
     sol: VariantSolution, report: RelationReport, n_levels: int | None = None
 ) -> dict:
     """JSON-ready summary: parameters, spectrum, ground state, relation residuals."""
-    diag = np.diag(sol.H)
+    diag = sol.H.real_diagonal()
     if n_levels is not None:
         diag = diag[:n_levels]
     ground = ground_state_analysis(sol)
@@ -456,8 +455,5 @@ def variant_to_dict(
             "multiplicity": ground.multiplicity,
             "broken": ground.broken,
         },
-        "relations": [
-            {"name": e.name, "residual": e.residual, "pass": e.passed}
-            for e in report.entries
-        ],
+        "relations": report.relation_dicts(),
     }

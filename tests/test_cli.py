@@ -1,11 +1,15 @@
 """End-to-end command-line behavior, exit codes, and output formats."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cycosc.cli import main
+from cycosc.cli import SUITES, VARIANT_KINDS, main
 
 
 def run(capsys, *argv):
@@ -352,6 +356,19 @@ class TestArgHandling:
             (("sweep", "--lambda", "2", "--grid", "a0=0:1:0.5", "--tol", "nan"), "--tol"),
             (("sweep", "--lambda", "2", "--grid", "a0=0:1:1e-13"), "--grid"),
             (("sweep", "--lambda", "3", "--grid", "a0=0:1:1e-3,a1=0:1:1e-3"), "--grid"),
+            (("variant", "--kind", "pseudo2", "--lambda", "3", "--alpha", "0,0", "--r", "nan"), "--r"),
+            (("variant", "--kind", "pseudo2", "--lambda", "3", "--alpha", "0,0", "--c", "inf"), "--c"),
+            (
+                ("verify", "--suite", "pseudo1", "--lambda", "3", "--alpha", "0,0",
+                 "--eta", "-inf"),
+                "--eta",
+            ),
+            (
+                ("verify", "--suite", "ossqm", "--lambda", "3", "--alpha", "0.5,0.5",
+                 "--mu", "1", "--xi", "nan"),
+                "--xi",
+            ),
+            (("variant", "--kind", "ossqm", "--lambda", "3", "--alpha", "0,-1", "--phi", "inf"), "--phi"),
         ],
     )
     def test_bad_value_exits_2_naming_flag(self, capsys, argv, flag):
@@ -375,3 +392,81 @@ class TestArgHandling:
         rc, _, err = run(capsys, "spectrum", "--lambda", "3", "--alpha", "-2,0")
         assert rc == 2
         assert "no Fock representation" in err
+
+    def test_leading_minus_value_token(self, capsys):
+        # argparse alone takes `-2e-1` and `-inf` for flags, not values.
+        rc, out, _ = run(
+            capsys, "verify", "--suite", "pseudo2", "--lambda", "3", "--alpha", "0,0",
+            "--c", "-2e-1", "--dim", "30",
+        )
+        assert rc == 0
+        assert "suite pseudo2: OK" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "pseudo1", "--lambda", "3", "--alpha", "0,0",
+                  "--eta", "-inf"])
+        assert exc.value.code == 2
+        assert "argument --eta: must be finite" in capsys.readouterr().err
+
+
+# Numeric flag values as typed: mostly ordinary, sometimes negative, zero,
+# huge or non-finite.
+SPECIAL_TEXT = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "-1e308", "1e-320"])
+ORDINARY_TEXT = st.floats(min_value=-0.9, max_value=2.0).map(repr)
+
+
+def number_text(draw):
+    return draw(SPECIAL_TEXT if draw(st.integers(0, 4)) == 0 else ORDINARY_TEXT)
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv over every subcommand, suite and kind with fuzzed numeric flags.
+
+    Orders and alpha lengths are mostly valid, so that calls reach the
+    builders and checks; --dim stays <= 64 and sweep grids at most 4 points
+    per axis, so each call is quick.
+    """
+    command = draw(st.sampled_from(["spectrum", "verify", "sweep", "hierarchy", "variant", "dump"]))
+    lam = draw(st.sampled_from([3, 2, 4, 5, 3, 1, 0, -1]))
+    argv = [command, "--lambda", str(lam)]
+    if command == "sweep":
+        bounds = st.sampled_from(["-0.5", "0", "0.5", "1", "1e400", "nan"])
+        steps = st.sampled_from(["0.5", "1", "0", "-1", "inf", "1e400"])
+        axes = range(lam - 1) if draw(st.integers(0, 3)) else range(draw(st.integers(0, 3)))
+        argv += ["--grid", ",".join(
+            f"a{k}={draw(bounds)}:{draw(bounds)}:{draw(steps)}" for k in axes
+        ) or "a0=0:1:1"]
+    else:
+        count = max(lam - 1, 0) if draw(st.integers(0, 3)) else draw(st.integers(0, 5))
+        argv += ["--alpha", ",".join(number_text(draw) for _ in range(count)) or "0"]
+        argv += ["--dim", str(draw(st.sampled_from([60, 24, 64, 7, 0, -4])))]
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    if command == "verify":
+        argv += ["--suite", draw(st.sampled_from(SUITES))]
+    if command == "variant":
+        argv += ["--kind", draw(st.sampled_from(VARIANT_KINDS))]
+    if command in ("verify", "variant"):
+        argv += ["--mu", str(draw(st.integers(min_value=-1, max_value=4)))]
+        for flag in ("--c", "--eta", "--phi", "--xi", "--r"):
+            if draw(st.integers(0, 2)) == 0:
+                argv += [flag, number_text(draw)]
+    argv += ["--nmax", str(draw(st.sampled_from([20, 5, 70, 0, 20, -1])))]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(st.sampled_from(["1e-10", "1e-12", "0.5", "1e-9", "0", "nan"]))]
+    return argv
+
+
+class TestFuzz:
+    @settings(
+        max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(cli_argv())
+    def test_exit_code_documented_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 1, 2, 3), (argv, rc, err.getvalue())
+        assert "Traceback" not in err.getvalue()

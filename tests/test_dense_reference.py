@@ -2,8 +2,11 @@
 
 Every check evaluates its identities band by band, so operators with every
 diagonal filled must give the residuals of the dense masked products.  Full
-random complex matrices are injected into the representation, hierarchy or
-solution, and each entry is compared with the dense evaluation.
+random complex matrices are wrapped with BandOp.of and injected into the
+representation, hierarchy or solution, and each entry is compared with the
+dense evaluation.  block_pair keeps only the real diagonal of each partner
+Hamiltonian, so the block check is compared with the dense form of the pair
+it built.
 """
 
 import dataclasses
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 from cycosc import (
+    BandOp,
     block_pair,
     build_hierarchy,
     build_rep,
@@ -54,15 +58,16 @@ def assert_matches_dense(report, dense, measure=None):
 def test_check_relations(lam):
     rng = np.random.default_rng(lam)
     params = new_params(lam, [0.3] * (lam - 2) + [0.1])
+    a, ad, n, t = (random_matrix(rng) for _ in range(4))
+    P = [random_matrix(rng) for _ in range(lam)]
     rep = dataclasses.replace(
         build_rep(params, DIM),
-        a=random_matrix(rng),
-        adag=random_matrix(rng),
-        nmat=random_matrix(rng),
-        tmat=random_matrix(rng),
-        proj=tuple(random_matrix(rng) for _ in range(lam)),
+        a=BandOp.of(a),
+        adag=BandOp.of(ad),
+        nmat=BandOp.of(n),
+        tmat=BandOp.of(t),
+        proj=tuple(BandOp.of(p) for p in P),
     )
-    a, ad, n, t, P = rep.a, rep.adag, rep.nmat, rep.tmat, rep.proj
     eye = np.eye(DIM)
     f = structure_values(params, DIM)
     w = np.exp(-2j * np.pi / lam)
@@ -93,53 +98,53 @@ def test_check_relations(lam):
 def test_klein_reduction_check():
     rng = np.random.default_rng(11)
     params = new_params(2, [0.5])
+    a, ad, t = (random_matrix(rng) for _ in range(3))
     rep = dataclasses.replace(
-        build_rep(params, DIM),
-        a=random_matrix(rng),
-        adag=random_matrix(rng),
-        tmat=random_matrix(rng),
+        build_rep(params, DIM), a=BandOp.of(a), adag=BandOp.of(ad), tmat=BandOp.of(t)
     )
     klein = np.diag((-1.0) ** np.arange(DIM))
     dense = {
         # The grading identity is checked on the whole matrix.
-        "T = (-1)^N": float(np.abs(rep.tmat - klein).max()),
-        "[a, adag] = I + kappa (-1)^N": [
-            rep.a @ rep.adag - rep.adag @ rep.a - np.eye(DIM) - 0.5 * klein
-        ],
+        "T = (-1)^N": float(np.abs(t - klein).max()),
+        "[a, adag] = I + kappa (-1)^N": [a @ ad - ad @ a - np.eye(DIM) - 0.5 * klein],
     }
     assert_matches_dense(klein_reduction_check(rep), dense)
 
 
 def random_hierarchy(rng, lam):
+    """A hierarchy with random full matrices injected, and those matrices."""
     h = build_hierarchy(new_params(lam, [0.4] * (lam - 1)), DIM)
+    ladders = [(random_matrix(rng), random_matrix(rng)) for _ in h.reps]
+    hmats = [random_matrix(rng) for _ in h.hmats]
     reps = tuple(
-        dataclasses.replace(r, a=random_matrix(rng), adag=random_matrix(rng))
-        for r in h.reps
+        dataclasses.replace(r, a=BandOp.of(a), adag=BandOp.of(ad))
+        for r, (a, ad) in zip(h.reps, ladders)
     )
-    hmats = tuple(random_matrix(rng) for _ in h.hmats)
-    return dataclasses.replace(h, reps=reps, hmats=hmats)
+    h = dataclasses.replace(h, reps=reps, hmats=tuple(BandOp.of(m) for m in hmats))
+    return h, ladders, hmats
 
 
 @pytest.mark.parametrize("lam", [2, 3])
 def test_partner_check(lam):
     rng = np.random.default_rng(20 + lam)
-    h = random_hierarchy(rng, lam)
+    h, ladders, hmats = random_hierarchy(rng, lam)
     hr = 3
     eye = np.eye(DIM)
-    a = [r.a for r in h.reps]
-    ad = [r.adag for r in h.reps]
-    dense = {"H^(0) = Adag_0 A_0": [h.hmats[0] - ad[0] @ a[0]]}
+    a = [m for m, _ in ladders]
+    ad = [m for _, m in ladders]
+    dense = {"H^(0) = Adag_0 A_0": [hmats[0] - ad[0] @ a[0]]}
     for mu in range(1, lam + 1):
         dense[f"H^({mu}) = A_{mu - 1} Adag_{mu - 1} + E0^({mu - 1})"] = [
-            h.hmats[mu] - a[mu - 1] @ ad[mu - 1] - h.e0[mu - 1] * eye
+            hmats[mu] - a[mu - 1] @ ad[mu - 1] - h.e0[mu - 1] * eye
         ]
         dense[f"H^({mu}) = Adag_{mu} A_{mu} + E0^({mu})"] = [
-            h.hmats[mu] - ad[mu % lam] @ a[mu % lam] - h.e0[mu] * eye
+            hmats[mu] - ad[mu % lam] @ a[mu % lam] - h.e0[mu] * eye
         ]
+    # Energies are the real parts of the diagonal.
     dense["H^(mu) spacings realize omega cyclically"] = max(
         float(
             np.abs(
-                np.diff(np.diag(h.hmats[mu])[: DIM - hr])
+                np.diff(np.diag(hmats[mu]).real[: DIM - hr])
                 - h.omega[(np.arange(DIM - hr - 1) + mu) % lam]
             ).max()
         )
@@ -151,9 +156,9 @@ def test_partner_check(lam):
 @pytest.mark.parametrize("mu", [0, 1])
 def test_sqm2_check(mu):
     rng = np.random.default_rng(30 + mu)
-    h = random_hierarchy(rng, 2)
+    h, _, _ = random_hierarchy(rng, 2)
     pair = block_pair(h, mu)
-    H, Q, Qd = pair.H, pair.Q, pair.Qdag
+    H, Q, Qd = (op.dense().astype(complex) for op in (pair.H, pair.Q, pair.Qdag))
     keep = np.r_[0 : DIM - 3, DIM : 2 * DIM - 3]
     dense = {
         "Q^2 = 0": [Q @ Q],
@@ -171,8 +176,8 @@ def test_pseudo_check():
     rng = np.random.default_rng(41)
     c = 0.7
     sol = pseudo_family2_build(new_params(3, [0.5, 0.1]), 1, c, 0.4, dim=DIM)
-    sol = dataclasses.replace(sol, Q=random_matrix(rng), H=random_matrix(rng))
-    Q, H = sol.Q, sol.H
+    Q, H = random_matrix(rng), random_matrix(rng)
+    sol = dataclasses.replace(sol, Q=BandOp.of(Q), H=BandOp.of(H))
     Qd = Q.conj().T
     dense = {
         "Q^2 = 0": [Q @ Q],
@@ -185,10 +190,9 @@ def test_pseudo_check():
 def test_ossqm_check():
     rng = np.random.default_rng(43)
     sol = ossqm_build(new_params(3, [0.5, -1.0]), 0, 1.0, 0.3, dim=DIM)
-    sol = dataclasses.replace(
-        sol, Q=random_matrix(rng), Q2=random_matrix(rng), H=random_matrix(rng)
-    )
-    q, H = (sol.Q, sol.Q2), sol.H
+    q = (random_matrix(rng), random_matrix(rng))
+    H = random_matrix(rng)
+    sol = dataclasses.replace(sol, Q=BandOp.of(q[0]), Q2=BandOp.of(q[1]), H=BandOp.of(H))
     qd = [m.conj().T for m in q]
     qdagq = qd[0] @ q[0] + qd[1] @ q[1]
     dense = {}

@@ -65,7 +65,7 @@ class TestBuildHierarchy:
         h = build_hierarchy(params, 12)
         fvals = structure_values(params, 12 + 2)
         for mu in range(4):
-            assert np.array_equal(np.diag(h.hmats[mu]), fvals[mu : mu + 12])
+            assert np.array_equal(h.hmats[mu].real_diagonal(), fvals[mu : mu + 12])
 
     def test_shifted_reps_carry_rotated_parameters(self):
         params = new_params(3, [0.5, 0.1])
@@ -114,18 +114,19 @@ class TestBlockPair:
     def test_block_layout(self):
         h = build_hierarchy(new_params(2, [0.5]), 12)
         pair = block_pair(h, 0)
-        assert pair.H.shape == (24, 24)
-        assert np.array_equal(pair.Qdag[:12, 12:], h.reps[0].adag)
-        assert np.abs(pair.Qdag[12:, :]).max() == 0.0
-        assert np.array_equal(pair.Q, pair.Qdag.conj().T)
+        H, Q, Qdag = pair.H.dense(), pair.Q.dense(), pair.Qdag.dense()
+        assert H.shape == (24, 24)
+        assert np.array_equal(Qdag[:12, 12:], h.reps[0].adag.dense())
+        assert np.abs(Qdag[12:, :]).max() == 0.0
+        assert np.array_equal(Q, Qdag.conj().T)
 
     def test_both_blocks_share_one_ground_shift(self):
         h = build_hierarchy(new_params(3, [0.5, 0.1]), 12)
         pair = block_pair(h, 1)
-        top = np.diag(pair.H)[:12].real
-        bottom = np.diag(pair.H)[12:].real
-        assert np.array_equal(top, np.diag(h.hmats[1]) - h.e0[1])
-        assert np.array_equal(bottom, np.diag(h.hmats[2]) - h.e0[1])
+        top = np.diag(pair.H.dense())[:12].real
+        bottom = np.diag(pair.H.dense())[12:].real
+        assert np.array_equal(top, h.hmats[1].real_diagonal() - h.e0[1])
+        assert np.array_equal(bottom, h.hmats[2].real_diagonal() - h.e0[1])
 
     def test_sector_out_of_range(self):
         h = build_hierarchy(new_params(2, [0.5]), 12)
@@ -137,7 +138,8 @@ class TestSqm2:
     def test_charge_is_exactly_nilpotent(self):
         h = build_hierarchy(new_params(3, [0.5, 0.1]), 16)
         pair = block_pair(h, 0)
-        assert np.abs(pair.Q @ pair.Q).max() == 0.0
+        Q = pair.Q.dense()
+        assert np.abs(Q @ Q).max() == 0.0
 
     def test_all_sectors_pass(self):
         rng = np.random.default_rng(29)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cycosc import (
+    BandOp,
     DomainError,
     build_rep,
     equal_spacing_r,
@@ -27,7 +28,7 @@ from conftest import fock_valid_params
 
 
 def sorted_level_spacings(sol, n_levels, cluster_tol=1e-9):
-    levels = np.sort(np.diag(sol.H).real[:n_levels])
+    levels = np.sort(sol.H.real_diagonal()[:n_levels])
     clusters = [levels[0]]
     for e in levels[1:]:
         if e - clusters[-1] > cluster_tol:
@@ -51,7 +52,7 @@ class TestPssqmBuild:
 
     def test_order_three_spectrum_clusters(self):
         sol = pssqm_build(new_params(4, [0.0, 0.0, 0.0]), 0, dim=24)
-        diag = np.diag(sol.H).real
+        diag = sol.H.real_diagonal()
         assert diag[0] == -1.0
         assert diag[1:5].tolist() == [3.0, 3.0, 3.0, 3.0]
         assert diag[5:9].tolist() == [7.0, 7.0, 7.0, 7.0]
@@ -78,7 +79,7 @@ class TestPssqmBuild:
         ]
         for head, energy in cases:
             sol = pssqm_build(new_params(3, head), 0, dim=24)
-            assert np.diag(sol.H).real.min() == energy
+            assert sol.H.real_diagonal().min() == energy
 
     @pytest.mark.parametrize("lam", [3, 4, 5])
     def test_charge_is_masked_raising_operator(self, lam):
@@ -91,17 +92,19 @@ class TestPssqmBuild:
         for _ in range(3):
             params = fock_valid_params(rng, lam)
             rep = build_rep(params, 42)
+            adag = rep.adag.dense().astype(complex)
             for mu in range(p + 1):
                 sol = pssqm_build(params, mu, dim=42)
-                assert sol.Q.dtype == np.clongdouble
-                mask = sum(rep.proj[(mu + nu) % lam] for nu in range(1, p + 1))
-                expected = math.sqrt(2.0) * (rep.adag @ mask)
+                assert list(sol.Q.bands) == [-1]
+                q = sol.Q.dense()
+                mask = sum(rep.proj[(mu + nu) % lam].dense() for nu in range(1, p + 1))
+                expected = math.sqrt(2.0) * (adag @ mask.astype(complex))
                 np.testing.assert_allclose(
-                    sol.Q.astype(complex), expected,
+                    q.astype(complex), expected,
                     rtol=4 * np.finfo(float).eps, atol=0.0,
                 )
-                assert not sol.Q[expected == 0].any()
-                assert not np.linalg.matrix_power(sol.Q, p + 1).any()
+                assert not q[expected == 0].any()
+                assert not np.linalg.matrix_power(q, p + 1).any()
 
     def test_family_index_range(self):
         params = new_params(3, [0.0, 0.0])
@@ -125,7 +128,7 @@ class TestPssqmCheck:
 
     def test_nilpotency_is_exact(self):
         sol = pssqm_build(new_params(3, [1.0, -0.5]), 0, dim=30)
-        cube = np.linalg.matrix_power(sol.Q, 3)
+        cube = np.linalg.matrix_power(sol.Q.dense(), 3)
         assert np.abs(cube).max() == 0.0
 
     def test_charge_power_below_nilpotency_is_nonzero(self):
@@ -150,7 +153,7 @@ class TestPssqmCheck:
         sol = pssqm_build(new_params(3, [1.0, -0.5]), 0, dim=dim)
         rng = np.random.default_rng(7)
         q = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        qd, h = q.conj().T, sol.H.astype(complex)
+        qd, h = q.conj().T, sol.H.dense().astype(complex)
         pw = [np.linalg.matrix_power(q, j) for j in range(p + 2)]
         inner = qd @ q - q @ qd
         dense = {
@@ -163,7 +166,7 @@ class TestPssqmCheck:
             "[Q, [Qdag, Q]] = 2 Q H": q @ inner - inner @ q - 2.0 * (q @ h),
             "Q != 0": q,
         }
-        injected = dataclasses.replace(sol, Q=q)
+        injected = dataclasses.replace(sol, Q=BandOp.of(q))
         reports = (pssqm_check(injected, p), pssqm_cubic_check(injected))
         for report in reports:
             b = slice(0, dim - report.headroom)
@@ -240,8 +243,8 @@ class TestPseudoFamily1:
             pseudo = pseudo_family1_build(
                 params, mu, c=c, eta=math.sqrt(2.0) * abs(c), phi=0.0, dim=36
             )
-            assert np.array_equal(np.diag(para.H), np.diag(pseudo.H))
-            assert np.abs(para.Q - pseudo.Q).max() > 0.1
+            assert np.array_equal(para.H.dense(), pseudo.H.dense())
+            assert np.abs(para.Q.dense() - pseudo.Q.dense()).max() > 0.1
 
     def test_relations_hold(self):
         rng = np.random.default_rng(53)
@@ -280,7 +283,7 @@ class TestPseudoFamily2:
         }
         for r_mu, head in expected.items():
             sol = pseudo_family2_build(params, 0, 1.0, r_mu, dim=24)
-            assert np.diag(sol.H).real[:6].tolist() == head
+            assert sol.H.real_diagonal()[:6].tolist() == head
 
     def test_ground_state_reading(self):
         params = new_params(3, [0.0, 0.0])
@@ -319,7 +322,8 @@ class TestPseudoFamily2:
         params = new_params(3, [1.0, -0.5])
         sol = pseudo_family2_build(params, 0, 0.5, 1.0, dim=24)
         rep = build_rep(params, 24)
-        assert np.array_equal(sol.Q, 1.0 * (rep.a @ rep.proj[2]))
+        expected = 1.0 * (rep.a.dense().astype(complex) @ rep.proj[2].dense().astype(complex))
+        assert np.array_equal(sol.Q.dense(), expected)
 
 
 class TestPseudoCheck:
@@ -338,7 +342,12 @@ class TestPseudoCheck:
 
     def test_non_finite_hamiltonian_fails(self):
         # inf - inf leaves NaN residuals, which must fail rather than vanish.
-        sol = pseudo_family2_build(new_params(3, [0.0, 0.0]), 0, 1.0, math.inf, dim=24)
+        # The builders reject a non-finite r_mu, so the infinite levels are
+        # injected.
+        sol = pseudo_family2_build(new_params(3, [0.0, 0.0]), 0, 1.0, 0.0, dim=24)
+        levels = sol.H.real_diagonal()
+        levels[::3] = math.inf
+        sol = dataclasses.replace(sol, H=BandOp.diag(levels))
         with np.errstate(invalid="ignore"):
             report = pseudo_check(sol, 1.0)
         assert np.isnan(report.residual("[H, Q] = 0"))
@@ -350,10 +359,29 @@ class TestPseudoCheck:
             pseudo_check(sol, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(bad):
+    # A non-finite c, eta, r_mu, xi or phi would leave NaN in Q, H or r.
+    params = new_params(3, [0.0, 0.0])
+    ortho = new_params(3, [0.0, -1.0])
+    builds = [
+        ("c", lambda: pseudo_family1_build(params, 0, c=bad, eta=1.0, phi=0.0)),
+        ("eta", lambda: pseudo_family1_build(params, 0, c=1.0, eta=bad, phi=0.0)),
+        ("phi", lambda: pseudo_family1_build(params, 0, c=1.0, eta=1.0, phi=bad)),
+        ("c", lambda: pseudo_family2_build(params, 0, bad, 1.0)),
+        ("r_mu", lambda: pseudo_family2_build(params, 0, 1.0, bad)),
+        ("xi", lambda: ossqm_build(ortho, 0, xi=bad, phi=0.0)),
+        ("phi", lambda: ossqm_build(ortho, 0, xi=1.0, phi=bad)),
+    ]
+    for name, build in builds:
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            build()
+
+
 class TestOssqmBuild:
     def test_unbroken_family(self):
         sol = ossqm_build(new_params(3, [0.5, 0.5]), 1, xi=1.0, phi=0.0, dim=24)
-        diag = np.diag(sol.H).real
+        diag = sol.H.real_diagonal()
         assert diag[0] == 0.0
         assert diag[1:4].tolist() == [3.0, 3.0, 3.0]
         assert diag[4:7].tolist() == [6.0, 6.0, 6.0]
@@ -362,7 +390,7 @@ class TestOssqmBuild:
 
     def test_broken_family(self):
         sol = ossqm_build(new_params(3, [0.0, -1.0]), 0, xi=math.sqrt(2.0), phi=0.0, dim=24)
-        diag = np.diag(sol.H).real
+        diag = sol.H.real_diagonal()
         assert diag[:6].tolist() == [1.0, 1.0, 1.0, 4.0, 4.0, 4.0]
         gs = ground_state_analysis(sol)
         assert (gs.energy, gs.multiplicity, gs.broken) == (1.0, 3, True)
@@ -372,8 +400,10 @@ class TestOssqmBuild:
         root2 = math.sqrt(2.0)
         sol = ossqm_build(params, 0, xi=root2, phi=0.3, dim=24)
         rep = build_rep(params, 24)
-        assert np.array_equal(sol.Q, root2 * (rep.a @ rep.proj[2]))
-        assert np.array_equal(sol.Q2, root2 * (rep.adag @ rep.proj[0]))
+        a, adag = rep.a.dense().astype(complex), rep.adag.dense().astype(complex)
+        proj = [p.dense().astype(complex) for p in rep.proj]
+        assert np.array_equal(sol.Q.dense(), root2 * (a @ proj[2]))
+        assert np.array_equal(sol.Q2.dense(), root2 * (adag @ proj[0]))
 
     def test_no_third_family(self):
         with pytest.raises(DomainError, match="mu = 2"):
