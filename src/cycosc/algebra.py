@@ -17,7 +17,11 @@ REAL_TOL = 1e-12
 
 
 class DomainError(ValueError):
-    """Input outside the domain an operation is defined on."""
+    """Input outside the domain an operation is defined on; name, if set, names the parameter."""
+
+    def __init__(self, message: str = "", name: str | None = None):
+        super().__init__(message)
+        self.name = name
 
 
 class SymmetryError(DomainError):

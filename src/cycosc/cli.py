@@ -429,7 +429,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        flag = f"argument --{exc.name}: " if exc.name else ""
+        print(f"error: {flag}{exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

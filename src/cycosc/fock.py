@@ -2,10 +2,11 @@
 
 The representation acts on the number basis |0>..|D-1> with ladder matrix
 elements sqrt(F(n)).  Every operator the package builds is a BandOp, a sum of
-weighted shifts in np.clongdouble, and every relation check evaluates its
-identity band by band on those stored bands.  Truncation corrupts only the top
-of the tower, so every identity is verified on a headroom-restricted block of
-rows and columns.  Dense arrays are made only for the JSON dump (BandOp.dense).
+weighted shifts in np.longdouble (np.clongdouble where a phase enters), and
+every relation check evaluates its identity band by band on those bands.
+Truncation corrupts only the top of the tower, so every identity is verified
+on a headroom-restricted block of rows and columns.  Dense arrays are made
+only for the JSON dump (BandOp.dense).
 """
 
 from __future__ import annotations
@@ -91,8 +92,13 @@ def _span(n: int, k: int) -> tuple[int, int]:
     return max(0, -k), min(n, n - k)
 
 
+def _peak(values) -> float:
+    """The largest of values (0.0 if none), NaN if any is NaN, which max() alone may skip."""
+    return float(max(values, key=lambda x: (x != x, x), default=0.0))
+
+
 def _shift(v: np.ndarray, s: int) -> np.ndarray:
-    """w[i] = v[i + s], zero (or False) where i + s leaves the vector."""
+    """w[i] = v[i + s], zero where i + s leaves the vector."""
     w = np.zeros_like(v)
     lo, hi = _span(v.size, s)
     if lo < hi:
@@ -102,14 +108,15 @@ def _shift(v: np.ndarray, s: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class BandOp:
-    """A square operator as a sum of weighted shifts, in np.clongdouble.
+    """A square operator as a sum of weighted shifts, in extended precision.
 
     bands maps an offset k to the vector v with v[i] = m[i, i + k], zero where
     i + k leaves the matrix.  Every operator of the algebra has at most two
-    bands, so a product or a masked maximum costs O(dim) per pair of bands
+    bands, so a product or a block maximum costs O(dim) per pair of bands
     instead of a dense O(dim^3) matmul (which has no BLAS path in extended
     precision), and the float64 rounding of the inputs dominates what is left.
-    Band vectors are promoted exactly to np.clongdouble and made read-only.
+    Vectors are read-only np.longdouble, or np.clongdouble for an operator with
+    a complex one (T, phased charges); real arithmetic is complex's real part.
     """
 
     dim: int
@@ -118,22 +125,24 @@ class BandOp:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        self.bands = {k: np.asarray(v, dtype=np.clongdouble) for k, v in self.bands.items()}
+        dtype = np.result_type(np.longdouble, *map(np.asarray, self.bands.values()))
+        self.bands = {k: np.asarray(v, dtype=dtype) for k, v in self.bands.items()}
         for v in self.bands.values():
             v.setflags(write=False)
 
     @classmethod
+    def _wrap(cls, dim: int, bands: dict[int, np.ndarray]) -> BandOp:
+        """An arithmetic result, whose fresh vectors need no conversion."""
+        op = cls.__new__(cls)
+        op.dim, op.bands = dim, bands
+        return op
+
+    @classmethod
     def of(cls, m: np.ndarray) -> BandOp:
         """The nonzero diagonals of any square array, promoted exactly (for injected matrices)."""
-        dim = m.shape[0]
         rows, cols = np.nonzero(m)
-        bands = {}
-        for k in np.unique(cols - rows).tolist():
-            v = np.zeros(dim, dtype=np.clongdouble)
-            lo, hi = _span(dim, k)
-            v[lo:hi] = np.diagonal(m, k)
-            bands[k] = v
-        return cls(dim, bands)
+        offsets = np.unique(cols - rows).tolist()
+        return cls(len(m), {k: np.pad(np.diagonal(m, k), (max(0, -k), max(0, k))) for k in offsets})
 
     @classmethod
     def diag(cls, v: np.ndarray) -> BandOp:
@@ -155,24 +164,25 @@ class BandOp:
     @property
     def dag(self) -> BandOp:
         """Conjugate transpose: band k moves to band -k."""
-        return BandOp(self.dim, {-k: np.conj(_shift(v, -k)) for k, v in self.bands.items()})
+        return BandOp._wrap(self.dim, {-k: np.conj(_shift(v, -k)) for k, v in self.bands.items()})
 
     def __matmul__(self, other: BandOp) -> BandOp:
         # (x y)[i, i + kx + ky] = x[i, i + kx] y[i + kx, i + kx + ky]
+        dtype = np.result_type(np.longdouble, *self.bands.values(), *other.bands.values())
         out = {}
         for kx, vx in self.bands.items():
+            lo, hi = _span(self.dim, kx)
             for ky, vy in other.bands.items():
-                k = kx + ky
-                if abs(k) < self.dim:
-                    term = vx * _shift(vy, kx)
-                    out[k] = out[k] + term if k in out else term
-        return BandOp(self.dim, out)
+                if abs(kx + ky) < self.dim:
+                    w = out.setdefault(kx + ky, np.zeros(self.dim, dtype))
+                    w[lo:hi] += vx[lo:hi] * vy[lo + kx : hi + kx]
+        return BandOp._wrap(self.dim, out)
 
     def __add__(self, other: BandOp) -> BandOp:
         out = dict(self.bands)
         for k, v in other.bands.items():
             out[k] = out[k] + v if k in out else v
-        return BandOp(self.dim, out)
+        return BandOp._wrap(self.dim, out)
 
     def __radd__(self, other):
         # sum() starts from 0.
@@ -182,35 +192,34 @@ class BandOp:
         return self + -1 * other
 
     def __mul__(self, c) -> BandOp:
-        return BandOp(self.dim, {k: c * v for k, v in self.bands.items()})
+        return BandOp._wrap(self.dim, {k: c * v for k, v in self.bands.items()})
 
     __rmul__ = __mul__
 
-    def block_max(self, keep: np.ndarray) -> float:
-        """Max absolute entry on the rows and columns where keep is True.
+    def block_max(self, rows) -> float:
+        """Max absolute entry (i, j) with i and j in the half-open ranges rows.
 
         NaN when any of those entries is NaN, so a non-finite residual fails.
         """
-        peaks = [
-            np.abs(v[keep & _shift(keep, k)]).max(initial=0.0) for k, v in self.bands.items()
-        ]
-        return float(np.max(peaks, initial=0.0))
+        spans = [(k, max(a, c - k), min(b, d - k))
+                 for k in self.bands for a, b in rows for c, d in rows]
+        return _peak(np.abs(self.bands[k][lo:hi]).max() for k, lo, hi in spans if lo < hi)
 
 
-def relation_report(relations, keep: np.ndarray, headroom: int, tol: float) -> RelationReport:
+def relation_report(relations, rows, headroom: int, tol: float) -> RelationReport:
     """Report over (name, residual[, nonzero]) tuples, in the order given.
 
     A residual is a BandOp or a list of them (the largest counts), measured
-    on the rows and columns where keep is True, or a float measured by the
-    caller.  nonzero=True asserts the operator is not negligible, so that
-    entry passes when its residual exceeds tol.
+    on the block whose rows and columns lie in the half-open ranges rows, or
+    a float measured by the caller.  nonzero=True asserts the operator is not
+    negligible, so that entry passes when its residual exceeds tol.
     """
     entries = []
     for name, resid, *nonzero in relations:
         if isinstance(resid, BandOp):
             resid = [resid]
         if not isinstance(resid, float):
-            resid = float(np.max([op.block_max(keep) for op in resid]))
+            resid = _peak(op.block_max(rows) for op in resid)
         flag = bool(nonzero) and nonzero[0]
         entries.append(RelationEntry(name, resid, resid > tol if flag else resid <= tol, flag))
     return RelationReport(entries=tuple(entries), headroom=headroom, tol=tol)
@@ -220,7 +229,8 @@ def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
     """Build the truncated representation of a valid algebra.
 
     a has sqrt(F(n)) at (n-1, n), adag is its conjugate transpose, N is
-    diagonal, P_mu projects onto levels n = mu mod lam, and T = exp(2i pi N / lam).
+    diagonal, P_mu projects onto levels n = mu mod lam, and T = exp(2i pi N / lam)
+    is built from the phases at n mod lam, so it is exactly lam-periodic.
     """
     require_fock(params)
     lam = params.lam
@@ -229,14 +239,15 @@ def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
     # sqrt(F(n)) is adag's band -1 as it stands (F(0) = 0) and a's band +1 moved up one level.
     roots = np.sqrt(structure_values(params, dim - 1))
     levels = np.arange(dim)
+    classes = levels % lam
     return TruncatedRep(
         params=params,
         dim=dim,
         a=BandOp(dim, {1: _shift(roots, 1)}),
         adag=BandOp(dim, {-1: roots}),
-        nmat=BandOp.diag(levels.astype(float)),
-        proj=tuple(BandOp.diag((levels % lam == mu).astype(float)) for mu in range(lam)),
-        tmat=BandOp.diag(np.exp(2j * np.pi * levels / lam)),
+        nmat=BandOp.diag(levels),
+        proj=tuple(BandOp.diag(classes == mu) for mu in range(lam)),
+        tmat=BandOp.diag(np.exp(2j * np.pi * np.arange(lam) / lam)[classes]),
     )
 
 
@@ -283,7 +294,7 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
         ("a T = exp(2i pi/lam) T a", a @ tmat - np.conj(w) * (tmat @ a)),
     ]
     h = DEGREE2_HEADROOM
-    return relation_report(relations, np.arange(dim) < dim - h, h, tol)
+    return relation_report(relations, [(0, dim - h)], h, tol)
 
 
 def klein_reduction_check(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
@@ -297,14 +308,14 @@ def klein_reduction_check(rep: TruncatedRep, tol: float = 1e-12) -> RelationRepo
     dim = rep.dim
     kappa = float(rep.params.alpha[0])
     a, adag = rep.a, rep.adag
-    klein = BandOp.diag((-1.0 + 0j) ** np.arange(dim))
+    klein = BandOp.diag((-1.0) ** np.arange(dim))
     eye = BandOp.diag(np.ones(dim))
     relations = [
-        ("T = (-1)^N", (rep.tmat - klein).block_max(np.ones(dim, dtype=bool))),
+        ("T = (-1)^N", (rep.tmat - klein).block_max([(0, dim)])),
         ("[a, adag] = I + kappa (-1)^N", a @ adag - adag @ a - (eye + kappa * klein)),
     ]
     h = DEGREE2_HEADROOM
-    return relation_report(relations, np.arange(dim) < dim - h, h, tol)
+    return relation_report(relations, [(0, dim - h)], h, tol)
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:

@@ -133,7 +133,7 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
         target = h.omega[(np.arange(dim - hr - 1) + mu) % p]
         worst = max(worst, float(np.abs(gaps - target).max()))
     relations.append(("H^(mu) spacings realize omega cyclically", worst))
-    return relation_report(relations, np.arange(dim) < dim - hr, hr, tol)
+    return relation_report(relations, [(0, dim - hr)], hr, tol)
 
 
 def block_pair(h: Hierarchy, mu: int) -> BlockPair:
@@ -167,5 +167,4 @@ def sqm2_check(h: Hierarchy, mu: int, tol: float = 1e-12) -> RelationReport:
         ("[H, Q] = 0", H @ Q - Q @ H),
         ("{Q, Qdag} = H", Q @ Qdag + Qdag @ Q - H),
     ]
-    keep = np.tile(np.arange(h.dim) < h.dim - hr, 2)
-    return relation_report(relations, keep, hr, tol)
+    return relation_report(relations, [(0, h.dim - hr), (h.dim, 2 * h.dim - hr)], hr, tol)

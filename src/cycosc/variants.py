@@ -11,19 +11,13 @@ and xi = sqrt(2) produce exact zeros instead of rounding dust.  The diagonal
 shift shared by the order-2 parasupersymmetric and family-1 pseudosupersymmetric
 Hamiltonians goes through one helper so the two coincide bitwise.
 
-Every charge and Hamiltonian is a fock.BandOp.  Each coefficient vector is
-computed in float64 (the parasupercharge in np.longdouble) and promoted
-exactly to np.clongdouble, and every check evaluates its identities band by
-band on those vectors.
-
-The parasupercharge is carried in np.longdouble.  Its order-p multilinear
-relation cancels p + 1 terms of size ~2 F(n)^{p/2} (about 1e6 at p = 4,
-dim = 60), so a relative error of one float64 rounding in each charge entry
-leaves a residual of about 2e-10 however the relation is evaluated.  Building
-the charge band from alpha in extended precision and checking it band by band
-in that precision removes this floor where np.longdouble is wider than
-float64 (x86-64: 80-bit, eps 1.1e-19); where it is float64, a floor of
-1e-10 to 2e-10 at order 4 returns.  Hamiltonians stay float64.
+Every charge and Hamiltonian is a fock.BandOp whose coefficient vectors are
+computed in float64 and held exactly in np.longdouble, or np.clongdouble
+where a phase enters (xi and the orthosupercharge phases).  The
+parasupercharge is computed from alpha in np.longdouble: its order-p relation
+cancels p + 1 terms of ~2 F(n)^{p/2} (1e6 at p = 4, dim = 60), so one float64
+rounding per entry would leave ~2e-10 however it is evaluated.  Where
+np.longdouble is float64 (not x86-64), that floor returns at order 4.
 """
 
 from __future__ import annotations
@@ -52,9 +46,9 @@ KIND_OSSQM = "ossqm"
 class VariantSolution:
     """A charge/Hamiltonian pair (plus a second charge for orthosupersymmetry).
 
-    Q's coefficients are complex128 values, except for the parasupercharge,
-    whose np.longdouble band lets its order-p relations be checked below the
-    float64 floor.  H is always diagonal with float64 entries.
+    Q's bands hold float64 or complex128 values, except the parasupercharge's,
+    computed in np.longdouble to check its order-p relations below the float64
+    floor.  H is diagonal with float64 entries.
     """
 
     kind: str
@@ -88,13 +82,20 @@ def _masked_ladders(params: AlgebraParams, dim: int, lower: int, upper: int):
     rep = build_rep(params, dim)
     lowering = (rep.a @ rep.proj[lower]).bands[1]
     raising = (rep.adag @ rep.proj[upper]).bands[-1]
-    return lowering.real.astype(float), raising.real.astype(float)
+    return lowering.astype(float), raising.astype(float)
 
 
 def _require_finite(**values):
     for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _require_check_range(c: float, *ladders: np.ndarray):
+    """Reject a c for which Q Qdag Q or 4 c^2 Q H (< 8 q^3, q = 2|c| max sqrt F) leave float64."""
+    q = 2.0 * abs(c) * max(float(v.max()) for v in ladders)
+    if not 8.0 * q * q * q < np.finfo(float).max:
+        raise DomainError(f"c = {c!r} takes pseudo_check's terms beyond float64 range", name="c")
 
 
 def _order2_shift(gamma_m2: float, r_m2: float, p: int) -> float:
@@ -195,7 +196,7 @@ def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationRep
             multilinear - 2.0 * p * (powers[p - 1] @ H),
         ),
     ]
-    return relation_report(relations, np.arange(sol.dim) < sol.dim - h, h, tol)
+    return relation_report(relations, [(0, sol.dim - h)], h, tol)
 
 
 def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
@@ -218,7 +219,7 @@ def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationRepor
         ("[Q, [Qdag, Q]] = 2 Q H", Q @ inner - inner @ Q - 2.0 * (Q @ H)),
         ("Q != 0", Q, True),
     ]
-    return relation_report(relations, np.arange(sol.dim) < sol.dim - h, h, tol)
+    return relation_report(relations, [(0, sol.dim - h)], h, tol)
 
 
 def pseudo_family1_build(
@@ -248,6 +249,7 @@ def pseudo_family1_build(
     gamma = derived_constants(params).gamma
     m1, m2 = cyc(mu + 1, 3), cyc(mu + 2, 3)
     lower, upper = _masked_ladders(params, dim, m2, m2)
+    _require_check_range(c, lower, upper)
 
     # Factored forms: exact zeros at eta = sqrt(2)|c| and at the 2|c| boundary.
     xi = complex(math.cos(phi), math.sin(phi)) * math.sqrt(
@@ -291,7 +293,9 @@ def pseudo_family2_build(
     gamma = derived_constants(params).gamma
     m1, m2 = cyc(mu + 1, 3), cyc(mu + 2, 3)
 
-    Q = BandOp(dim, {1: 2.0 * abs(c) * _masked_ladders(params, dim, m2, m2)[0]})
+    lower = _masked_ladders(params, dim, m2, m2)[0]
+    _require_check_range(c, lower)
+    Q = BandOp(dim, {1: 2.0 * abs(c) * lower})
     weights = np.zeros(3)
     weights[mu] = 0.5 * (1.0 - alpha[m1] + alpha[m2] + r_mu)
     weights[m1] = 1.0
@@ -332,7 +336,7 @@ def pseudo_check(sol: VariantSolution, c: float, tol: float = 1e-10) -> Relation
         ("[H, Q] = 0", H @ Q - Q @ H),
         ("Q Qdag Q = 4 c^2 Q H", Q @ Q.dag @ Q - 4.0 * c * c * (Q @ H)),
     ]
-    return relation_report(relations, np.arange(sol.dim) < sol.dim - h, h, tol)
+    return relation_report(relations, [(0, sol.dim - h)], h, tol)
 
 
 def ossqm_build(
@@ -423,7 +427,7 @@ def ossqm_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
             q[0] @ q[0].dag + q[0].dag @ q[0] + q[1].dag @ q[1] - 2.0 * H,
         )
     )
-    return relation_report(relations, np.arange(sol.dim) < sol.dim - h, h, tol)
+    return relation_report(relations, [(0, sol.dim - h)], h, tol)
 
 
 def ground_state_analysis(sol: VariantSolution, tol: float = 1e-9) -> GroundState:

@@ -2,9 +2,9 @@
 
 The builders store weighted shifts (BandOp) whose coefficient vectors come
 from the same float expressions as the dense matrices they replace, promoted
-exactly to np.clongdouble.  Each test recomputes the dense matrix with numpy
-(np.diag, matmuls with the projectors, np.block) and requires == on every
-entry of .dense().
+exactly to np.longdouble (np.clongdouble where a phase enters).  Each test
+recomputes the dense matrix with numpy (np.diag, matmuls with the projectors,
+np.block) and requires == on every entry of .dense().
 """
 
 import math
@@ -44,7 +44,8 @@ def dense_rep(params, dim):
         "adag": a.conj().T.copy(),
         "nmat": np.diag(np.arange(dim, dtype=float)),
         "proj": [np.diag((levels % lam == mu).astype(complex)) for mu in range(lam)],
-        "tmat": np.diag(np.exp(2j * np.pi * levels / lam)),
+        # Phases at n mod lam, so that T is exactly lam-periodic.
+        "tmat": np.diag(np.exp(2j * np.pi * (levels % lam) / lam)),
     }
 
 
@@ -141,11 +142,12 @@ def test_orthosupercharge_pair(dim, seed, mu, maximal):
     assert np.array_equal(sol.Q2.dense(), (-np.conj(phase) * w) * lower + xi * raising)
 
 
-def test_band_vectors_are_read_only_clongdouble():
+def test_band_vectors_are_read_only_longdouble_unless_phased():
+    # Real operators keep real bands; only T carries a phase.
     rep = build_rep(new_params(3, [0.5, 0.1]), 12)
     for op in (rep.a, rep.adag, rep.nmat, rep.tmat, *rep.proj):
         for v in op.bands.values():
-            assert v.dtype == np.clongdouble
+            assert v.dtype == (np.clongdouble if op is rep.tmat else np.longdouble)
             assert not v.flags.writeable
 
 

@@ -1,0 +1,116 @@
+"""Real bands stay np.longdouble, and that changes no residual bit.
+
+BandOp stores a real vector in np.longdouble and a complex one in
+np.clongdouble.  For finite values, real arithmetic is the real part of the
+complex arithmetic and |x + 0i| = |x|, so every product, sum, adjoint and
+block maximum must come out the same (==) as when every band is forced to
+np.clongdouble.  Block maxima over row ranges are also checked against a
+boolean-mask reference on the dense matrix.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cycosc import BandOp
+
+EXAMPLES = settings(max_examples=60, deadline=None)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+LAMS = st.integers(min_value=2, max_value=5)
+HALF_DIMS = st.integers(min_value=6, max_value=60)
+
+
+def random_bands(rng, lam, dim):
+    """Up to three bands at offsets |k| < lam, each real or carrying T-like phases."""
+    bands = {}
+    for k in rng.choice(np.arange(1 - lam, lam), size=int(rng.integers(1, 4)), replace=False):
+        v = rng.normal(size=dim) * rng.choice([1e-3, 1.0, 1e3])
+        if rng.integers(2):
+            v = v * np.exp(2j * np.pi * (np.arange(dim) % lam) / lam)
+        bands[int(k)] = v
+    return bands
+
+
+def natural_and_forced(bands, dim):
+    """The BandOp as stored, and the same values with every band complex."""
+    return BandOp(dim, bands), BandOp(dim, {k: v.astype(complex) for k, v in bands.items()})
+
+
+def block_rows(dim, headroom, two):
+    """The headroom block of one dim x dim matrix, or of both quadrants as in sqm2."""
+    half = dim // 2
+    if two:
+        return [(0, half - headroom), (half, dim - headroom)]
+    return [(0, dim - headroom)]
+
+
+def masked_max(m, rows):
+    keep = np.zeros(len(m), dtype=bool)
+    for lo, hi in rows:
+        keep[lo:hi] = True
+    return float(np.abs(m[np.ix_(keep, keep)]).max(initial=0.0))
+
+
+@EXAMPLES
+@given(SEEDS, LAMS, HALF_DIMS, st.integers(min_value=0, max_value=4), st.booleans())
+def test_real_bands_give_the_complex_results(seed, lam, half, headroom, two):
+    rng = np.random.default_rng(seed)
+    dim = 2 * half
+    x, xc = natural_and_forced(random_bands(rng, lam, dim), dim)
+    y, yc = natural_and_forced(random_bands(rng, lam, dim), dim)
+    z, zc = natural_and_forced(random_bands(rng, lam, dim), dim)
+    for v in (*x.bands.values(), *y.bands.values()):
+        assert v.dtype in (np.longdouble, np.clongdouble)
+    r, rc = x @ y - z, xc @ yc - zc
+    assert np.array_equal(r.dense(), rc.dense())
+    assert np.array_equal(x.dag.dense(), xc.dag.dense())
+    assert np.array_equal((x.dag @ y).dense(), (xc.dag @ yc).dense())
+    rows = block_rows(dim, headroom, two)
+    assert r.block_max(rows) == rc.block_max(rows)
+    assert r.block_max(rows) == masked_max(rc.dense(), rows)
+
+
+@EXAMPLES
+@given(SEEDS, LAMS, HALF_DIMS)
+def test_real_times_real_stays_longdouble(seed, lam, half):
+    rng = np.random.default_rng(seed)
+    dim = 2 * half
+    real = BandOp(dim, {k: v.real for k, v in random_bands(rng, lam, dim).items()})
+    phased = BandOp.diag(np.exp(2j * np.pi * (np.arange(dim) % lam) / lam))
+    assert all(v.dtype == np.longdouble for v in (real @ real.dag - real).bands.values())
+    assert all(v.dtype == np.clongdouble for v in (real @ phased).bands.values())
+    # One complex band makes the whole operator complex, so no product inside it mixes types.
+    mixed = BandOp(dim, {0: np.ones(dim), 1: np.full(dim, 1j)})
+    assert all(v.dtype == np.clongdouble for v in mixed.bands.values())
+
+
+@EXAMPLES
+@given(SEEDS, LAMS, HALF_DIMS, st.booleans())
+def test_nan_propagates_exactly_when_inside_the_block(seed, lam, half, two):
+    rng = np.random.default_rng(seed)
+    dim = 2 * half
+    bands = random_bands(rng, lam, dim)
+    # The last band, so that a plain max() over the band peaks would drop its NaN.
+    k = list(bands)[-1]
+    rows = block_rows(dim, 3, two)
+
+    def in_block(i):
+        return any(lo <= i < hi for lo, hi in rows)
+
+    # The band's first entry (i, i + k), and its last, whose column or row is at the edge.
+    for i in (max(0, -k), dim - 1 - max(k, 0)):
+        v = np.array(bands[k])
+        v[i] = np.nan
+        op, forced = natural_and_forced({**bands, k: v}, dim)
+        expected = in_block(i) and in_block(i + k)
+        assert math.isnan((op @ BandOp.diag(np.ones(dim))).block_max(rows)) == expected
+        assert math.isnan(forced.block_max(rows)) == expected
+
+
+def test_operator_without_bands():
+    zero = BandOp.of(np.zeros((6, 6)))
+    product = zero @ zero
+    assert product.bands == {}
+    assert (product - zero).block_max([(0, 6)]) == 0.0

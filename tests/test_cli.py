@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cycosc.cli import SUITES, VARIANT_KINDS, main
@@ -369,6 +369,10 @@ class TestArgHandling:
                 "--xi",
             ),
             (("variant", "--kind", "ossqm", "--lambda", "3", "--alpha", "0,-1", "--phi", "inf"), "--phi"),
+            # Finite, but pseudo_check's terms would leave float64 range.
+            (("variant", "--kind", "pseudo2", "--lambda", "3", "--alpha", "0,0", "--c", "1e308"), "--c"),
+            (("variant", "--kind", "pseudo2", "--lambda", "3", "--alpha", "0,0", "--c", "1e150"), "--c"),
+            (("verify", "--suite", "pseudo1", "--lambda", "3", "--alpha", "0,0", "--c", "1e308"), "--c"),
         ],
     )
     def test_bad_value_exits_2_naming_flag(self, capsys, argv, flag):
@@ -414,8 +418,16 @@ SPECIAL_TEXT = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e308"
 ORDINARY_TEXT = st.floats(min_value=-0.9, max_value=2.0).map(repr)
 
 
+# Any finite --c, up to 1e308 in magnitude.
+SCALE_TEXT = st.floats(min_value=-1e308, max_value=1e308).map(repr)
+
+
 def number_text(draw):
     return draw(SPECIAL_TEXT if draw(st.integers(0, 4)) == 0 else ORDINARY_TEXT)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 @st.composite
@@ -449,7 +461,8 @@ def cli_argv(draw):
         argv += ["--mu", str(draw(st.integers(min_value=-1, max_value=4)))]
         for flag in ("--c", "--eta", "--phi", "--xi", "--r"):
             if draw(st.integers(0, 2)) == 0:
-                argv += [flag, number_text(draw)]
+                scale = flag == "--c" and draw(st.booleans())
+                argv += [flag, draw(SCALE_TEXT) if scale else number_text(draw)]
     argv += ["--nmax", str(draw(st.sampled_from([20, 5, 70, 0, 20, -1])))]
     if draw(st.booleans()):
         argv += ["--tol", draw(st.sampled_from(["1e-10", "1e-12", "0.5", "1e-9", "0", "nan"]))]
@@ -461,6 +474,8 @@ class TestFuzz:
         max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
     @given(cli_argv())
+    # Wrote Infinity residuals before huge c was rejected.
+    @example(["variant", "--kind", "pseudo2", "--lambda", "3", "--alpha", "0,0", "--c", "1e150"])
     def test_exit_code_documented_and_no_traceback(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -470,3 +485,6 @@ class TestFuzz:
                 rc = exc.code
         assert rc in (0, 1, 2, 3), (argv, rc, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        # No NaN or Infinity in JSON output.
+        if rc in (0, 1) and (argv[0] in ("variant", "dump") or "json" in argv):
+            json.loads(out.getvalue(), parse_constant=reject_constant)

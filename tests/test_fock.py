@@ -69,7 +69,7 @@ class TestBuildRep:
     def test_t_matrix_phases(self):
         rep = build_rep(new_params(4, [0.3, 0.2, -0.1]), 8)
         diag = np.diag(rep.tmat.dense())
-        expected = np.exp(2j * np.pi * np.arange(8) / 4)
+        expected = np.exp(2j * np.pi * (np.arange(8) % 4) / 4)
         assert np.abs(diag - expected).max() == 0.0
 
     def test_adag_a_diagonal_equals_structure_values(self):
@@ -96,7 +96,7 @@ class TestBuildRep:
 
 class TestHeadroom:
     def test_block_max_ignores_truncation_edge(self):
-        keep = np.arange(10) < 7
+        keep = [(0, 7)]
         m = np.zeros((10, 10))
         m[9, 8] = 5.0
         assert BandOp.of(m).block_max(keep) == 0.0
