@@ -8,7 +8,9 @@ and lives here.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,12 +140,12 @@ def new_params(lam: int, alpha_head: "np.ndarray | list[float]") -> AlgebraParam
         raise DomainError(f"alpha_head must have length {lam - 1}, got {head.shape}")
     if not np.all(np.isfinite(head)):
         raise DomainError("alpha_head entries must be finite")
-    alpha = np.empty(lam)
-    alpha[:-1] = head
-    # Sequential prefix sum: the derived entry cancels beta_{lam-1} exactly,
-    # so F(lam) = lam holds bitwise downstream.
-    alpha[-1] = -float(np.cumsum(head)[-1])
-    return AlgebraParams(lam=lam, alpha=alpha)
+    # Left-to-right sum, as np.cumsum takes it: the derived entry cancels
+    # beta_{lam-1} exactly, so F(lam) = lam holds bitwise downstream.
+    total = functools.reduce(operator.add, head.tolist())
+    if not math.isfinite(total):
+        raise DomainError("the sum of alpha_head leaves float64 range")
+    return AlgebraParams(lam=lam, alpha=np.append(head, -total))
 
 
 def derived_constants(params: AlgebraParams) -> DerivedConstants:

@@ -40,19 +40,6 @@ from .variants import (
     variant_to_dict,
 )
 
-SUITES = (
-    "algebra",
-    "klein",
-    "partners",
-    "sqm2",
-    "pssqm",
-    "pssqm-cubic",
-    "pseudo1",
-    "pseudo2",
-    "ossqm",
-)
-VARIANT_KINDS = ("pssqm", "pssqm-cubic", "pseudo1", "pseudo2", "ossqm")
-
 # Keeps every axis array under 8 MB and a sweep under about ten minutes at the
 # measured ~0.5 ms per point; the largest documented grid has 6084 points.
 MAX_GRID_POINTS = 1_000_000
@@ -64,16 +51,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return repr(float(value))
-
-
-def _parse_alpha(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise DomainError(f"could not parse --alpha value {text!r}: {exc}") from None
 
 
 def _resolve_params(args) -> AlgebraParams:
@@ -90,7 +68,11 @@ def _resolve_params(args) -> AlgebraParams:
         return params_from_dict(obj)
     if args.lam is None or args.alpha is None:
         raise DomainError("provide either --params FILE or both --lambda and --alpha")
-    return new_params(args.lam, _parse_alpha(args.alpha))
+    try:
+        head = [float(part) for part in args.alpha.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"could not parse --alpha value {args.alpha!r}: {exc}") from None
+    return new_params(args.lam, head)
 
 
 _AXIS_RE = re.compile(r"a(\d+)=(-?[0-9.eE+-]+):(-?[0-9.eE+-]+):(-?[0-9.eE+-]+)\Z")
@@ -203,46 +185,54 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _run_variant(kind: str, args, params: AlgebraParams):
-    """Build one variant solution with the CLI defaults and check it: (sol, report).
-
-    Defaults: eta = sqrt(2)|c| for family 1, the equal-spacing r for family 2.
-    """
-    if kind in ("pssqm", "pssqm-cubic"):
-        sol = pssqm_build(params, args.mu, args.dim)
-        if kind == "pssqm":
-            return sol, pssqm_check(sol, params.lam - 1, args.tol)
-        return sol, pssqm_cubic_check(sol, args.tol)
-    if kind == "pseudo1":
-        eta = args.eta if args.eta is not None else math.sqrt(2.0) * abs(args.c)
-        sol = pseudo_family1_build(params, args.mu, args.c, eta, args.phi, args.dim)
-        return sol, pseudo_check(sol, args.c, args.tol)
-    if kind == "pseudo2":
-        r = args.r if args.r is not None else equal_spacing_r(params, args.mu)
-        sol = pseudo_family2_build(params, args.mu, args.c, r, args.dim)
-        return sol, pseudo_check(sol, args.c, args.tol)
-    if kind == "ossqm":
-        sol = ossqm_build(params, args.mu, args.xi, args.phi, args.dim)
-        return sol, ossqm_check(sol, args.tol)
-    raise DomainError(f"unknown variant kind {kind!r}")
+def _pssqm(args, params: AlgebraParams):
+    sol = pssqm_build(params, args.mu, args.dim)
+    return sol, pssqm_check(sol, params.lam - 1, args.tol)
 
 
-def _run_suite(args, params: AlgebraParams):
-    suite = args.suite
-    if suite == "algebra":
-        return check_relations(build_rep(params, args.dim), args.tol)
-    if suite == "klein":
-        return klein_reduction_check(build_rep(params, args.dim), args.tol)
-    if suite == "partners":
-        return partner_check(build_hierarchy(params, args.dim), args.tol)
-    if suite == "sqm2":
-        return sqm2_check(build_hierarchy(params, args.dim), args.mu, args.tol)
-    return _run_variant(suite, args, params)[1]
+def _pssqm_cubic(args, params: AlgebraParams):
+    sol = pssqm_build(params, args.mu, args.dim)
+    return sol, pssqm_cubic_check(sol, args.tol)
+
+
+def _pseudo1(args, params: AlgebraParams):
+    eta = args.eta if args.eta is not None else math.sqrt(2.0) * abs(args.c)
+    sol = pseudo_family1_build(params, args.mu, args.c, eta, args.phi, args.dim)
+    return sol, pseudo_check(sol, args.c, args.tol)
+
+
+def _pseudo2(args, params: AlgebraParams):
+    r = args.r if args.r is not None else equal_spacing_r(params, args.mu)
+    sol = pseudo_family2_build(params, args.mu, args.c, r, args.dim)
+    return sol, pseudo_check(sol, args.c, args.tol)
+
+
+def _ossqm(args, params: AlgebraParams):
+    sol = ossqm_build(params, args.mu, args.xi, args.phi, args.dim)
+    return sol, ossqm_check(sol, args.tol)
+
+
+# Suite name -> (runner, also a `variant --kind`), in --help order.  A runner maps
+# (args, params) to (solution or None, report), with eta = sqrt(2)|c| for family 1
+# and the equal-spacing r for family 2 as defaults.  It looks package functions up
+# here when it runs, so that wrappers bound on this module see every call.
+SUITES = {
+    "algebra": (lambda a, p: (None, check_relations(build_rep(p, a.dim), a.tol)), False),
+    "klein": (lambda a, p: (None, klein_reduction_check(build_rep(p, a.dim), a.tol)), False),
+    "partners": (lambda a, p: (None, partner_check(build_hierarchy(p, a.dim), a.tol)), False),
+    "sqm2": (lambda a, p: (None, sqm2_check(build_hierarchy(p, a.dim), a.mu, a.tol)), False),
+    "pssqm": (_pssqm, True),
+    "pssqm-cubic": (_pssqm_cubic, True),
+    "pseudo1": (_pseudo1, True),
+    "pseudo2": (_pseudo2, True),
+    "ossqm": (_ossqm, True),
+}
 
 
 def cmd_verify(args) -> int:
     params = _resolve_params(args)
-    report = _run_suite(args, params)
+    run, _ = SUITES[args.suite]
+    _, report = run(args, params)
     with _open_output(args.output) as fh:
         if args.format == "json":
             json.dump(_report_dict(report, args.suite), fh, indent=2)
@@ -253,8 +243,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.lam is None:
-        raise DomainError("sweep requires --lambda")
     axes = _parse_grid(args.grid, args.lam)
     head = [f"alpha_{k}" for k in range(args.lam - 1)]
     with _open_output(args.output) as fh:
@@ -270,10 +258,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_hierarchy(args) -> int:
-    params = _resolve_params(args)
+def _require_levels(args) -> None:
+    """Levels 0..--nmax must lie inside the truncation --dim."""
     if args.nmax >= args.dim:
         raise DomainError(f"--nmax must be below --dim, got {args.nmax} >= {args.dim}")
+
+
+def cmd_hierarchy(args) -> int:
+    params = _resolve_params(args)
+    _require_levels(args)
     h = build_hierarchy(params, args.dim)
     with _open_output(args.output) as fh:
         if args.format == "json":
@@ -300,7 +293,9 @@ def cmd_hierarchy(args) -> int:
 
 def cmd_variant(args) -> int:
     params = _resolve_params(args)
-    sol, report = _run_variant(args.kind, args, params)
+    _require_levels(args)
+    run, _ = SUITES[args.kind]
+    sol, report = run(args, params)
     with _open_output(args.output) as fh:
         json.dump(variant_to_dict(sol, report, n_levels=args.nmax + 1), fh, indent=2)
         fh.write("\n")
@@ -325,13 +320,16 @@ def _add_params_flags(sub) -> None:
                      metavar="FILE", help="JSON file {\"lambda\": N, \"alpha\": [...]}")
 
 
-def _add_common_flags(sub, nmax_default: int = 20) -> None:
-    sub.add_argument("--dim", type=int, default=60, help="truncation dimension")
-    sub.add_argument("--tol", type=float, default=1e-10, help="check/cluster tolerance")
-    sub.add_argument("--nmax", type=int, default=nmax_default,
-                     help="highest level index to emit")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--output", type=str, default=None, help="output path (default stdout)")
+def _add_common_flags(sub, *names: str) -> None:
+    specs = {
+        "dim": dict(type=int, default=60, help="truncation dimension"),
+        "tol": dict(type=float, default=1e-10, help="check/cluster tolerance"),
+        "nmax": dict(type=int, default=20, help="highest level index to emit"),
+        "format": dict(choices=("csv", "json"), default="csv"),
+        "output": dict(type=str, default=None, help="output path (default stdout)"),
+    }
+    for name in names:
+        sub.add_argument(f"--{name}", **specs[name])
 
 
 def _add_variant_flags(sub) -> None:
@@ -357,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("spectrum", help="analytic spectrum and degeneracy pattern")
     _add_params_flags(sp)
-    _add_common_flags(sp)
+    _add_common_flags(sp, "tol", "nmax", "format", "output")
     sp.set_defaults(func=cmd_spectrum)
 
     vf = subs.add_parser("verify", help="run one relation-check suite")
     vf.add_argument("--suite", choices=SUITES, required=True)
     _add_params_flags(vf)
-    _add_common_flags(vf)
+    _add_common_flags(vf, "dim", "tol", "format", "output")
     _add_variant_flags(vf)
     vf.set_defaults(func=cmd_verify)
 
@@ -377,19 +375,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     hi = subs.add_parser("hierarchy", help="partner Hamiltonian spectra per sector")
     _add_params_flags(hi)
-    _add_common_flags(hi)
+    _add_common_flags(hi, "dim", "nmax", "format", "output")
     hi.set_defaults(func=cmd_hierarchy)
 
     va = subs.add_parser("variant", help="build one charge/Hamiltonian solution as JSON")
-    va.add_argument("--kind", choices=VARIANT_KINDS, required=True)
+    va.add_argument("--kind", choices=[k for k, (_, v) in SUITES.items() if v], required=True)
     _add_params_flags(va)
-    _add_common_flags(va)
+    _add_common_flags(va, "dim", "tol", "nmax", "output")
     _add_variant_flags(va)
     va.set_defaults(func=cmd_variant)
 
     du = subs.add_parser("dump", help="emit the truncated representation matrices")
     _add_params_flags(du)
-    _add_common_flags(du)
+    _add_common_flags(du, "dim", "output")
     du.set_defaults(func=cmd_dump)
     return parser
 
@@ -413,12 +411,11 @@ def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(_glue_values(raw))
-    # Every subcommand has both flags.
-    if args.nmax < 0:
+    # Only the subcommands that read a flag have it.
+    if hasattr(args, "nmax") and args.nmax < 0:
         parser.error(f"argument --nmax: must be >= 0, got {args.nmax}")
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
+    if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol > 0.0):
         parser.error(f"argument --tol: must be finite and > 0, got {args.tol}")
-    # Only verify and variant have these.
     for flag in ("c", "eta", "r", "xi", "phi"):
         value = getattr(args, flag, None)
         if value is not None and not math.isfinite(value):

@@ -225,6 +225,13 @@ def relation_report(relations, rows, headroom: int, tol: float) -> RelationRepor
     return RelationReport(entries=tuple(entries), headroom=headroom, tol=tol)
 
 
+def require_rep(params: AlgebraParams, dim: int) -> None:
+    """Raise unless the algebra has a Fock representation and dim >= 2 lam."""
+    require_fock(params)
+    if dim < 2 * params.lam:
+        raise DomainError(f"dimension must be >= {2 * params.lam}, got {dim}")
+
+
 def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
     """Build the truncated representation of a valid algebra.
 
@@ -232,10 +239,8 @@ def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
     diagonal, P_mu projects onto levels n = mu mod lam, and T = exp(2i pi N / lam)
     is built from the phases at n mod lam, so it is exactly lam-periodic.
     """
-    require_fock(params)
+    require_rep(params, dim)
     lam = params.lam
-    if dim < 2 * lam:
-        raise DomainError(f"dimension must be >= {2 * lam}, got {dim}")
     # sqrt(F(n)) is adag's band -1 as it stands (F(0) = 0) and a's band +1 moved up one level.
     roots = np.sqrt(structure_values(params, dim - 1))
     levels = np.arange(dim)

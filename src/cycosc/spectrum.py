@@ -7,6 +7,7 @@ by clustering, period by period, rather than from analytic boundary formulas.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -195,17 +196,6 @@ def classify_degeneracy(
     )
 
 
-def _grid_points(axes: Sequence[np.ndarray]) -> Iterator[tuple[float, ...]]:
-    """Row-major iteration over the cartesian product of the axes."""
-    if not axes:
-        yield ()
-        return
-    head, rest = axes[0], axes[1:]
-    for value in head:
-        for tail in _grid_points(rest):
-            yield (float(value),) + tail
-
-
 def _sweep_point(
     lam: int, point: tuple[float, ...], n_max: int, tol: float
 ) -> SweepRecord:
@@ -232,5 +222,5 @@ def sweep(
         raise DomainError(f"grid needs {lam - 1} axes for order {lam}, got {len(arrs)}")
     if any(arr.size == 0 for arr in arrs):
         raise DomainError("grid axes must be nonempty")
-    for point in _grid_points(arrs):
+    for point in itertools.product(*(arr.tolist() for arr in arrs)):
         yield _sweep_point(lam, point, n_max, tol)

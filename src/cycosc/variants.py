@@ -32,9 +32,9 @@ from .algebra import (
     DomainError,
     cyc,
     derived_constants,
-    require_fock,
+    structure_values,
 )
-from .fock import BandOp, RelationReport, build_rep, relation_report
+from .fock import BandOp, RelationReport, relation_report, require_rep
 
 KIND_PSSQM = "pssqm"
 KIND_PSEUDO1 = "pseudo-family1"
@@ -78,11 +78,13 @@ def _h_diagonal(lam: int, dim: int, shift: float, grade_weights: np.ndarray) -> 
 
 
 def _masked_ladders(params: AlgebraParams, dim: int, lower: int, upper: int):
-    """Float64 bands of a P_lower (offset +1) and adag P_upper (offset -1), exactly."""
-    rep = build_rep(params, dim)
-    lowering = (rep.a @ rep.proj[lower]).bands[1]
-    raising = (rep.adag @ rep.proj[upper]).bands[-1]
-    return lowering.astype(float), raising.astype(float)
+    """Float64 bands of a P_lower (offset +1, zero on the last row) and adag P_upper (offset -1)."""
+    require_rep(params, dim)
+    roots = np.sqrt(structure_values(params, dim - 1))
+    n = np.arange(dim)
+    lowering = np.where((n + 1) % params.lam == lower, np.append(roots[1:], 0.0), 0.0)
+    raising = np.where((n - 1) % params.lam == upper, roots, 0.0)
+    return lowering, raising
 
 
 def _require_finite(**values):
@@ -104,7 +106,10 @@ def _order2_shift(gamma_m2: float, r_m2: float, p: int) -> float:
     Evaluated identically for every caller so that Hamiltonians the algebra
     says coincide come out bitwise equal.
     """
-    return 0.5 * (2.0 * gamma_m2 + r_m2 - (2.0 * p - 3.0))
+    shift = 0.5 * (2.0 * gamma_m2 + r_m2 - (2.0 * p - 3.0))
+    if not math.isfinite(shift):
+        raise DomainError(f"the parameters give the Hamiltonian a non-finite shift, {shift}")
+    return shift
 
 
 def _check_lam(params: AlgebraParams, lam: int, what: str):
@@ -120,12 +125,13 @@ def pssqm_r_constant(params: AlgebraParams, mu: int) -> float:
     """
     lam = params.lam
     p = lam - 1
-    alpha = params.alpha
+    # Python floats added left to right: numpy's bits, but inf or nan, not a warning.
+    alpha = params.alpha.tolist()
     m2 = cyc(mu + 2, lam)
-    tail = 2.0 * sum(
-        (p - nu + 1) * alpha[cyc(mu + nu, lam)] for nu in range(3, p + 1)
-    )
-    return ((p - 2) * alpha[m2] + tail + p * (p - 2)) / p
+    tail = 0
+    for nu in range(3, p + 1):
+        tail += (p - nu + 1) * alpha[cyc(mu + nu, lam)]
+    return ((p - 2) * alpha[m2] + 2.0 * tail + p * (p - 2)) / p
 
 
 def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolution:
@@ -138,9 +144,7 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
     p = lam - 1
     if not 0 <= mu <= p:
         raise DomainError(f"family index must satisfy 0 <= mu <= {p}, got {mu}")
-    require_fock(params)
-    if dim < 2 * lam:
-        raise DomainError(f"dimension must be >= {2 * lam}, got {dim}")
+    require_rep(params, dim)
     gamma = derived_constants(params).gamma
     m2 = cyc(mu + 2, lam)
 
@@ -322,7 +326,8 @@ def equal_spacing_r(params: AlgebraParams, mu: int, cycles: int = 0) -> float:
     _check_lam(params, 3, "family-2 pseudosupersymmetry")
     alpha = params.alpha
     m1, m2 = cyc(mu + 1, 3), cyc(mu + 2, 3)
-    return float((alpha[m1] - alpha[m2] + 3.0) % 6.0) + 6.0 * cycles
+    # In Python floats, which give inf or nan for the builder to reject, not a warning.
+    return (float(alpha[m1]) - float(alpha[m2]) + 3.0) % 6.0 + 6.0 * cycles
 
 
 def pseudo_check(sol: VariantSolution, c: float, tol: float = 1e-10) -> RelationReport:

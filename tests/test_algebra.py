@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycosc import (
@@ -72,6 +72,14 @@ class TestNewParams:
         # The derived entry is built from the same prefix sum as beta, so the
         # wrap-around value beta_{lam-1} + alpha_{lam-1} vanishes exactly.
         assert beta[-1] + params.alpha[-1] == 0.0
+
+    @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=8))
+    @example([-0.0, -0.0])
+    def test_last_entry_is_minus_cumsum_bitwise(self, head):
+        # The derived entry is a left-to-right Python sum; np.cumsum takes the
+        # same sum, which beta repeats, so they agree bit for bit, zero signs too.
+        last = new_params(len(head) + 1, head).alpha[-1]
+        assert last.tobytes() == (-np.cumsum(head)[-1]).tobytes()
 
 
 class TestDerivedConstants:

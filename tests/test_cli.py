@@ -1,21 +1,41 @@
 """End-to-end command-line behavior, exit codes, and output formats."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cycosc.cli import SUITES, VARIANT_KINDS, main
+from cycosc import cli
+from cycosc.cli import SUITES, build_parser, main
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def call(argv):
+    """main(argv) in-process: exit code, stdout and stderr, with every warning
+    written to stderr as the interpreter would print it outside the tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rc = main(list(argv))
+            except SystemExit as exc:
+                rc = exc.code
+    shown = "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
+    )
+    return rc, out.getvalue(), shown + err.getvalue()
 
 
 def csv_rows(text):
@@ -125,6 +145,20 @@ class TestSpectrum:
         assert "i/o error" in err
 
 
+# Per suite, the package functions its runner builds and checks with.
+SUITE_CALLS = {
+    "algebra": ("build_rep", "check_relations"),
+    "klein": ("build_rep", "klein_reduction_check"),
+    "partners": ("build_hierarchy", "partner_check"),
+    "sqm2": ("build_hierarchy", "sqm2_check"),
+    "pssqm": ("pssqm_build", "pssqm_check"),
+    "pssqm-cubic": ("pssqm_build", "pssqm_cubic_check"),
+    "pseudo1": ("pseudo_family1_build", "pseudo_check"),
+    "pseudo2": ("pseudo_family2_build", "pseudo_check"),
+    "ossqm": ("ossqm_build", "ossqm_check"),
+}
+
+
 class TestVerify:
     def test_algebra_suite_passes(self, capsys):
         rc, out, _ = run(
@@ -197,6 +231,26 @@ class TestVerify:
         assert obj["suite"] == "algebra"
         assert obj["ok"] is True
         assert all({"name", "residual", "pass"} <= set(r) for r in obj["relations"])
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_suite_calls_its_builder_and_check_through_the_module(self, capsys, monkeypatch, suite):
+        # Tracing wraps these names on cycosc.cli, so each suite must look them up there.
+        build, check = SUITE_CALLS[suite]
+        calls = []
+        for name in (build, check):
+            original = getattr(cli, name)
+
+            def record(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, record)
+        lam, alpha = {"klein": ("2", "0.5"), "ossqm": ("3", "0.5,-1")}.get(suite, ("3", "0.5,0.1"))
+        rc, _, err = run(
+            capsys, "verify", "--suite", suite, "--lambda", lam, "--alpha", alpha, "--dim", "24"
+        )
+        assert rc in (0, 1), err
+        assert calls == [build, check]
 
 
 class TestSweep:
@@ -373,17 +427,41 @@ class TestArgHandling:
             (("variant", "--kind", "pseudo2", "--lambda", "3", "--alpha", "0,0", "--c", "1e308"), "--c"),
             (("variant", "--kind", "pseudo2", "--lambda", "3", "--alpha", "0,0", "--c", "1e150"), "--c"),
             (("verify", "--suite", "pseudo1", "--lambda", "3", "--alpha", "0,0", "--c", "1e308"), "--c"),
+            # Flags the subcommand does not read.
+            (("spectrum", "--lambda", "3", "--alpha", "0,0", "--dim", "8"), "unrecognized arguments: --dim"),
+            (
+                ("verify", "--suite", "algebra", "--lambda", "3", "--alpha", "0,0", "--nmax", "5"),
+                "unrecognized arguments: --nmax",
+            ),
+            (
+                ("variant", "--kind", "pssqm", "--lambda", "3", "--alpha", "0,0", "--format", "csv"),
+                "unrecognized arguments: --format",
+            ),
+            (("dump", "--lambda", "2", "--alpha", "0.5", "--tol", "1e-3"), "unrecognized arguments: --tol"),
+            (("dump", "--lambda", "2", "--alpha", "0.5", "--nmax", "3"), "unrecognized arguments: --nmax"),
+            (("dump", "--lambda", "2", "--alpha", "0.5", "--format", "json"), "unrecognized arguments: --format"),
+            (("hierarchy", "--lambda", "2", "--alpha", "0.5", "--tol", "1e-3"), "unrecognized arguments: --tol"),
+            # More levels than the truncation holds, as hierarchy rejects them.
+            (
+                ("variant", "--kind", "pssqm", "--lambda", "3", "--alpha", "0,0", "--dim", "8", "--nmax", "50"),
+                "--nmax",
+            ),
+            # Finite entries whose sum, the derived last alpha, leaves float64 range.
+            (("spectrum", "--lambda", "3", "--alpha", "1e308,1e308"), "float64 range"),
+            # Valid alpha whose derived constants leave float64 range.
+            (("variant", "--kind", "pssqm", "--lambda", "2", "--alpha", "1e308", "--mu", "1"), "non-finite shift"),
+            (("verify", "--suite", "pseudo2", "--lambda", "3", "--alpha", "1e308,-1e308", "--mu", "2"), "r_mu"),
         ],
     )
-    def test_bad_value_exits_2_naming_flag(self, capsys, argv, flag):
-        try:
-            rc = main(list(argv))
-        except SystemExit as exc:
-            rc = exc.code
-        err = capsys.readouterr().err
+    def test_bad_value_exits_2_naming_flag(self, argv, flag):
+        rc, _, err = call(argv)
         assert rc == 2
         assert flag in err
         assert "Traceback" not in err
+        assert "Warning" not in err
+        # One line, after argparse's usage text where argparse reports the error.
+        if not err.startswith("usage:"):
+            assert len(err.splitlines()) == 1, err
 
 
     def test_no_command_is_usage_error(self, capsys):
@@ -430,42 +508,69 @@ def reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
+SUBCOMMANDS = next(
+    action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+).choices
+
+
+def flags_of(command):
+    """Option string -> argparse action for each flag of the subcommand, except help."""
+    return {
+        opt: action
+        for action in SUBCOMMANDS[command]._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+
+
+# Optional flag -> (k, value text): a subcommand that has the flag gets it in
+# one example of k.
+OPTIONAL_FLAGS = {
+    "--dim": (1, lambda draw: str(draw(st.sampled_from([60, 24, 64, 7, 0, -4])))),
+    "--format": (1, lambda draw: draw(st.sampled_from(["csv", "json"]))),
+    "--mu": (1, lambda draw: str(draw(st.integers(min_value=-1, max_value=4)))),
+    "--c": (3, lambda draw: draw(SCALE_TEXT) if draw(st.booleans()) else number_text(draw)),
+    "--eta": (3, number_text),
+    "--phi": (3, number_text),
+    "--xi": (3, number_text),
+    "--r": (3, number_text),
+    "--nmax": (1, lambda draw: str(draw(st.sampled_from([20, 5, 70, 0, 20, -1])))),
+    "--tol": (2, lambda draw: draw(st.sampled_from(["1e-10", "1e-12", "0.5", "1e-9", "0", "nan"]))),
+}
+
+
 @st.composite
 def cli_argv(draw):
     """An argv over every subcommand, suite and kind with fuzzed numeric flags.
 
-    Orders and alpha lengths are mostly valid, so that calls reach the
-    builders and checks; --dim stays <= 64 and sweep grids at most 4 points
-    per axis, so each call is quick.
+    Each subcommand gets the flags build_parser gives it; in about one example
+    of ten it also gets one optional flag it lacks.  Orders and alpha lengths
+    are mostly valid, so that calls reach the builders and checks; --dim stays
+    <= 64 and sweep grids at most 4 points per axis, so each call is quick.
     """
-    command = draw(st.sampled_from(["spectrum", "verify", "sweep", "hierarchy", "variant", "dump"]))
+    command = draw(st.sampled_from(list(SUBCOMMANDS)))
+    flags = flags_of(command)
     lam = draw(st.sampled_from([3, 2, 4, 5, 3, 1, 0, -1]))
     argv = [command, "--lambda", str(lam)]
-    if command == "sweep":
+    if "--grid" in flags:
         bounds = st.sampled_from(["-0.5", "0", "0.5", "1", "1e400", "nan"])
         steps = st.sampled_from(["0.5", "1", "0", "-1", "inf", "1e400"])
         axes = range(lam - 1) if draw(st.integers(0, 3)) else range(draw(st.integers(0, 3)))
         argv += ["--grid", ",".join(
             f"a{k}={draw(bounds)}:{draw(bounds)}:{draw(steps)}" for k in axes
         ) or "a0=0:1:1"]
-    else:
+    if "--alpha" in flags:
         count = max(lam - 1, 0) if draw(st.integers(0, 3)) else draw(st.integers(0, 5))
         argv += ["--alpha", ",".join(number_text(draw) for _ in range(count)) or "0"]
-        argv += ["--dim", str(draw(st.sampled_from([60, 24, 64, 7, 0, -4])))]
-        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
-    if command == "verify":
-        argv += ["--suite", draw(st.sampled_from(SUITES))]
-    if command == "variant":
-        argv += ["--kind", draw(st.sampled_from(VARIANT_KINDS))]
-    if command in ("verify", "variant"):
-        argv += ["--mu", str(draw(st.integers(min_value=-1, max_value=4)))]
-        for flag in ("--c", "--eta", "--phi", "--xi", "--r"):
-            if draw(st.integers(0, 2)) == 0:
-                scale = flag == "--c" and draw(st.booleans())
-                argv += [flag, draw(SCALE_TEXT) if scale else number_text(draw)]
-    argv += ["--nmax", str(draw(st.sampled_from([20, 5, 70, 0, 20, -1])))]
-    if draw(st.booleans()):
-        argv += ["--tol", draw(st.sampled_from(["1e-10", "1e-12", "0.5", "1e-9", "0", "nan"]))]
+    for flag in ("--suite", "--kind"):
+        if flag in flags:
+            argv += [flag, draw(st.sampled_from(list(flags[flag].choices)))]
+    for flag, (k, value) in OPTIONAL_FLAGS.items():
+        if flag in flags and draw(st.integers(0, k - 1)) == 0:
+            argv += [flag, value(draw)]
+    if draw(st.integers(0, 9)) == 0:
+        lacking = draw(st.sampled_from([flag for flag in OPTIONAL_FLAGS if flag not in flags]))
+        argv += [lacking, OPTIONAL_FLAGS[lacking][1](draw)]
     return argv
 
 
@@ -477,14 +582,10 @@ class TestFuzz:
     # Wrote Infinity residuals before huge c was rejected.
     @example(["variant", "--kind", "pseudo2", "--lambda", "3", "--alpha", "0,0", "--c", "1e150"])
     def test_exit_code_documented_and_no_traceback(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:
-                rc = exc.code
-        assert rc in (0, 1, 2, 3), (argv, rc, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        rc, out, err = call(argv)
+        assert rc in (0, 1, 2, 3), (argv, rc, err)
+        assert "Traceback" not in err
+        assert "RuntimeWarning" not in err, (argv, err)
         # No NaN or Infinity in JSON output.
         if rc in (0, 1) and (argv[0] in ("variant", "dump") or "json" in argv):
-            json.loads(out.getvalue(), parse_constant=reject_constant)
+            json.loads(out, parse_constant=reject_constant)
