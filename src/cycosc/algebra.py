@@ -9,6 +9,7 @@ and lives here.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -61,19 +62,12 @@ class AlgebraParams:
     """
 
     lam: int
-    alpha: np.ndarray
+    alpha: tuple[float, ...]
 
     def __post_init__(self):
         if self.lam < 2:
             raise DomainError(f"order must be >= 2, got {self.lam}")
-        alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.shape != (self.lam,):
-            raise DomainError(f"alpha must have length {self.lam}, got {alpha.shape}")
-        if not np.all(np.isfinite(alpha)):
-            raise DomainError("alpha entries must be finite")
-        alpha = alpha.copy()
-        alpha.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _finite_floats(self.alpha, "alpha", self.lam))
 
 
 @dataclass(frozen=True)
@@ -83,20 +77,19 @@ class KappaParams:
     Subject to kappa_mu* = kappa_{lam-mu}; purely an alternate chart on alpha.
     """
 
-    kappa: np.ndarray
+    kappa: tuple[complex, ...]
 
     def __post_init__(self):
-        kappa = np.asarray(self.kappa, dtype=complex).copy()
+        kappa = np.asarray(self.kappa, dtype=complex)
         if kappa.ndim != 1 or kappa.size < 1:
             raise DomainError("kappa must be a nonempty vector")
         if not np.all(np.isfinite(kappa)):
             raise DomainError("kappa entries must be finite")
-        kappa.setflags(write=False)
-        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "kappa", tuple(map(complex, kappa)))
 
     @property
     def lam(self) -> int:
-        return self.kappa.size + 1
+        return len(self.kappa) + 1
 
 
 @dataclass(frozen=True)
@@ -107,15 +100,9 @@ class DerivedConstants:
     omega_mu = 1 + alpha_mu.
     """
 
-    beta: np.ndarray
-    gamma: np.ndarray
-    omega: np.ndarray
-
-    def __post_init__(self):
-        for name in ("beta", "gamma", "omega"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    beta: tuple[float, ...]
+    gamma: tuple[float, ...]
+    omega: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -124,6 +111,19 @@ class FockValidation:
 
     ok: bool
     violations: tuple[int, ...]
+
+
+def _finite_floats(values, what: str, size: int) -> tuple[float, ...]:
+    """values as a tuple of floats; DomainError unless it holds size finite numbers."""
+    try:
+        floats = tuple(map(float, values))
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a vector of {size} numbers") from None
+    if len(floats) != size:
+        raise DomainError(f"{what} must have length {size}, got ({len(floats)},)")
+    if not all(map(math.isfinite, floats)):
+        raise DomainError(f"{what} entries must be finite")
+    return floats
 
 
 def new_params(lam: int, alpha_head: "np.ndarray | list[float]") -> AlgebraParams:
@@ -135,25 +135,21 @@ def new_params(lam: int, alpha_head: "np.ndarray | list[float]") -> AlgebraParam
     """
     if lam < 2:
         raise DomainError(f"order must be >= 2, got {lam}")
-    head = np.asarray(alpha_head, dtype=float)
-    if head.shape != (lam - 1,):
-        raise DomainError(f"alpha_head must have length {lam - 1}, got {head.shape}")
-    if not np.all(np.isfinite(head)):
-        raise DomainError("alpha_head entries must be finite")
-    # Left-to-right sum, as np.cumsum takes it: the derived entry cancels
+    head = _finite_floats(alpha_head, "alpha_head", lam - 1)
+    # Left to right, as derived_constants takes beta: the derived entry cancels
     # beta_{lam-1} exactly, so F(lam) = lam holds bitwise downstream.
-    total = functools.reduce(operator.add, head.tolist())
+    total = functools.reduce(operator.add, head)
     if not math.isfinite(total):
         raise DomainError("the sum of alpha_head leaves float64 range")
-    return AlgebraParams(lam=lam, alpha=np.append(head, -total))
+    return AlgebraParams(lam=lam, alpha=head + (-total,))
 
 
 def derived_constants(params: AlgebraParams) -> DerivedConstants:
-    """Compute beta, gamma, omega from alpha by prefix sums."""
+    """Compute beta, gamma, omega from alpha by prefix sums, left to right as np.cumsum."""
     alpha = params.alpha
-    beta = np.concatenate(([0.0], np.cumsum(alpha)[:-1]))
-    gamma = beta + alpha / 2.0
-    omega = 1.0 + alpha
+    beta = (0.0, *itertools.accumulate(alpha[:-1]))
+    gamma = tuple(b + a / 2.0 for b, a in zip(beta, alpha))
+    omega = tuple(1.0 + a for a in alpha)
     return DerivedConstants(beta=beta, gamma=gamma, omega=omega)
 
 
@@ -182,14 +178,14 @@ def structure_function(params: AlgebraParams, n: int) -> float:
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
     beta = derived_constants(params).beta
-    return float(n + beta[cyc(n, params.lam)])
+    return n + beta[cyc(n, params.lam)]
 
 
 def structure_values(params: AlgebraParams, n_max: int) -> np.ndarray:
     """Vector of F(0), F(1), ..., F(n_max)."""
     if n_max < 0:
         raise DomainError(f"level index must be >= 0, got {n_max}")
-    beta = derived_constants(params).beta
+    beta = np.array(derived_constants(params).beta)
     n = np.arange(n_max + 1)
     return n + beta[n % params.lam]
 
@@ -202,7 +198,7 @@ def cyclic_shift(params: AlgebraParams, mu: int) -> AlgebraParams:
     """
     if not 0 <= mu < params.lam:
         raise DomainError(f"shift must satisfy 0 <= mu < {params.lam}, got {mu}")
-    return AlgebraParams(lam=params.lam, alpha=np.roll(params.alpha, -mu))
+    return AlgebraParams(lam=params.lam, alpha=params.alpha[mu:] + params.alpha[:mu])
 
 
 def kappa_from_alpha(params: AlgebraParams) -> KappaParams:
@@ -217,7 +213,7 @@ def kappa_from_alpha(params: AlgebraParams) -> KappaParams:
     mu = np.arange(lam)
     nu = np.arange(1, lam)
     phases = np.exp(-2j * np.pi * np.outer(mu, nu) / lam)
-    kappa = phases.T @ params.alpha.astype(complex) / lam
+    kappa = phases.T @ np.array(params.alpha, dtype=complex) / lam
     return KappaParams(kappa=kappa)
 
 
@@ -228,17 +224,17 @@ def alpha_from_kappa(kappa_params: KappaParams, lam: int) -> AlgebraParams:
     the result real; imaginary parts below 1e-12 are dropped.
     """
     kappa = kappa_params.kappa
-    if lam != kappa.size + 1:
-        raise DomainError(f"kappa must have length {lam - 1}, got {kappa.size}")
+    if lam != len(kappa) + 1:
+        raise DomainError(f"kappa must have length {lam - 1}, got {len(kappa)}")
     for nu in range(1, lam):
-        if abs(np.conj(kappa[nu - 1]) - kappa[lam - nu - 1]) > REAL_TOL:
+        if abs(kappa[nu - 1].conjugate() - kappa[lam - nu - 1]) > REAL_TOL:
             raise SymmetryError(
                 f"kappa_{nu}* != kappa_{lam - nu}: conjugation symmetry violated"
             )
     mu = np.arange(lam)
     nu = np.arange(1, lam)
     phases = np.exp(2j * np.pi * np.outer(mu, nu) / lam)
-    alpha = phases @ kappa
+    alpha = phases @ np.array(kappa)
     if np.abs(alpha.imag).max() > REAL_TOL:
         raise SymmetryError("transform produced non-real alpha")
     # Rebuild through new_params to restore the exact zero-sum invariant.
@@ -247,7 +243,7 @@ def alpha_from_kappa(kappa_params: KappaParams, lam: int) -> AlgebraParams:
 
 def params_to_dict(params: AlgebraParams) -> dict:
     """Canonical JSON form: {"lambda": int, "alpha": [reals]}."""
-    return {"lambda": params.lam, "alpha": [float(a) for a in params.alpha]}
+    return {"lambda": params.lam, "alpha": list(params.alpha)}
 
 
 def params_from_dict(obj: dict) -> AlgebraParams:

@@ -311,7 +311,7 @@ def klein_reduction_check(rep: TruncatedRep, tol: float = 1e-12) -> RelationRepo
     if rep.params.lam != 2:
         raise DomainError(f"reduction requires order 2, got {rep.params.lam}")
     dim = rep.dim
-    kappa = float(rep.params.alpha[0])
+    kappa = rep.params.alpha[0]
     a, adag = rep.a, rep.adag
     klein = BandOp.diag((-1.0) ** np.arange(dim))
     eye = BandOp.diag(np.ones(dim))
@@ -343,7 +343,7 @@ def rep_to_dict(rep: TruncatedRep) -> dict:
         matrices[f"p{mu}"] = _matrix_to_pairs(p.dense())
     return {
         "lambda": rep.params.lam,
-        "alpha": [float(x) for x in rep.params.alpha],
+        "alpha": list(rep.params.alpha),
         "dim": rep.dim,
         "matrices": matrices,
     }

@@ -8,6 +8,7 @@ energies are the prefix sums E0^(mu) = sum(omega_nu for nu < mu).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +40,9 @@ class Hierarchy:
     dim: int
     period: int
     reps: tuple[TruncatedRep, ...]
-    e0: np.ndarray
-    omega: np.ndarray
+    e0: tuple[float, ...]
+    omega: tuple[float, ...]
     hmats: tuple[BandOp, ...]
-
-    def __post_init__(self):
-        self.e0.setflags(write=False)
-        self.omega.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -88,8 +85,7 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
         raise DomainError("; ".join(bad))
     p = params.lam
     reps = tuple(build_rep(cyclic_shift(params, mu), dim) for mu in range(p))
-    consts = derived_constants(params)
-    e0 = np.concatenate(([0.0], np.cumsum(consts.omega)))
+    omega = derived_constants(params).omega
     fvals = structure_values(params, dim - 1 + p)
     hmats = tuple(BandOp.diag(fvals[mu : mu + dim]) for mu in range(p + 1))
     return Hierarchy(
@@ -97,8 +93,8 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
         dim=dim,
         period=p,
         reps=reps,
-        e0=e0,
-        omega=consts.omega.copy(),
+        e0=(0.0, *itertools.accumulate(omega)),
+        omega=omega,
         hmats=hmats,
     )
 
@@ -130,7 +126,7 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
     worst = 0.0
     for mu in range(p + 1):
         gaps = np.diff(H[mu].real_diagonal()[: dim - hr])
-        target = h.omega[(np.arange(dim - hr - 1) + mu) % p]
+        target = np.array(h.omega)[(np.arange(dim - hr - 1) + mu) % p]
         worst = max(worst, float(np.abs(gaps - target).max()))
     relations.append(("H^(mu) spacings realize omega cyclically", worst))
     return relation_report(relations, [(0, dim - hr)], hr, tol)

@@ -89,7 +89,7 @@ def h0(rep: TruncatedRep) -> BandOp:
     gamma = derived_constants(rep.params).gamma
     levels = np.arange(rep.dim)
     energies = diag.real.astype(float)
-    formula = levels + 0.5 + gamma[levels % rep.params.lam]
+    formula = levels + 0.5 + np.array(gamma)[levels % rep.params.lam]
     if np.abs(energies[:top] - formula[:top]).max() > 1e-12:
         raise DomainError("h0 diagonal must match N + 1/2 + sum gamma_mu P_mu")
     return BandOp.diag(energies)
@@ -104,7 +104,7 @@ def analytic_spectrum(params: AlgebraParams, n_max: int) -> list[SpectrumLine]:
     for n in range(n_max + 1):
         mu = n % lam
         lines.append(
-            SpectrumLine(n=n, k=n // lam, mu=mu, energy=float(n + gamma[mu] + 0.5))
+            SpectrumLine(n=n, k=n // lam, mu=mu, energy=n + gamma[mu] + 0.5)
         )
     return lines
 

@@ -125,8 +125,7 @@ def pssqm_r_constant(params: AlgebraParams, mu: int) -> float:
     """
     lam = params.lam
     p = lam - 1
-    # Python floats added left to right: numpy's bits, but inf or nan, not a warning.
-    alpha = params.alpha.tolist()
+    alpha = params.alpha
     m2 = cyc(mu + 2, lam)
     tail = 0
     for nu in range(3, p + 1):
@@ -150,7 +149,7 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
 
     # F(n) = n + beta_{n mod lam}, with beta the prefix sums of alpha, all in
     # extended precision; band -1 holds Q[n, n - 1].
-    beta = np.concatenate(([0], np.cumsum(params.alpha.astype(np.longdouble))[:-1]))
+    beta = np.concatenate(([0], np.cumsum(np.array(params.alpha, dtype=np.longdouble))[:-1]))
     n = np.arange(dim)
     fvals = n + beta[n % lam]
     Q = BandOp(dim, {-1: np.where((n - 1) % lam != mu, np.sqrt(2 * fvals), 0)})
@@ -159,7 +158,11 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
     weights = np.zeros(lam)
     for nu in range(1, p + 1):
         weights[cyc(mu + nu, lam)] = p + 1 - nu
-    H = _h_diagonal(lam, dim, _order2_shift(float(gamma[m2]), r, p), weights)
+    H = _h_diagonal(lam, dim, _order2_shift(gamma[m2], r, p), weights)
+    # The check terms stay below 4p t^(p + 1); a root, as a power would raise on overflow.
+    t = max(float(np.abs(Q.bands[-1]).max()), math.sqrt(float(np.abs(H.real_diagonal()).max())))
+    if not t < (np.finfo(float).max / (4.0 * p)) ** (1.0 / (p + 1)):
+        raise DomainError(f"alpha takes the order-{p + 1} check terms beyond float64 range", name="alpha")
     return VariantSolution(
         kind=KIND_PSSQM,
         mu=mu,
@@ -245,6 +248,8 @@ def pseudo_family1_build(
     _require_finite(c=c, eta=eta, phi=phi)
     if c == 0.0:
         raise DomainError("c must be nonzero")
+    if 2.0 * c * c == 0.0:
+        raise DomainError(f"c = {c!r} is so small that 2 c^2 underflows to 0", name="c")
     if not 0.0 < eta < 2.0 * abs(c):
         raise DomainError(f"eta must lie in (0, 2|c|) = (0, {2.0 * abs(c)}), got {eta}")
     if not 0.0 <= phi < 2.0 * math.pi:
@@ -266,12 +271,12 @@ def pseudo_family1_build(
     weights = np.zeros(3)
     weights[m1] = 2.0
     weights[m2] = 1.0
-    H = _h_diagonal(3, dim, _order2_shift(float(gamma[m2]), r, 2), weights)
+    H = _h_diagonal(3, dim, _order2_shift(gamma[m2], r, 2), weights)
     return VariantSolution(
         kind=KIND_PSEUDO1,
         mu=mu,
         free_params={"c": c, "eta": eta, "phi": phi},
-        r_values={f"r_{m2}": float(r)},
+        r_values={f"r_{m2}": r},
         Q=Q,
         H=H,
         params=params,
@@ -304,7 +309,7 @@ def pseudo_family2_build(
     weights[mu] = 0.5 * (1.0 - alpha[m1] + alpha[m2] + r_mu)
     weights[m1] = 1.0
     shift = 0.5 * (2.0 * gamma[m2] - alpha[m2])
-    H = _h_diagonal(3, dim, float(shift), weights)
+    H = _h_diagonal(3, dim, shift, weights)
     return VariantSolution(
         kind=KIND_PSEUDO2,
         mu=mu,
@@ -317,17 +322,15 @@ def pseudo_family2_build(
     )
 
 
-def equal_spacing_r(params: AlgebraParams, mu: int, cycles: int = 0) -> float:
+def equal_spacing_r(params: AlgebraParams, mu: int) -> float:
     """The r_mu value giving an equally spaced family-2 spectrum.
 
-    (alpha_{mu+1} - alpha_{mu+2} + 3) mod 6, as the representative in [0, 6);
-    cycles shifts to another representative, r + 6 * cycles, for experimentation.
+    (alpha_{mu+1} - alpha_{mu+2} + 3) mod 6, as the representative in [0, 6).
     """
     _check_lam(params, 3, "family-2 pseudosupersymmetry")
     alpha = params.alpha
     m1, m2 = cyc(mu + 1, 3), cyc(mu + 2, 3)
-    # In Python floats, which give inf or nan for the builder to reject, not a warning.
-    return (float(alpha[m1]) - float(alpha[m2]) + 3.0) % 6.0 + 6.0 * cycles
+    return (alpha[m1] - alpha[m2] + 3.0) % 6.0
 
 
 def pseudo_check(sol: VariantSolution, c: float, tol: float = 1e-10) -> RelationReport:
@@ -387,7 +390,7 @@ def ossqm_build(
     weights = np.zeros(3)
     weights[mu] = 2.0
     weights[m1] = 1.0
-    H = _h_diagonal(3, dim, _order2_shift(float(gamma[m1]), 0.0, 2), weights)
+    H = _h_diagonal(3, dim, _order2_shift(gamma[m1], 0.0, 2), weights)
     return VariantSolution(
         kind=KIND_OSSQM,
         mu=mu,

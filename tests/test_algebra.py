@@ -37,15 +37,15 @@ heads = st.lists(
 class TestNewParams:
     def test_sum_zero_completion_lam2(self):
         params = new_params(2, [0.5])
-        assert params.alpha.tolist() == [0.5, -0.5]
+        assert params.alpha == (0.5, -0.5)
 
     def test_sum_zero_completion_lam3(self):
         params = new_params(3, [1.0, -0.5])
-        assert params.alpha.tolist() == [1.0, -0.5, -0.5]
+        assert params.alpha == (1.0, -0.5, -0.5)
 
     def test_construction_succeeds_for_invalid_fock_region(self):
         params = new_params(3, [-2.0, 0.0])
-        assert params.alpha.tolist() == [-2.0, 0.0, 2.0]
+        assert params.alpha == (-2.0, 0.0, 2.0)
         assert not validate_fock(params).ok
 
     def test_rejects_lam_below_2(self):
@@ -62,7 +62,7 @@ class TestNewParams:
 
     def test_alpha_is_read_only(self):
         params = new_params(2, [0.5])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             params.alpha[0] = 1.0
 
     @given(heads)
@@ -79,16 +79,16 @@ class TestNewParams:
         # The derived entry is a left-to-right Python sum; np.cumsum takes the
         # same sum, which beta repeats, so they agree bit for bit, zero signs too.
         last = new_params(len(head) + 1, head).alpha[-1]
-        assert last.tobytes() == (-np.cumsum(head)[-1]).tobytes()
+        assert np.float64(last).tobytes() == (-np.cumsum(head)[-1]).tobytes()
 
 
 class TestDerivedConstants:
     def test_prefix_sums_lam3(self):
         params = new_params(3, [1.0, -0.5])
         d = derived_constants(params)
-        assert d.beta.tolist() == [0.0, 1.0, 0.5]
-        assert d.gamma.tolist() == [0.5, 0.75, 0.25]
-        assert d.omega.tolist() == [2.0, 0.5, 0.5]
+        assert d.beta == (0.0, 1.0, 0.5)
+        assert d.gamma == (0.5, 0.75, 0.25)
+        assert d.omega == (2.0, 0.5, 0.5)
 
     def test_beta_starts_at_zero(self):
         params = new_params(4, [0.3, 0.2, -0.1])
@@ -101,8 +101,24 @@ class TestDerivedConstants:
         lam = params.lam
         beta = [math.fsum(params.alpha[:mu]) for mu in range(lam)]
         assert np.allclose(d.beta, beta, atol=1e-12)
-        assert np.array_equal(d.gamma, d.beta + params.alpha / 2.0)
-        assert np.array_equal(d.omega, 1.0 + params.alpha)
+        alpha = np.array(params.alpha)
+        assert np.array_equal(d.gamma, np.array(d.beta) + alpha / 2.0)
+        assert np.array_equal(d.omega, 1.0 + alpha)
+
+    @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=8))
+    @example([-0.0, -0.0, -0.0])
+    @example([-0.0, 0.0])
+    @example([1e16, 1.0, -1e16, 3e-300, -0.5])
+    @example([5e-324, -5e-324, 1e300])
+    def test_bitwise_equal_to_numpy_cumsum_and_elementwise(self, head):
+        # Python floats taken left to right give numpy's bits, zero signs too.
+        params = new_params(len(head) + 1, head)
+        d = derived_constants(params)
+        alpha = np.array(params.alpha)
+        beta = np.concatenate(([0.0], np.cumsum(alpha)[:-1]))
+        assert np.array(d.beta).tobytes() == beta.tobytes()
+        assert np.array(d.gamma).tobytes() == (beta + alpha / 2.0).tobytes()
+        assert np.array(d.omega).tobytes() == (1.0 + alpha).tobytes()
 
     def test_lam2_gammas_coincide_at_half_alpha0(self):
         for kappa in (0.5, -0.3, 1.7, 0.0):
@@ -158,7 +174,7 @@ class TestStructureFunction:
         params = new_params(len(head) + 1, head)
         values = structure_values(params, 3 * params.lam)
         steps = np.diff(values)
-        expected = 1.0 + params.alpha[np.arange(3 * params.lam) % params.lam]
+        expected = 1.0 + np.array(params.alpha)[np.arange(3 * params.lam) % params.lam]
         assert np.abs(steps - expected).max() <= 1e-12
 
 
@@ -169,7 +185,7 @@ class TestCyclicShift:
 
     def test_rotation_lam3(self):
         shifted = cyclic_shift(new_params(3, [1.0, -0.5]), 1)
-        assert shifted.alpha.tolist() == [-0.5, -0.5, 1.0]
+        assert shifted.alpha == (-0.5, -0.5, 1.0)
 
     def test_composition_order_lam_is_identity_bitwise(self):
         rng = np.random.default_rng(7)
@@ -179,6 +195,7 @@ class TestCyclicShift:
             for _ in range(lam):
                 out = cyclic_shift(out, 1)
             assert np.array_equal(out.alpha, params.alpha)
+            assert out == params and hash(out) == hash(params)
 
     def test_sum_preserved(self):
         params = new_params(4, [0.3, 0.2, -0.1])
@@ -196,7 +213,7 @@ class TestCyclicShift:
 class TestKappaChart:
     def test_lam2_forward(self):
         params = alpha_from_kappa(KappaParams(kappa=np.array([0.5 + 0j])), 2)
-        assert params.alpha.tolist() == [0.5, -0.5]
+        assert params.alpha == (0.5, -0.5)
 
     def test_lam2_kappa_equals_alpha0(self):
         kp = kappa_from_alpha(new_params(2, [0.7]))
@@ -242,7 +259,7 @@ class TestKappaChart:
         params = new_params(lam, head)
         kp = kappa_from_alpha(params)
         back = alpha_from_kappa(kp, lam)
-        assert np.abs(back.alpha - params.alpha).max() <= 1e-12
+        assert np.abs(np.subtract(back.alpha, params.alpha)).max() <= 1e-12
 
     def test_kappa_conjugation_symmetry_of_forward_map(self):
         rng = np.random.default_rng(11)
@@ -251,6 +268,24 @@ class TestKappaChart:
         lam = params.lam
         for nu in range(1, lam):
             assert abs(kp.kappa[nu - 1].conjugate() - kp.kappa[lam - nu - 1]) <= 1e-12
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda a1: new_params(3, [0.1, a1]),
+            lambda a1: derived_constants(new_params(3, [0.1, a1])),
+            lambda a1: kappa_from_alpha(new_params(3, [0.1, a1])),
+        ],
+        ids=["AlgebraParams", "DerivedConstants", "KappaParams"],
+    )
+    def test_equal_values_compare_and_hash_equal(self, make):
+        a, b, other = make(0.2), make(0.2), make(0.3)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != other
+        assert {a: "a", other: "other"}[b] == "a"
 
 
 class TestSerialization:
@@ -264,7 +299,7 @@ class TestSerialization:
 
     def test_head_only_dict_accepted(self):
         back = params_from_dict({"lambda": 3, "alpha": [1.0, -0.5]})
-        assert back.alpha.tolist() == [1.0, -0.5, -0.5]
+        assert back.alpha == (1.0, -0.5, -0.5)
 
     def test_nonzero_sum_rejected(self):
         with pytest.raises(DomainError):

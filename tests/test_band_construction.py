@@ -93,7 +93,7 @@ def test_hierarchy_and_block_pairs(lam, dim, seed):
 def test_parasupercharge(lam, dim, seed):
     # Q[n + 1, n] = sqrt(2 F(n + 1)) off the mu class, from alpha in np.longdouble.
     params = fock_valid_params(np.random.default_rng(seed), lam)
-    beta = np.concatenate(([0], np.cumsum(params.alpha.astype(np.longdouble))[:-1]))
+    beta = np.concatenate(([0], np.cumsum(np.array(params.alpha, dtype=np.longdouble))[:-1]))
     n = np.arange(dim - 1)
     fnext = (n + 1) + beta[(n + 1) % lam]
     for mu in range(lam):

@@ -451,6 +451,11 @@ class TestArgHandling:
             # Valid alpha whose derived constants leave float64 range.
             (("variant", "--kind", "pssqm", "--lambda", "2", "--alpha", "1e308", "--mu", "1"), "non-finite shift"),
             (("verify", "--suite", "pseudo2", "--lambda", "3", "--alpha", "1e308,-1e308", "--mu", "2"), "r_mu"),
+            # So small that family 1's 2 c^2 underflows to 0.
+            (("verify", "--suite", "pseudo1", "--lambda", "3", "--alpha", "0,0", "--c", "1e-200"), "--c"),
+            # Valid alpha whose parasupercharge check terms would leave float64 range.
+            (("variant", "--kind", "pssqm", "--lambda", "3", "--alpha", "1e308,0"), "--alpha"),
+            (("variant", "--kind", "pssqm-cubic", "--lambda", "3", "--alpha", "1e308,0"), "--alpha"),
         ],
     )
     def test_bad_value_exits_2_naming_flag(self, argv, flag):
@@ -581,6 +586,10 @@ class TestFuzz:
     @given(cli_argv())
     # Wrote Infinity residuals before huge c was rejected.
     @example(["variant", "--kind", "pseudo2", "--lambda", "3", "--alpha", "0,0", "--c", "1e150"])
+    # Divided by an underflowed 2 c^2.
+    @example(["verify", "--suite", "pseudo1", "--lambda", "3", "--alpha", "0,0", "--c", "1e-200"])
+    # Wrote an Infinity residual.
+    @example(["variant", "--kind", "pssqm", "--lambda", "3", "--alpha", "1e308,0"])
     def test_exit_code_documented_and_no_traceback(self, argv):
         rc, out, err = call(argv)
         assert rc in (0, 1, 2, 3), (argv, rc, err)

@@ -145,7 +145,7 @@ def test_partner_check(lam):
         float(
             np.abs(
                 np.diff(np.diag(hmats[mu]).real[: DIM - hr])
-                - h.omega[(np.arange(DIM - hr - 1) + mu) % lam]
+                - np.array(h.omega)[(np.arange(DIM - hr - 1) + mu) % lam]
             ).max()
         )
         for mu in range(lam + 1)

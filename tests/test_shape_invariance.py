@@ -54,8 +54,8 @@ class TestWindow:
 class TestBuildHierarchy:
     def test_spacings_and_ground_energies_lam2(self):
         h = build_hierarchy(new_params(2, [0.5]), 16)
-        assert h.omega.tolist() == [1.5, 0.5]
-        assert h.e0.tolist() == [0.0, 1.5, 2.0]
+        assert h.omega == (1.5, 0.5)
+        assert h.e0 == (0.0, 1.5, 2.0)
         assert h.period == 2
         assert len(h.reps) == 2
         assert len(h.hmats) == 3
@@ -70,7 +70,7 @@ class TestBuildHierarchy:
     def test_shifted_reps_carry_rotated_parameters(self):
         params = new_params(3, [0.5, 0.1])
         h = build_hierarchy(params, 12)
-        assert h.reps[1].params.alpha.tolist() == [0.1, -0.6, 0.5]
+        assert h.reps[1].params.alpha == (0.1, -0.6, 0.5)
 
     def test_window_violation_rejected_with_inequality(self):
         with pytest.raises(DomainError, match="alpha_0"):
@@ -104,7 +104,7 @@ class TestPartnerCheck:
 
     def test_ground_energy_fault_is_detected(self):
         h = build_hierarchy(new_params(3, [0.5, 0.1]), 24)
-        bad = dataclasses.replace(h, e0=h.e0 + 0.1)
+        bad = dataclasses.replace(h, e0=tuple(e + 0.1 for e in h.e0))
         report = partner_check(bad, 1e-12)
         assert not report.ok
         assert report.max_residual == pytest.approx(0.1, abs=1e-9)
@@ -151,7 +151,7 @@ class TestSqm2:
 
     def test_anticommutator_fault_detected(self):
         h = build_hierarchy(new_params(2, [0.5]), 20)
-        bad = dataclasses.replace(h, e0=h.e0 + np.array([0.25, 0.0, 0.0]))
+        bad = dataclasses.replace(h, e0=(h.e0[0] + 0.25, *h.e0[1:]))
         report = sqm2_check(bad, 0, 1e-12)
         assert not report.ok
         assert report.residual("{Q, Qdag} = H") == pytest.approx(0.25, abs=1e-9)

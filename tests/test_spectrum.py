@@ -176,6 +176,14 @@ class TestSweep:
         assert flagged[(0.0, -4.0)] is False
         assert flagged[(0.0, 4.0)] is True
 
+    def test_records_compare_and_hash_by_value(self):
+        axes = [[-1.5, 0.0, 0.5], [0.0, 0.25]]
+        first, second = list(sweep(3, axes)), list(sweep(3, axes))
+        assert first == second
+        assert not first[0].valid and first[-1].valid
+        assert len(set(first)) == len(first)
+        assert {rec: i for i, rec in enumerate(first)}[second[3]] == 3
+
     def test_invalid_points_flagged_not_skipped(self):
         records = list(sweep(2, [[-1.5, 0.0]], n_max=20))
         assert [rec.valid for rec in records] == [False, True]

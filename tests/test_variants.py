@@ -295,7 +295,6 @@ class TestPseudoFamily2:
     def test_equal_spacing_representative(self):
         params = new_params(3, [0.0, 0.0])
         assert equal_spacing_r(params, 0) == 3.0
-        assert equal_spacing_r(params, 0, cycles=2) == 15.0
 
     def test_equal_spacing_holds_only_at_representative(self):
         rng = np.random.default_rng(57)
