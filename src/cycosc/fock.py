@@ -75,6 +75,14 @@ class RelationReport:
 
 
 @dataclass(frozen=True)
+class Ladder:
+    """The ladder operators a and adag of one algebra, as weighted shifts."""
+
+    a: BandOp
+    adag: BandOp
+
+
+@dataclass(frozen=True)
 class TruncatedRep:
     """a, adag, N, T and P_mu at truncation dimension dim, as weighted shifts."""
 
@@ -168,15 +176,27 @@ class BandOp:
 
     def __matmul__(self, other: BandOp) -> BandOp:
         # (x y)[i, i + kx + ky] = x[i, i + kx] y[i + kx, i + kx + ky]
+        dim = self.dim
         dtype = np.result_type(np.longdouble, *self.bands.values(), *other.bands.values())
         out = {}
         for kx, vx in self.bands.items():
-            lo, hi = _span(self.dim, kx)
+            lo, hi = _span(dim, kx)
             for ky, vy in other.bands.items():
-                if abs(kx + ky) < self.dim:
-                    w = out.setdefault(kx + ky, np.zeros(self.dim, dtype))
-                    w[lo:hi] += vx[lo:hi] * vy[lo + kx : hi + kx]
-        return BandOp._wrap(self.dim, out)
+                k = kx + ky
+                if abs(k) >= dim:
+                    continue
+                # A band's first term is stored as it is, or zero-padded where kx
+                # shortens it (or promoted); later terms add in place.
+                term = vx[lo:hi] * vy[lo + kx : hi + kx]
+                w = out.get(k)
+                if w is not None:
+                    w[lo:hi] += term
+                elif kx == 0 and term.dtype == dtype:
+                    out[k] = term
+                else:
+                    w = out[k] = np.zeros(dim, dtype)
+                    w[lo:hi] = term
+        return BandOp._wrap(dim, out)
 
     def __add__(self, other: BandOp) -> BandOp:
         out = dict(self.bands)
@@ -189,7 +209,10 @@ class BandOp:
         return self if other == 0 else NotImplemented
 
     def __sub__(self, other: BandOp) -> BandOp:
-        return self + -1 * other
+        out = dict(self.bands)
+        for k, v in other.bands.items():
+            out[k] = out[k] - v if k in out else -v
+        return BandOp._wrap(self.dim, out)
 
     def __mul__(self, c) -> BandOp:
         return BandOp._wrap(self.dim, {k: c * v for k, v in self.bands.items()})
@@ -201,9 +224,17 @@ class BandOp:
 
         NaN when any of those entries is NaN, so a non-finite residual fails.
         """
-        spans = [(k, max(a, c - k), min(b, d - k))
-                 for k in self.bands for a, b in rows for c, d in rows]
-        return _peak(np.abs(self.bands[k][lo:hi]).max() for k, lo, hi in spans if lo < hi)
+        peak = 0.0
+        for k, v in self.bands.items():
+            for a, b in rows:
+                for c, d in rows:
+                    lo, hi = max(a, c - k), min(b, d - k)
+                    if lo < hi:
+                        m = float(np.abs(v[lo:hi]).max())
+                        if m != m:
+                            return m
+                        peak = max(peak, m)
+        return peak
 
 
 def relation_report(relations, rows, headroom: int, tol: float) -> RelationReport:
@@ -232,24 +263,33 @@ def require_rep(params: AlgebraParams, dim: int) -> None:
         raise DomainError(f"dimension must be >= {2 * params.lam}, got {dim}")
 
 
+def build_ladder(params: AlgebraParams, dim: int) -> Ladder:
+    """The ladder operators of a valid algebra.
+
+    a has sqrt(F(n)) at (n-1, n) and adag is its conjugate transpose.
+    """
+    require_rep(params, dim)
+    # sqrt(F(n)) is adag's band -1 as it stands (F(0) = 0) and a's band +1 moved up one level.
+    roots = np.sqrt(structure_values(params, dim - 1))
+    return Ladder(a=BandOp(dim, {1: _shift(roots, 1)}), adag=BandOp(dim, {-1: roots}))
+
+
 def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
     """Build the truncated representation of a valid algebra.
 
-    a has sqrt(F(n)) at (n-1, n), adag is its conjugate transpose, N is
-    diagonal, P_mu projects onto levels n = mu mod lam, and T = exp(2i pi N / lam)
-    is built from the phases at n mod lam, so it is exactly lam-periodic.
+    a and adag are build_ladder's, N is diagonal, P_mu projects onto levels
+    n = mu mod lam, and T = exp(2i pi N / lam) is built from the phases at
+    n mod lam, so it is exactly lam-periodic.
     """
-    require_rep(params, dim)
+    ladder = build_ladder(params, dim)
     lam = params.lam
-    # sqrt(F(n)) is adag's band -1 as it stands (F(0) = 0) and a's band +1 moved up one level.
-    roots = np.sqrt(structure_values(params, dim - 1))
     levels = np.arange(dim)
     classes = levels % lam
     return TruncatedRep(
         params=params,
         dim=dim,
-        a=BandOp(dim, {1: _shift(roots, 1)}),
-        adag=BandOp(dim, {-1: roots}),
+        a=ladder.a,
+        adag=ladder.adag,
         nmat=BandOp.diag(levels),
         proj=tuple(BandOp.diag(classes == mu) for mu in range(lam)),
         tmat=BandOp.diag(np.exp(2j * np.pi * np.arange(lam) / lam)[classes]),
@@ -272,13 +312,14 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     for _ in range(lam):
         tpow = tpow @ tmat
     w = np.exp(-2j * np.pi / lam)
+    a_adag, adag_a = a @ adag, adag @ a
     relations = [
         ("[N, adag] = adag", nmat @ adag - adag @ nmat - adag),
         ("[N, P_mu] = 0", [nmat @ p - p @ nmat for p in proj]),
         ("sum_mu P_mu = I", sum(proj) - eye),
         (
             "[a, adag] = I + sum alpha_mu P_mu",
-            a @ adag - adag @ a - (eye + sum(alpha[mu] * proj[mu] for mu in range(lam))),
+            a_adag - adag_a - (eye + sum(alpha[mu] * proj[mu] for mu in range(lam))),
         ),
         (
             "adag P_mu = P_{mu+1} adag",
@@ -292,8 +333,8 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
                 for nu, pn in enumerate(proj)
             ],
         ),
-        ("adag a = F(N)", adag @ a - BandOp.diag(fvals[:dim])),
-        ("a adag = F(N+1)", a @ adag - BandOp.diag(fvals[1:])),
+        ("adag a = F(N)", adag_a - BandOp.diag(fvals[:dim])),
+        ("a adag = F(N+1)", a_adag - BandOp.diag(fvals[1:])),
         ("T^lam = I", tpow - eye),
         ("adag T = exp(-2i pi/lam) T adag", adag @ tmat - w * (tmat @ adag)),
         ("a T = exp(2i pi/lam) T a", a @ tmat - np.conj(w) * (tmat @ a)),

@@ -25,9 +25,9 @@ from .algebra import (
 from .fock import (
     DEGREE2_HEADROOM,
     BandOp,
+    Ladder,
     RelationReport,
-    TruncatedRep,
-    build_rep,
+    build_ladder,
     relation_report,
 )
 
@@ -39,7 +39,7 @@ class Hierarchy:
     params: AlgebraParams
     dim: int
     period: int
-    reps: tuple[TruncatedRep, ...]
+    ladders: tuple[Ladder, ...]
     e0: tuple[float, ...]
     omega: tuple[float, ...]
     hmats: tuple[BandOp, ...]
@@ -78,13 +78,13 @@ def window_violations(params: AlgebraParams) -> tuple[str, ...]:
 
 
 def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
-    """Build the p = lam shifted representations and partner Hamiltonians."""
+    """Build the ladders of the p = lam shifted algebras and the partner Hamiltonians."""
     require_fock(params)
     bad = window_violations(params)
     if bad:
         raise DomainError("; ".join(bad))
     p = params.lam
-    reps = tuple(build_rep(cyclic_shift(params, mu), dim) for mu in range(p))
+    ladders = tuple(build_ladder(cyclic_shift(params, mu), dim) for mu in range(p))
     omega = derived_constants(params).omega
     fvals = structure_values(params, dim - 1 + p)
     hmats = tuple(BandOp.diag(fvals[mu : mu + dim]) for mu in range(p + 1))
@@ -92,7 +92,7 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
         params=params,
         dim=dim,
         period=p,
-        reps=reps,
+        ladders=ladders,
         e0=(0.0, *itertools.accumulate(omega)),
         omega=omega,
         hmats=hmats,
@@ -105,28 +105,33 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
     dim = h.dim
     p = h.period
     eye = BandOp.diag(np.ones(dim))
-    H, r = h.hmats, h.reps
-    relations = [("H^(0) = Adag_0 A_0", H[0] - r[0].adag @ r[0].a)]
+    H = h.hmats
+    # Adag_0 A_0 enters twice (sectors 0 and p), so every product is formed once.
+    adag_a = [ld.adag @ ld.a for ld in h.ladders]
+    a_adag = [ld.a @ ld.adag for ld in h.ladders]
+    ground = [e * eye for e in h.e0]
+    relations = [("H^(0) = Adag_0 A_0", H[0] - adag_a[0])]
     for mu in range(1, p + 1):
-        prev, cur = mu - 1, cyc(mu, p)
+        prev = mu - 1
         relations.append(
             (
                 f"H^({mu}) = A_{prev} Adag_{prev} + E0^({prev})",
-                H[mu] - r[prev].a @ r[prev].adag - h.e0[prev] * eye,
+                H[mu] - a_adag[prev] - ground[prev],
             )
         )
         relations.append(
             (
                 f"H^({mu}) = Adag_{mu} A_{mu} + E0^({mu})",
-                H[mu] - r[cur].adag @ r[cur].a - h.e0[mu] * eye,
+                H[mu] - adag_a[cyc(mu, p)] - ground[mu],
             )
         )
 
     # Spacing claim: consecutive diagonal entries of H^(mu) differ by omega cyclically.
     worst = 0.0
+    omega, levels = np.array(h.omega), np.arange(dim - hr - 1)
     for mu in range(p + 1):
         gaps = np.diff(H[mu].real_diagonal()[: dim - hr])
-        target = np.array(h.omega)[(np.arange(dim - hr - 1) + mu) % p]
+        target = omega[(levels + mu) % p]
         worst = max(worst, float(np.abs(gaps - target).max()))
     relations.append(("H^(mu) spacings realize omega cyclically", worst))
     return relation_report(relations, [(0, dim - hr)], hr, tol)
@@ -141,11 +146,11 @@ def block_pair(h: Hierarchy, mu: int) -> BlockPair:
     if not 0 <= mu < h.period:
         raise DomainError(f"sector must satisfy 0 <= mu < {h.period}, got {mu}")
     dim = h.dim
-    rep = h.reps[mu]
+    ladder = h.ladders[mu]
     zeros = np.zeros(dim)
     # Adag_mu fills the upper right quadrant (offsets + dim), A_mu the lower left.
-    qdag = {k + dim: np.concatenate([v, zeros]) for k, v in rep.adag.bands.items()}
-    q = {k - dim: np.concatenate([zeros, v]) for k, v in rep.a.bands.items()}
+    qdag = {k + dim: np.concatenate([v, zeros]) for k, v in ladder.adag.bands.items()}
+    q = {k - dim: np.concatenate([zeros, v]) for k, v in ladder.a.bands.items()}
     diag = np.concatenate([h.hmats[nu].real_diagonal() - h.e0[mu] for nu in (mu, mu + 1)])
     return BlockPair(mu=mu, H=BandOp.diag(diag), Qdag=BandOp(2 * dim, qdag), Q=BandOp(2 * dim, q))
 

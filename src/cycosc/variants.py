@@ -72,9 +72,16 @@ class GroundState:
 
 
 def _h_diagonal(lam: int, dim: int, shift: float, grade_weights: np.ndarray) -> BandOp:
-    """Diagonal n + shift + w_{n mod lam} in float64, shared by all builders."""
+    """Diagonal n + shift + w_{n mod lam} in float64, shared by all builders.
+
+    Raises DomainError if an entry is not finite (an overflowing shift or weight).
+    """
     n = np.arange(dim, dtype=float)
-    return BandOp.diag(n + shift + np.asarray(grade_weights, dtype=float)[np.arange(dim) % lam])
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = n + shift + np.asarray(grade_weights, dtype=float)[np.arange(dim) % lam]
+    if not np.isfinite(diag).all():
+        raise DomainError(f"the parameters give the Hamiltonian a non-finite shift or level, shift {shift}")
+    return BandOp.diag(diag)
 
 
 def _masked_ladders(params: AlgebraParams, dim: int, lower: int, upper: int):
@@ -106,10 +113,7 @@ def _order2_shift(gamma_m2: float, r_m2: float, p: int) -> float:
     Evaluated identically for every caller so that Hamiltonians the algebra
     says coincide come out bitwise equal.
     """
-    shift = 0.5 * (2.0 * gamma_m2 + r_m2 - (2.0 * p - 3.0))
-    if not math.isfinite(shift):
-        raise DomainError(f"the parameters give the Hamiltonian a non-finite shift, {shift}")
-    return shift
+    return 0.5 * (2.0 * gamma_m2 + r_m2 - (2.0 * p - 3.0))
 
 
 def _check_lam(params: AlgebraParams, lam: int, what: str):
@@ -193,7 +197,8 @@ def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationRep
     powers = [BandOp.diag(np.ones(sol.dim))]
     for _ in range(p + 1):
         powers.append(powers[-1] @ Q)
-    multilinear = sum(powers[p - j] @ Q.dag @ powers[j] for j in range(p + 1))
+    qdag = Q.dag
+    multilinear = sum(powers[p - j] @ qdag @ powers[j] for j in range(p + 1))
     relations = [
         (f"Q^{p + 1} = 0", powers[p + 1]),
         (f"Q^{p} != 0", powers[p], True),
@@ -221,7 +226,8 @@ def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationRepor
         raise DomainError(f"cubic relation applies at order 3, got {sol.params.lam}")
     h = 4
     Q, H = sol.Q, sol.H
-    inner = Q.dag @ Q - Q @ Q.dag
+    qdag = Q.dag
+    inner = qdag @ Q - Q @ qdag
     relations = [
         ("[Q, [Qdag, Q]] = 2 Q H", Q @ inner - inner @ Q - 2.0 * (Q @ H)),
         ("Q != 0", Q, True),
@@ -339,10 +345,11 @@ def pseudo_check(sol: VariantSolution, c: float, tol: float = 1e-10) -> Relation
         raise DomainError(f"expected a pseudosupersymmetric solution, got {sol.kind}")
     h = 4
     Q, H = sol.Q, sol.H
+    q_h = Q @ H
     relations = [
         ("Q^2 = 0", Q @ Q),
-        ("[H, Q] = 0", H @ Q - Q @ H),
-        ("Q Qdag Q = 4 c^2 Q H", Q @ Q.dag @ Q - 4.0 * c * c * (Q @ H)),
+        ("[H, Q] = 0", H @ Q - q_h),
+        ("Q Qdag Q = 4 c^2 Q H", Q @ Q.dag @ Q - 4.0 * c * c * q_h),
     ]
     return relation_report(relations, [(0, sol.dim - h)], h, tol)
 
@@ -415,26 +422,25 @@ def ossqm_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
         raise DomainError(f"expected an {KIND_OSSQM} solution, got {sol.kind}")
     h = 3
     q = (sol.Q, sol.Q2)
-    H = sol.H
-    qdagq = q[0].dag @ q[0] + q[1].dag @ q[1]
+    qdag = (sol.Q.dag, sol.Q2.dag)
+    H, two_h = sol.H, 2.0 * sol.H
+    # Each product is formed once: Qdag_t Q_t enters three sums, Q1 Qdag1 two.
+    qdag_q = [qdag[t] @ q[t] for t in (0, 1)]
+    qdagq = qdag_q[0] + qdag_q[1]
+    q1_qdag1 = q[0] @ qdag[0]
     relations = [
         (f"Q{r + 1} Q{s + 1} = 0", q[r] @ q[s]) for r in (0, 1) for s in (0, 1)
     ]
     relations += [(f"[H, Q{r + 1}] = 0", H @ q[r] - q[r] @ H) for r in (0, 1)]
-    for r, s in ((0, 0), (0, 1), (1, 1)):
-        lhs = q[r] @ q[s].dag
-        if r == s:
-            relations.append(
-                (f"Q{r + 1} Qdag{s + 1} + sum_t Qdag_t Q_t = 2 H", lhs + qdagq - 2.0 * H)
-            )
-        else:
-            relations.append((f"Q{r + 1} Qdag{s + 1} = 0", lhs))
-    relations.append(
+    relations += [
+        ("Q1 Qdag1 + sum_t Qdag_t Q_t = 2 H", q1_qdag1 + qdagq - two_h),
+        ("Q1 Qdag2 = 0", q[0] @ qdag[1]),
+        ("Q2 Qdag2 + sum_t Qdag_t Q_t = 2 H", q[1] @ qdag[1] + qdagq - two_h),
         (
             "corollary: Q1 Qdag1 + Qdag1 Q1 + Qdag2 Q2 = 2 H",
-            q[0] @ q[0].dag + q[0].dag @ q[0] + q[1].dag @ q[1] - 2.0 * H,
-        )
-    )
+            q1_qdag1 + qdag_q[0] + qdag_q[1] - two_h,
+        ),
+    ]
     return relation_report(relations, [(0, sol.dim - h)], h, tol)
 
 

@@ -92,21 +92,57 @@ def test_nan_propagates_exactly_when_inside_the_block(seed, lam, half, two):
     rng = np.random.default_rng(seed)
     dim = 2 * half
     bands = random_bands(rng, lam, dim)
-    # The last band, so that a plain max() over the band peaks would drop its NaN.
-    k = list(bands)[-1]
     rows = block_rows(dim, 3, two)
 
     def in_block(i):
         return any(lo <= i < hi for lo, hi in rows)
 
-    # The band's first entry (i, i + k), and its last, whose column or row is at the edge.
-    for i in (max(0, -k), dim - 1 - max(k, 0)):
-        v = np.array(bands[k])
-        v[i] = np.nan
-        op, forced = natural_and_forced({**bands, k: v}, dim)
-        expected = in_block(i) and in_block(i + k)
-        assert math.isnan((op @ BandOp.diag(np.ones(dim))).block_max(rows)) == expected
-        assert math.isnan(forced.block_max(rows)) == expected
+    # The last band, so that a plain max() over the band peaks would drop its
+    # NaN, and the first, so that no later finite peak may replace it.
+    for k in {list(bands)[0], list(bands)[-1]}:
+        # The band's first entry (i, i + k), and its last, whose column or row is at the edge.
+        for i in (max(0, -k), dim - 1 - max(k, 0)):
+            v = np.array(bands[k])
+            v[i] = np.nan
+            op, forced = natural_and_forced({**bands, k: v}, dim)
+            expected = in_block(i) and in_block(i + k)
+            assert math.isnan(op.block_max(rows)) == expected
+            assert math.isnan((op @ BandOp.diag(np.ones(dim))).block_max(rows)) == expected
+            assert math.isnan(forced.block_max(rows)) == expected
+
+
+@EXAMPLES
+@given(SEEDS, LAMS, HALF_DIMS)
+def test_difference_is_sum_with_negated_operand(seed, lam, half):
+    # x - y has the values of x + (-1) * y, band for band and entry for entry.
+    rng = np.random.default_rng(seed)
+    dim = 2 * half
+    x = BandOp(dim, random_bands(rng, lam, dim))
+    y = BandOp(dim, random_bands(rng, lam, dim))
+    diff, reference = x - y, x + (-1) * y
+    assert diff.bands.keys() == reference.bands.keys()
+    for k, v in diff.bands.items():
+        assert v.dtype == reference.bands[k].dtype
+        assert np.array_equal(v, reference.bands[k])
+    assert np.array_equal(diff.dense(), x.dense() - y.dense())
+
+
+@EXAMPLES
+@given(SEEDS, LAMS, HALF_DIMS)
+def test_product_of_mixed_real_and_complex_bands(seed, lam, half):
+    # A real operator plus a phased one at another offset holds np.longdouble
+    # and np.clongdouble bands side by side; its products are the dense ones.
+    rng = np.random.default_rng(seed)
+    dim = 2 * half
+    k_real, k_phased = (int(k) for k in rng.choice(np.arange(1 - lam, lam), size=2, replace=False))
+    phases = np.exp(2j * np.pi * (np.arange(dim) % lam) / lam)
+    mixed = BandOp(dim, {k_real: rng.normal(size=dim)}) + BandOp(dim, {k_phased: rng.normal(size=dim) * phases})
+    assert {v.dtype for v in mixed.bands.values()} == {np.dtype(np.longdouble), np.dtype(np.clongdouble)}
+    y = BandOp(dim, random_bands(rng, lam, dim))
+    for left, right in ((mixed, y), (y, mixed), (mixed, mixed)):
+        product = left @ right
+        assert all(v.dtype == np.clongdouble for v in product.bands.values())
+        assert np.array_equal(product.dense(), left.dense() @ right.dense())
 
 
 def test_operator_without_bands():

@@ -456,6 +456,12 @@ class TestArgHandling:
             # Valid alpha whose parasupercharge check terms would leave float64 range.
             (("variant", "--kind", "pssqm", "--lambda", "3", "--alpha", "1e308,0"), "--alpha"),
             (("variant", "--kind", "pssqm-cubic", "--lambda", "3", "--alpha", "1e308,0"), "--alpha"),
+            # Alpha and r_mu whose Hamiltonian levels leave float64 range.
+            (
+                ("variant", "--kind", "pseudo2", "--lambda", "3", "--alpha", "1e308,-1e308", "--mu", "2",
+                 "--r", "0", "--c", "1e-200"),
+                "non-finite shift or level",
+            ),
         ],
     )
     def test_bad_value_exits_2_naming_flag(self, argv, flag):

@@ -1,0 +1,119 @@
+"""Golden CLI output: the sha256 of stdout and the exit code of fixed commands.
+
+A change meant to leave the CLI's bytes alone (a refactor or a speed-up) must
+keep every digest.  Commands whose output carries relation residuals depend on
+the width of np.longdouble, so their digests are checked only where it has a
+64-bit mantissa (x86-64), where they were recorded.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+import pytest
+
+from cycosc.cli import main
+
+# (argv, exit code, sha256 of stdout)
+PLAIN = [
+    (
+        "spectrum --lambda 3 --alpha 0.5,0.1 --nmax 12",
+        0, "26ee6ba019d51eff8b1e58ff1aee07459f2fd236337eea0cd018128be1e0952d",
+    ),
+    (
+        "spectrum --lambda 3 --alpha 0.5,0.1 --nmax 12 --format json",
+        0, "3b8149c0db3bcdb8414ff7cf2c5d69d0104bc6350449870819e21f73867ab41c",
+    ),
+    (
+        "sweep --lambda 3 --grid a0=-0.5:1:0.5,a1=-0.5:1:0.75 --nmax 30",
+        0, "02dae2e5c3a94b822c9b7fea214b50af38a5e3b3090aa657677df23c35244be2",
+    ),
+    (
+        "hierarchy --lambda 4 --alpha 0.3,-0.2,0.4 --dim 40 --nmax 9",
+        0, "c162081d438f701298661c440695c594dad947a4185ef752457af595c20e5614",
+    ),
+    (
+        "dump --lambda 3 --alpha 0.5,0.1 --dim 7",
+        0, "c51056d20439dff4f6a3fd722f83fd9684e1b060e897b5f4799fbfb16643f120",
+    ),
+]
+
+WITH_RESIDUALS = [
+    (
+        "verify --suite algebra --lambda 4 --alpha 0.3,-0.2,0.4 --format json",
+        0, "7e8af86a2132d47ee02c8f087e719f570c6a5eabd819a36c95caea3b16075903",
+    ),
+    (
+        "verify --suite klein --lambda 2 --alpha 0.7 --format json",
+        0, "78d0a1e4bcb759cd61be60bf4be666d6d4b268e70cd9ba7f5eab4abd743b49bd",
+    ),
+    (
+        "verify --suite partners --lambda 4 --alpha 0.3,-0.2,0.4 --format json",
+        0, "b17d6126e9674b26cee2debaeec86800d85c823d564fb228c80a8a359ade3c52",
+    ),
+    (
+        "verify --suite sqm2 --lambda 3 --alpha 0.5,0.1 --mu 2 --format json",
+        0, "a8377d95e4eb7898071a12a1bd71894f0be524fb633f2a262b52ee118b8cec32",
+    ),
+    (
+        "verify --suite pssqm --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --mu 1 --format json",
+        0, "75d95c8ced954dd11a2bda004baedbb1f133152410a49046b335b495d3b0f50d",
+    ),
+    (
+        "verify --suite pssqm-cubic --lambda 3 --alpha 0.5,0.1 --format json",
+        1, "220e72d8ab72bc46c689d66e81aa8e02f5b1e7cb8843da790223a2f76c1bebee",
+    ),
+    (
+        "verify --suite pseudo1 --lambda 3 --alpha 0.5,0.1 --c 0.7 --eta 0.4 --phi 1.1 --format json",
+        0, "60ee14cb71133b5291014fed1fc7fddab38001488bda33ddec47efdcd347e2a1",
+    ),
+    (
+        "verify --suite pseudo2 --lambda 3 --alpha 0.5,0.1 --mu 1 --c -0.6 --format json",
+        0, "1f40e7f15379e459229bb6e1abf8d70615eee07497906c59028b5812fc4ca1fe",
+    ),
+    (
+        "verify --suite ossqm --lambda 3 --alpha 0.5,-1 --xi 0.8 --phi 2.0 --format json",
+        0, "211fd56f9f6e7381a1a6c4e2ffaae8662b71ff29d2f3cda8ca95ae97d2c48fdd",
+    ),
+    (
+        "variant --kind pssqm --lambda 4 --alpha 0.3,-0.2,0.4 --mu 2 --dim 40",
+        0, "f91787d99b0e2e2521e332fa438e17554de2e7503204ea0d18f2a9e5a33fa890",
+    ),
+    (
+        "variant --kind pssqm-cubic --lambda 3 --alpha 0.5,0.1 --mu 1 --dim 40",
+        1, "402b5ec2555f6c787adfb910432569be65bfe39b90f7b5a80d3a3ae7ecd2a87c",
+    ),
+    (
+        "variant --kind pseudo1 --lambda 3 --alpha 0.5,0.1 --mu 2 --c 1.3 --dim 40",
+        0, "28f77461db0533d50c1cfd972946e32db0083c7a162214f37f33848ea3cbb052",
+    ),
+    (
+        "variant --kind pseudo2 --lambda 3 --alpha 0.5,0.1 --r 1.5 --dim 40",
+        0, "a4dd3fcb2a189dd4160214764f7c1368c8ce48e9942e2928c3ba656a219da591",
+    ),
+    (
+        "variant --kind ossqm --lambda 3 --alpha 0.4,0.6 --mu 1 --xi 1.2 --phi 0.5 --dim 40",
+        0, "e3620fc0bce7b07b9e1d098e6ca63a5892a9c2a48e9ad7b1b29414217eb5eed8",
+    ),
+]
+
+EXTENDED_64 = np.finfo(np.longdouble).nmant == 63
+
+
+def _check(command, rc, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(command.split()) == rc
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, rc, digest", PLAIN, ids=[c for c, _, _ in PLAIN])
+def test_plain_output_bytes(command, rc, digest):
+    _check(command, rc, digest)
+
+
+@pytest.mark.skipif(not EXTENDED_64, reason="residual digests recorded with a 64-bit np.longdouble mantissa")
+@pytest.mark.parametrize("command, rc, digest", WITH_RESIDUALS, ids=[c for c, _, _ in WITH_RESIDUALS])
+def test_residual_output_bytes(command, rc, digest):
+    _check(command, rc, digest)

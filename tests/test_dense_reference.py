@@ -16,6 +16,7 @@ import pytest
 
 from cycosc import (
     BandOp,
+    Ladder,
     block_pair,
     build_hierarchy,
     build_rep,
@@ -114,13 +115,13 @@ def test_klein_reduction_check():
 def random_hierarchy(rng, lam):
     """A hierarchy with random full matrices injected, and those matrices."""
     h = build_hierarchy(new_params(lam, [0.4] * (lam - 1)), DIM)
-    ladders = [(random_matrix(rng), random_matrix(rng)) for _ in h.reps]
+    ladders = [(random_matrix(rng), random_matrix(rng)) for _ in h.ladders]
     hmats = [random_matrix(rng) for _ in h.hmats]
-    reps = tuple(
-        dataclasses.replace(r, a=BandOp.of(a), adag=BandOp.of(ad))
-        for r, (a, ad) in zip(h.reps, ladders)
+    h = dataclasses.replace(
+        h,
+        ladders=tuple(Ladder(BandOp.of(a), BandOp.of(ad)) for a, ad in ladders),
+        hmats=tuple(BandOp.of(m) for m in hmats),
     )
-    h = dataclasses.replace(h, reps=reps, hmats=tuple(BandOp.of(m) for m in hmats))
     return h, ladders, hmats
 
 

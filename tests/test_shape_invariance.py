@@ -10,6 +10,8 @@ from cycosc import (
     InvalidParamsError,
     block_pair,
     build_hierarchy,
+    build_rep,
+    cyclic_shift,
     new_params,
     partner_check,
     sqm2_check,
@@ -57,7 +59,7 @@ class TestBuildHierarchy:
         assert h.omega == (1.5, 0.5)
         assert h.e0 == (0.0, 1.5, 2.0)
         assert h.period == 2
-        assert len(h.reps) == 2
+        assert len(h.ladders) == 2
         assert len(h.hmats) == 3
 
     def test_hamiltonians_are_shifted_structure_functions(self):
@@ -68,9 +70,14 @@ class TestBuildHierarchy:
             assert np.array_equal(h.hmats[mu].real_diagonal(), fvals[mu : mu + 12])
 
     def test_shifted_reps_carry_rotated_parameters(self):
+        # Ladder mu is that of the representation with alpha rotated by mu.
         params = new_params(3, [0.5, 0.1])
         h = build_hierarchy(params, 12)
-        assert h.reps[1].params.alpha == (0.1, -0.6, 0.5)
+        assert cyclic_shift(params, 1).alpha == (0.1, -0.6, 0.5)
+        for mu, ladder in enumerate(h.ladders):
+            rep = build_rep(cyclic_shift(params, mu), 12)
+            assert np.array_equal(ladder.a.dense(), rep.a.dense())
+            assert np.array_equal(ladder.adag.dense(), rep.adag.dense())
 
     def test_window_violation_rejected_with_inequality(self):
         with pytest.raises(DomainError, match="alpha_0"):
@@ -116,7 +123,7 @@ class TestBlockPair:
         pair = block_pair(h, 0)
         H, Q, Qdag = pair.H.dense(), pair.Q.dense(), pair.Qdag.dense()
         assert H.shape == (24, 24)
-        assert np.array_equal(Qdag[:12, 12:], h.reps[0].adag.dense())
+        assert np.array_equal(Qdag[:12, 12:], h.ladders[0].adag.dense())
         assert np.abs(Qdag[12:, :]).max() == 0.0
         assert np.array_equal(Q, Qdag.conj().T)
 
