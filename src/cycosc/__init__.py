@@ -6,130 +6,53 @@ weighted shifts (BandOp: coefficient vectors in np.longdouble, or
 np.clongdouble where a phase enters, at fixed diagonal offsets), checks their
 defining relations band by band, and computes and classifies oscillator
 spectra.  Dense matrices are made only for dumps.
+
+Names are exported lazily: `cycosc.X` imports the module defining X on first
+use, so parameters, spectra and sweeps load no numpy and no operator module.
 """
 
-from .algebra import (
-    AlgebraParams,
-    DerivedConstants,
-    DomainError,
-    FockValidation,
-    InvalidParamsError,
-    KappaParams,
-    SymmetryError,
-    alpha_from_kappa,
-    cyclic_shift,
-    derived_constants,
-    kappa_from_alpha,
-    new_params,
-    params_from_dict,
-    params_to_dict,
-    structure_function,
-    structure_values,
-    validate_fock,
-)
-from .fock import (
-    BandOp,
-    Ladder,
-    RelationEntry,
-    RelationReport,
-    TruncatedRep,
-    build_rep,
-    check_relations,
-    klein_reduction_check,
-    rep_to_dict,
-)
-from .shape_invariance import (
-    BlockPair,
-    Hierarchy,
-    block_pair,
-    build_hierarchy,
-    partner_check,
-    sqm2_check,
-    window_violations,
-)
-from .spectrum import (
-    Cluster,
-    DegeneracyReport,
-    SpectrumLine,
-    SweepRecord,
-    analytic_spectrum,
-    classify_degeneracy,
-    h0,
-    sweep,
-)
-from .variants import (
-    GroundState,
-    VariantSolution,
-    equal_spacing_r,
-    ground_state_analysis,
-    ossqm_build,
-    ossqm_check,
-    pseudo_check,
-    pseudo_family1_build,
-    pseudo_family2_build,
-    pssqm_build,
-    pssqm_check,
-    pssqm_cubic_check,
-    pssqm_r_constant,
-    variant_to_dict,
-)
+import importlib
 
-__all__ = [
-    "AlgebraParams",
-    "BandOp",
-    "BlockPair",
-    "Cluster",
-    "DegeneracyReport",
-    "DerivedConstants",
-    "DomainError",
-    "FockValidation",
-    "GroundState",
-    "Hierarchy",
-    "InvalidParamsError",
-    "KappaParams",
-    "Ladder",
-    "RelationEntry",
-    "RelationReport",
-    "SpectrumLine",
-    "SweepRecord",
-    "SymmetryError",
-    "TruncatedRep",
-    "VariantSolution",
-    "alpha_from_kappa",
-    "analytic_spectrum",
-    "block_pair",
-    "build_hierarchy",
-    "build_rep",
-    "check_relations",
-    "classify_degeneracy",
-    "cyclic_shift",
-    "derived_constants",
-    "equal_spacing_r",
-    "ground_state_analysis",
-    "h0",
-    "kappa_from_alpha",
-    "klein_reduction_check",
-    "new_params",
-    "ossqm_build",
-    "ossqm_check",
-    "params_from_dict",
-    "params_to_dict",
-    "partner_check",
-    "pseudo_check",
-    "pseudo_family1_build",
-    "pseudo_family2_build",
-    "pssqm_build",
-    "pssqm_check",
-    "pssqm_cubic_check",
-    "pssqm_r_constant",
-    "rep_to_dict",
-    "sqm2_check",
-    "structure_function",
-    "structure_values",
-    "sweep",
-    "validate_fock",
-    "variant_to_dict",
-    "window_violations",
-]
+_EXPORTS = {
+    "algebra": (
+        "AlgebraParams", "DerivedConstants", "DomainError", "FockValidation",
+        "InvalidParamsError", "KappaParams", "SymmetryError", "alpha_from_kappa",
+        "cyclic_shift", "derived_constants", "kappa_from_alpha", "new_params",
+        "params_from_dict", "params_to_dict", "structure_function", "structure_values",
+        "validate_fock",
+    ),
+    "fock": (
+        "BandOp", "Ladder", "RelationEntry", "RelationReport", "TruncatedRep",
+        "build_rep", "check_relations", "h0", "klein_reduction_check", "rep_to_dict",
+    ),
+    "shape_invariance": (
+        "BlockPair", "Hierarchy", "block_pair", "build_hierarchy", "partner_check",
+        "sqm2_check", "window_violations",
+    ),
+    "spectrum": (
+        "Cluster", "DegeneracyReport", "SpectrumLine", "SweepRecord",
+        "analytic_spectrum", "classify_degeneracy", "sweep",
+    ),
+    "variants": (
+        "GroundState", "VariantSolution", "equal_spacing_r", "ground_state_analysis",
+        "ossqm_build", "ossqm_check", "pseudo_check", "pseudo_family1_build",
+        "pseudo_family2_build", "pssqm_build", "pssqm_check", "pssqm_cubic_check",
+        "pssqm_r_constant", "variant_to_dict",
+    ),
+}
+# Exported name -> defining module.
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # Looked up on the defining module at every access, never cached here, so a
+    # wrapper bound on that module is what `cycosc.X` returns.
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

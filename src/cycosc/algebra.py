@@ -13,8 +13,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 REAL_TOL = 1e-12
 
@@ -80,6 +82,8 @@ class KappaParams:
     kappa: tuple[complex, ...]
 
     def __post_init__(self):
+        import numpy as np
+
         kappa = np.asarray(self.kappa, dtype=complex)
         if kappa.ndim != 1 or kappa.size < 1:
             raise DomainError("kappa must be a nonempty vector")
@@ -126,7 +130,7 @@ def _finite_floats(values, what: str, size: int) -> tuple[float, ...]:
     return floats
 
 
-def new_params(lam: int, alpha_head: "np.ndarray | list[float]") -> AlgebraParams:
+def new_params(lam: int, alpha_head: Iterable[float]) -> AlgebraParams:
     """Build AlgebraParams from the first lam - 1 entries of alpha.
 
     The last entry is set to minus the prefix sum of the head, so the zero-sum
@@ -185,6 +189,8 @@ def structure_values(params: AlgebraParams, n_max: int) -> np.ndarray:
     """Vector of F(0), F(1), ..., F(n_max)."""
     if n_max < 0:
         raise DomainError(f"level index must be >= 0, got {n_max}")
+    import numpy as np
+
     beta = np.array(derived_constants(params).beta)
     n = np.arange(n_max + 1)
     return n + beta[n % params.lam]
@@ -207,6 +213,8 @@ def kappa_from_alpha(params: AlgebraParams) -> KappaParams:
     kappa_nu = (1/lam) sum_mu exp(-2i pi mu nu / lam) alpha_mu.  The zero-sum
     constraint on alpha plays the role of the absent nu = 0 coefficient.
     """
+    import numpy as np
+
     lam = params.lam
     if abs(float(np.sum(params.alpha))) > REAL_TOL:
         raise DomainError("alpha must sum to zero")
@@ -223,6 +231,8 @@ def alpha_from_kappa(kappa_params: KappaParams, lam: int) -> AlgebraParams:
     Requires the conjugation symmetry kappa_nu* = kappa_{lam-nu}, which makes
     the result real; imaginary parts below 1e-12 are dropped.
     """
+    import numpy as np
+
     kappa = kappa_params.kappa
     if lam != len(kappa) + 1:
         raise DomainError(f"kappa must have length {lam - 1}, got {len(kappa)}")

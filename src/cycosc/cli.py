@@ -1,8 +1,9 @@
 """Command-line front-end: spectra, relation suites, sweeps, and dumps.
 
-Exit codes: 0 success, 1 a relation check failed, 2 bad input or parameters,
-3 I/O failure.  Numbers are printed with round-trip-exact formatting (repr),
-so CSV and JSON output of the same run carry identical values.
+Exit codes: 0 success, 1 a relation check failed, 2 bad input or parameters
+(a --dim or --nmax too large for memory included), 3 I/O failure.  Numbers are
+printed with round-trip-exact formatting (repr), so CSV and JSON output of the
+same run carry identical values.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import json
 import math
 import re
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import (
     AlgebraParams,
@@ -24,24 +24,15 @@ from .algebra import (
     params_from_dict,
     params_to_dict,
 )
-from .fock import RelationReport, build_rep, check_relations, klein_reduction_check, rep_to_dict
-from .shape_invariance import build_hierarchy, partner_check, sqm2_check
 from .spectrum import analytic_spectrum, classify_degeneracy, sweep
-from .variants import (
-    equal_spacing_r,
-    ossqm_build,
-    ossqm_check,
-    pseudo_check,
-    pseudo_family1_build,
-    pseudo_family2_build,
-    pssqm_build,
-    pssqm_check,
-    pssqm_cubic_check,
-    variant_to_dict,
-)
 
-# Keeps every axis array under 8 MB and a sweep under about ten minutes at the
-# measured ~0.5 ms per point; the largest documented grid has 6084 points.
+# fock, shape_invariance and variants load numpy, so only the subcommands that
+# build operators (verify, hierarchy, variant, dump) import them, when they run.
+if TYPE_CHECKING:
+    from .fock import RelationReport
+
+# Keeps every axis list under 32 MB and a sweep under about ten minutes at the
+# measured ~0.3-0.5 ms per point; the largest documented grid has 6084 points.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -49,7 +40,7 @@ def _fmt(value) -> str:
     """Round-trip-exact text for a scalar; empty for None, lowercase booleans."""
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
     return repr(float(value))
 
@@ -78,11 +69,11 @@ def _resolve_params(args) -> AlgebraParams:
 _AXIS_RE = re.compile(r"a(\d+)=(-?[0-9.eE+-]+):(-?[0-9.eE+-]+):(-?[0-9.eE+-]+)\Z")
 
 
-def _parse_grid(text: str, lam: int) -> list[np.ndarray]:
-    """Parse `a0=lo:hi:step[,a1=...]` into one value array per free parameter.
+def _parse_grid(text: str, lam: int) -> list[list[float]]:
+    """Parse `a0=lo:hi:step[,a1=...]` into one value list per free parameter.
 
-    The point count is checked against MAX_GRID_POINTS before any axis array
-    is allocated.
+    The point count is checked against MAX_GRID_POINTS before any axis list
+    is built.
     """
     spans: dict[int, tuple[float, float, int]] = {}
     for part in text.split(","):
@@ -114,7 +105,11 @@ def _parse_grid(text: str, lam: int) -> list[np.ndarray]:
     total = math.prod(count for _, _, count in spans.values())
     if total > MAX_GRID_POINTS:
         raise DomainError(f"--grid has {total} points, more than {MAX_GRID_POINTS}")
-    return [lo + step * np.arange(count) for lo, step, count in map(spans.get, sorted(spans))]
+    # lo + step * k, not a running sum, so no rounding accumulates along an axis.
+    return [
+        [lo + step * k for k in range(count)]
+        for lo, step, count in map(spans.get, sorted(spans))
+    ]
 
 
 @contextlib.contextmanager
@@ -185,42 +180,76 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _algebra(args, params: AlgebraParams):
+    from . import fock
+
+    return None, fock.check_relations(fock.build_rep(params, args.dim), args.tol)
+
+
+def _klein(args, params: AlgebraParams):
+    from . import fock
+
+    return None, fock.klein_reduction_check(fock.build_rep(params, args.dim), args.tol)
+
+
+def _partners(args, params: AlgebraParams):
+    from . import shape_invariance as si
+
+    return None, si.partner_check(si.build_hierarchy(params, args.dim), args.tol)
+
+
+def _sqm2(args, params: AlgebraParams):
+    from . import shape_invariance as si
+
+    return None, si.sqm2_check(si.build_hierarchy(params, args.dim), args.mu, args.tol)
+
+
 def _pssqm(args, params: AlgebraParams):
-    sol = pssqm_build(params, args.mu, args.dim)
-    return sol, pssqm_check(sol, params.lam - 1, args.tol)
+    from . import variants
+
+    sol = variants.pssqm_build(params, args.mu, args.dim)
+    return sol, variants.pssqm_check(sol, params.lam - 1, args.tol)
 
 
 def _pssqm_cubic(args, params: AlgebraParams):
-    sol = pssqm_build(params, args.mu, args.dim)
-    return sol, pssqm_cubic_check(sol, args.tol)
+    from . import variants
+
+    sol = variants.pssqm_build(params, args.mu, args.dim)
+    return sol, variants.pssqm_cubic_check(sol, args.tol)
 
 
 def _pseudo1(args, params: AlgebraParams):
+    from . import variants
+
     eta = args.eta if args.eta is not None else math.sqrt(2.0) * abs(args.c)
-    sol = pseudo_family1_build(params, args.mu, args.c, eta, args.phi, args.dim)
-    return sol, pseudo_check(sol, args.c, args.tol)
+    sol = variants.pseudo_family1_build(params, args.mu, args.c, eta, args.phi, args.dim)
+    return sol, variants.pseudo_check(sol, args.c, args.tol)
 
 
 def _pseudo2(args, params: AlgebraParams):
-    r = args.r if args.r is not None else equal_spacing_r(params, args.mu)
-    sol = pseudo_family2_build(params, args.mu, args.c, r, args.dim)
-    return sol, pseudo_check(sol, args.c, args.tol)
+    from . import variants
+
+    r = args.r if args.r is not None else variants.equal_spacing_r(params, args.mu)
+    sol = variants.pseudo_family2_build(params, args.mu, args.c, r, args.dim)
+    return sol, variants.pseudo_check(sol, args.c, args.tol)
 
 
 def _ossqm(args, params: AlgebraParams):
-    sol = ossqm_build(params, args.mu, args.xi, args.phi, args.dim)
-    return sol, ossqm_check(sol, args.tol)
+    from . import variants
+
+    sol = variants.ossqm_build(params, args.mu, args.xi, args.phi, args.dim)
+    return sol, variants.ossqm_check(sol, args.tol)
 
 
 # Suite name -> (runner, also a `variant --kind`), in --help order.  A runner maps
 # (args, params) to (solution or None, report), with eta = sqrt(2)|c| for family 1
-# and the equal-spacing r for family 2 as defaults.  It looks package functions up
-# here when it runs, so that wrappers bound on this module see every call.
+# and the equal-spacing r for family 2 as defaults.  It looks each package function
+# up on its defining module when it runs, so that wrappers bound there see every call.
 SUITES = {
-    "algebra": (lambda a, p: (None, check_relations(build_rep(p, a.dim), a.tol)), False),
-    "klein": (lambda a, p: (None, klein_reduction_check(build_rep(p, a.dim), a.tol)), False),
-    "partners": (lambda a, p: (None, partner_check(build_hierarchy(p, a.dim), a.tol)), False),
-    "sqm2": (lambda a, p: (None, sqm2_check(build_hierarchy(p, a.dim), a.mu, a.tol)), False),
+    "algebra": (_algebra, False),
+    "klein": (_klein, False),
+    "partners": (_partners, False),
+    "sqm2": (_sqm2, False),
     "pssqm": (_pssqm, True),
     "pssqm-cubic": (_pssqm_cubic, True),
     "pseudo1": (_pseudo1, True),
@@ -265,6 +294,8 @@ def _require_levels(args) -> None:
 
 
 def cmd_hierarchy(args) -> int:
+    from .shape_invariance import build_hierarchy
+
     params = _resolve_params(args)
     _require_levels(args)
     h = build_hierarchy(params, args.dim)
@@ -292,6 +323,8 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_variant(args) -> int:
+    from .variants import variant_to_dict
+
     params = _resolve_params(args)
     _require_levels(args)
     run, _ = SUITES[args.kind]
@@ -303,6 +336,8 @@ def cmd_variant(args) -> int:
 
 
 def cmd_dump(args) -> int:
+    from .fock import build_rep, rep_to_dict
+
     params = _resolve_params(args)
     rep = build_rep(params, args.dim)
     with _open_output(args.output) as fh:
@@ -432,6 +467,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory; lower --dim or --nmax", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

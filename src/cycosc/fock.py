@@ -19,6 +19,7 @@ from .algebra import (
     AlgebraParams,
     DomainError,
     cyc,
+    derived_constants,
     require_fock,
     structure_values,
 )
@@ -294,6 +295,26 @@ def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
         proj=tuple(BandOp.diag(classes == mu) for mu in range(lam)),
         tmat=BandOp.diag(np.exp(2j * np.pi * np.arange(lam) / lam)[classes]),
     )
+
+
+def h0(rep: TruncatedRep) -> BandOp:
+    """Oscillator Hamiltonian (1/2){a, adag} as a diagonal BandOp of float64 energies.
+
+    Raises DomainError unless, on the headroom block, it is exactly diagonal
+    and its diagonal matches N + 1/2 + sum gamma_mu P_mu within 1e-12.
+    """
+    m = 0.5 * (rep.a @ rep.adag + rep.adag @ rep.a)
+    top = rep.dim - DEGREE2_HEADROOM
+    diag = m.bands.get(0, np.zeros(rep.dim))
+    if (m - BandOp.diag(diag)).block_max([(0, top)]) != 0.0:
+        raise DomainError("h0 must be diagonal away from the truncation edge")
+    gamma = derived_constants(rep.params).gamma
+    levels = np.arange(rep.dim)
+    energies = diag.real.astype(float)
+    formula = levels + 0.5 + np.array(gamma)[levels % rep.params.lam]
+    if np.abs(energies[:top] - formula[:top]).max() > 1e-12:
+        raise DomainError("h0 diagonal must match N + 1/2 + sum gamma_mu P_mu")
+    return BandOp.diag(energies)
 
 
 def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:

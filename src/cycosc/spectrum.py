@@ -3,6 +3,7 @@
 The spectrum E_n = n + gamma_{n mod lam} + 1/2 is a union of lam arithmetic
 ladders with common spacing lam.  Degeneracy patterns are detected numerically
 by clustering, period by period, rather than from analytic boundary formulas.
+Everything here runs on Python floats, so spectra and sweeps load no numpy.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .algebra import (
     AlgebraParams,
@@ -21,7 +20,6 @@ from .algebra import (
     require_fock,
     validate_fock,
 )
-from .fock import DEGREE2_HEADROOM, BandOp, TruncatedRep
 
 NONDEGENERATE = "nondegenerate"
 
@@ -75,26 +73,6 @@ class SweepRecord:
     report: DegeneracyReport | None
 
 
-def h0(rep: TruncatedRep) -> BandOp:
-    """Oscillator Hamiltonian (1/2){a, adag} as a diagonal BandOp of float64 energies.
-
-    Raises DomainError unless, on the headroom block, it is exactly diagonal
-    and its diagonal matches N + 1/2 + sum gamma_mu P_mu within 1e-12.
-    """
-    m = 0.5 * (rep.a @ rep.adag + rep.adag @ rep.a)
-    top = rep.dim - DEGREE2_HEADROOM
-    diag = m.bands.get(0, np.zeros(rep.dim))
-    if (m - BandOp.diag(diag)).block_max([(0, top)]) != 0.0:
-        raise DomainError("h0 must be diagonal away from the truncation edge")
-    gamma = derived_constants(rep.params).gamma
-    levels = np.arange(rep.dim)
-    energies = diag.real.astype(float)
-    formula = levels + 0.5 + np.array(gamma)[levels % rep.params.lam]
-    if np.abs(energies[:top] - formula[:top]).max() > 1e-12:
-        raise DomainError("h0 diagonal must match N + 1/2 + sum gamma_mu P_mu")
-    return BandOp.diag(energies)
-
-
 def analytic_spectrum(params: AlgebraParams, n_max: int) -> list[SpectrumLine]:
     """Labeled energies E_{k lam + mu} = k lam + mu + gamma_mu + 1/2 for n = 0..n_max."""
     require_fock(params)
@@ -109,23 +87,21 @@ def analytic_spectrum(params: AlgebraParams, n_max: int) -> list[SpectrumLine]:
     return lines
 
 
-def _cluster_energies(
-    energies: np.ndarray, tol: float
-) -> tuple[Cluster, ...]:
+def _cluster_energies(energies: list[float], tol: float) -> tuple[Cluster, ...]:
     """Group levels into clusters separated by gaps larger than tol."""
-    order = np.argsort(energies, kind="stable")
+    # sorted is stable, so equal energies keep index order.
+    order = sorted(range(len(energies)), key=energies.__getitem__)
     clusters = []
-    current = [int(order[0])]
+    current = [order[0]]
     for idx in order[1:]:
         if energies[idx] - energies[current[-1]] <= tol:
-            current.append(int(idx))
+            current.append(idx)
         else:
             clusters.append(current)
-            current = [int(idx)]
+            current = [idx]
     clusters.append(current)
     return tuple(
-        Cluster(energy=float(energies[c[0]]), levels=tuple(sorted(c)))
-        for c in clusters
+        Cluster(energy=energies[c[0]], levels=tuple(sorted(c))) for c in clusters
     )
 
 
@@ -142,14 +118,11 @@ def classify_degeneracy(
     lam = params.lam
     if n_max < lam - 1:
         raise DomainError(f"n_max = {n_max} leaves a ladder empty; use n_max >= {3 * lam}")
-    energies = np.array([line.energy for line in analytic_spectrum(params, n_max)])
+    energies = [line.energy for line in analytic_spectrum(params, n_max)]
     clusters = _cluster_energies(energies, tol)
 
     # A cluster is complete when every ladder still reaches its energy.
-    ladder_tops = [
-        energies[np.arange(len(energies)) % lam == mu].max() for mu in range(lam)
-    ]
-    complete_limit = min(ladder_tops)
+    complete_limit = min(max(energies[mu::lam]) for mu in range(lam))
     complete = [c for c in clusters if c.energy <= complete_limit + tol]
 
     cluster_of = {}
@@ -180,12 +153,11 @@ def classify_degeneracy(
         pattern = f"{m}-fold"
         threshold = min(c.energy for c in complete if c.multiplicity == m)
 
-    distinct = np.array([c.energy for c in complete])
+    distinct = [c.energy for c in complete]
+    gaps = [b - a for a, b in zip(distinct, distinct[1:])]
     spacing = None
-    if distinct.size >= 2:
-        gaps = np.diff(distinct)
-        if np.all(np.abs(gaps - gaps[0]) <= tol):
-            spacing = float(gaps[0])
+    if gaps and all(abs(g - gaps[0]) <= tol for g in gaps):
+        spacing = gaps[0]
 
     return DegeneracyReport(
         pattern=pattern,
@@ -217,10 +189,10 @@ def sweep(
     Yields one record per grid point in row-major order; invalid points are
     flagged rather than skipped.  Results stream one at a time.
     """
-    arrs = [np.asarray(list(axis), dtype=float) for axis in axes]
-    if len(arrs) != lam - 1:
-        raise DomainError(f"grid needs {lam - 1} axes for order {lam}, got {len(arrs)}")
-    if any(arr.size == 0 for arr in arrs):
+    values = [[float(v) for v in axis] for axis in axes]
+    if len(values) != lam - 1:
+        raise DomainError(f"grid needs {lam - 1} axes for order {lam}, got {len(values)}")
+    if not all(values):
         raise DomainError("grid axes must be nonempty")
-    for point in itertools.product(*(arr.tolist() for arr in arrs)):
+    for point in itertools.product(*values):
         yield _sweep_point(lam, point, n_max, tol)

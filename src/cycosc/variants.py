@@ -194,18 +194,21 @@ def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationRep
         raise DomainError(f"solution has order {sol.params.lam - 1}, got p = {p}")
     h = p + 2
     Q, H = sol.Q, sol.H
-    powers = [BandOp.diag(np.ones(sol.dim))]
-    for _ in range(p + 1):
+    # powers[k] = Q^k for k >= 1.  Q^0 = I is never formed: a factor I only
+    # multiplies by 1, so leaving it out changes no residual.
+    powers = [None, Q]
+    for _ in range(p):
         powers.append(powers[-1] @ Q)
     qdag = Q.dag
-    multilinear = sum(powers[p - j] @ qdag @ powers[j] for j in range(p + 1))
+    inner = [powers[p - j] @ qdag @ powers[j] for j in range(1, p)]
+    multilinear = sum([powers[p] @ qdag, *inner, qdag @ powers[p]])
     relations = [
         (f"Q^{p + 1} = 0", powers[p + 1]),
         (f"Q^{p} != 0", powers[p], True),
         ("[H, Q] = 0", H @ Q - Q @ H),
         (
             "sum_j Q^{p-j} Qdag Q^j = 2p Q^{p-1} H",
-            multilinear - 2.0 * p * (powers[p - 1] @ H),
+            multilinear - 2.0 * p * (powers[p - 1] @ H if p > 1 else H),
         ),
     ]
     return relation_report(relations, [(0, sol.dim - h)], h, tol)

@@ -2,16 +2,21 @@
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cycosc import cli
+import cycosc
+from cycosc import fock
 from cycosc.cli import SUITES, build_parser, main
 
 
@@ -234,23 +239,42 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", list(SUITES))
     def test_suite_calls_its_builder_and_check_through_the_module(self, capsys, monkeypatch, suite):
-        # Tracing wraps these names on cycosc.cli, so each suite must look them up there.
+        # Tracing wraps these names on their defining modules, so each suite must
+        # look them up there when it runs.
         build, check = SUITE_CALLS[suite]
         calls = []
         for name in (build, check):
-            original = getattr(cli, name)
+            original = getattr(cycosc, name)
 
             def record(*args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(cli, name, record)
+            monkeypatch.setattr(importlib.import_module(original.__module__), name, record)
         lam, alpha = {"klein": ("2", "0.5"), "ossqm": ("3", "0.5,-1")}.get(suite, ("3", "0.5,0.1"))
         rc, _, err = run(
             capsys, "verify", "--suite", suite, "--lambda", lam, "--alpha", alpha, "--dim", "24"
         )
         assert rc in (0, 1), err
         assert calls == [build, check]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "algebra", "--lambda", "3", "--alpha", "0.1,0.2", "--dim", "24"],
+            ["dump", "--lambda", "3", "--alpha", "0.1,0.2", "--dim", "24"],
+        ],
+    )
+    def test_out_of_memory_is_bad_input(self, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(fock, "build_rep", refuse)
+        rc, out, err = call(argv)
+        assert rc == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--dim" in err
+        assert "Traceback" not in err
 
 
 class TestSweep:
@@ -298,6 +322,47 @@ class TestSweep:
         rc, _, err = run(capsys, "sweep", "--lambda", "3", "--grid", grid)
         assert rc == 2
         assert "error:" in err
+
+
+# Run in a fresh interpreter where every numpy import fails: spectra and sweeps
+# must not need it.  Prints each command's exit code and stdout, and new_params.
+NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import cycosc
+from cycosc import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append((cli.main(argv), out.getvalue()))
+params = cycosc.new_params(3, [0.5, 0.25])
+assert params == cycosc.AlgebraParams(lam=3, alpha=(0.5, 0.25, -0.75))
+print(json.dumps({"runs": runs, "params": repr(params)}))
+"""
+
+
+class TestWithoutNumpy:
+    ARGVS = [
+        ["spectrum", "--lambda", "3", "--alpha", "0.5,0.25", "--nmax", "12"],
+        ["spectrum", "--lambda", "4", "--alpha", "0.3,-0.2,0.4", "--format", "json"],
+        ["sweep", "--lambda", "3", "--grid", "a0=-0.5:1:0.25,a1=-0.5:1:0.5", "--nmax", "30"],
+    ]
+
+    def test_spectrum_and_sweep_run_without_numpy(self):
+        src = os.path.dirname(os.path.dirname(cycosc.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_NUMPY_SCRIPT, json.dumps(self.ARGVS)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        got = json.loads(proc.stdout)
+        for argv, (rc, out) in zip(self.ARGVS, got["runs"]):
+            expected_rc, expected_out, _ = call(argv)
+            assert rc == expected_rc == 0, argv
+            assert out == expected_out, argv
+        assert got["params"] == repr(cycosc.new_params(3, [0.5, 0.25]))
 
 
 class TestHierarchy:
