@@ -47,14 +47,6 @@ class InvalidParamsError(DomainError):
         )
 
 
-def cyc(index: int, lam: int) -> int:
-    """Reduce a residue-class index mod lam.
-
-    Every formula site indexes alpha, beta, gamma, and the projectors cyclically.
-    """
-    return index % lam
-
-
 @dataclass(frozen=True)
 class AlgebraParams:
     """Order lam and the full parameter vector alpha, with sum(alpha) = 0.
@@ -182,7 +174,7 @@ def structure_function(params: AlgebraParams, n: int) -> float:
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
     beta = derived_constants(params).beta
-    return n + beta[cyc(n, params.lam)]
+    return n + beta[n % params.lam]
 
 
 def structure_values(params: AlgebraParams, n_max: int) -> np.ndarray:
@@ -225,17 +217,17 @@ def kappa_from_alpha(params: AlgebraParams) -> KappaParams:
     return KappaParams(kappa=kappa)
 
 
-def alpha_from_kappa(kappa_params: KappaParams, lam: int) -> AlgebraParams:
+def alpha_from_kappa(kappa_params: KappaParams) -> AlgebraParams:
     """Finite Fourier sum alpha_mu = sum_nu exp(2i pi mu nu / lam) kappa_nu.
 
-    Requires the conjugation symmetry kappa_nu* = kappa_{lam-nu}, which makes
-    the result real; imaginary parts below 1e-12 are dropped.
+    The order lam = len(kappa) + 1 comes from kappa_params.  Requires the
+    conjugation symmetry kappa_nu* = kappa_{lam-nu}, which makes the result
+    real; imaginary parts below 1e-12 are dropped.
     """
     import numpy as np
 
     kappa = kappa_params.kappa
-    if lam != len(kappa) + 1:
-        raise DomainError(f"kappa must have length {lam - 1}, got {len(kappa)}")
+    lam = kappa_params.lam
     for nu in range(1, lam):
         if abs(kappa[nu - 1].conjugate() - kappa[lam - nu - 1]) > REAL_TOL:
             raise SymmetryError(

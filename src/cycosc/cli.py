@@ -1,9 +1,10 @@
 """Command-line front-end: spectra, relation suites, sweeps, and dumps.
 
 Exit codes: 0 success, 1 a relation check failed, 2 bad input or parameters
-(a --dim or --nmax too large for memory included), 3 I/O failure.  Numbers are
-printed with round-trip-exact formatting (repr), so CSV and JSON output of the
-same run carry identical values.
+(a --dim or --nmax too large for memory included, and an operator subcommand
+run without numpy), 3 I/O failure.  Numbers are printed with round-trip-exact
+formatting (repr), so CSV and JSON output of the same run carry identical
+values.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .algebra import (
     params_from_dict,
     params_to_dict,
 )
-from .spectrum import analytic_spectrum, classify_degeneracy, sweep
+from .spectrum import _CLUSTER_TOL, analytic_spectrum, classify_degeneracy, sweep
 
 # fock, shape_invariance and variants load numpy, so only the subcommands that
 # build operators (verify, hierarchy, variant, dump) import them, when they run.
@@ -121,14 +122,11 @@ def _open_output(path: str | None):
             yield fh
 
 
-def _report_dict(report: RelationReport, suite: str) -> dict:
-    return {
-        "suite": suite,
-        "ok": report.ok,
-        "headroom": report.headroom,
-        "tol": report.tol,
-        "relations": report.relation_dicts(),
-    }
+def _write_json(obj, path: str | None) -> None:
+    """Write obj to path (stdout if None) as indented JSON and a final newline."""
+    with _open_output(path) as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _print_report(report: RelationReport, suite: str, fh) -> None:
@@ -149,24 +147,23 @@ def cmd_spectrum(args) -> int:
     params = _resolve_params(args)
     lines = analytic_spectrum(params, args.nmax)
     report = classify_degeneracy(params, args.nmax, args.tol)
-    with _open_output(args.output) as fh:
-        if args.format == "json":
-            obj = {
-                "params": params_to_dict(params),
-                "levels": [
-                    {"n": l.n, "k": l.k, "mu": l.mu, "energy": l.energy}
-                    for l in lines
-                ],
-                "classification": {
-                    "pattern": report.pattern,
-                    "threshold_energy": report.threshold_energy,
-                    "stabilized": report.stabilized,
-                    "uniform_spacing": report.uniform_spacing,
-                },
-            }
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-        else:
+    if args.format == "json":
+        obj = {
+            "params": params_to_dict(params),
+            "levels": [
+                {"n": l.n, "k": l.k, "mu": l.mu, "energy": l.energy}
+                for l in lines
+            ],
+            "classification": {
+                "pattern": report.pattern,
+                "threshold_energy": report.threshold_energy,
+                "stabilized": report.stabilized,
+                "uniform_spacing": report.uniform_spacing,
+            },
+        }
+        _write_json(obj, args.output)
+    else:
+        with _open_output(args.output) as fh:
             print("n,k,mu,energy", file=fh)
             for l in lines:
                 print(f"{l.n},{l.k},{l.mu},{_fmt(l.energy)}", file=fh)
@@ -262,11 +259,17 @@ def cmd_verify(args) -> int:
     params = _resolve_params(args)
     run, _ = SUITES[args.suite]
     _, report = run(args, params)
-    with _open_output(args.output) as fh:
-        if args.format == "json":
-            json.dump(_report_dict(report, args.suite), fh, indent=2)
-            fh.write("\n")
-        else:
+    if args.format == "json":
+        obj = {
+            "suite": args.suite,
+            "ok": report.ok,
+            "headroom": report.headroom,
+            "tol": report.tol,
+            "relations": report.relation_dicts(),
+        }
+        _write_json(obj, args.output)
+    else:
+        with _open_output(args.output) as fh:
             _print_report(report, args.suite, fh)
     return 0 if report.ok else 1
 
@@ -299,23 +302,22 @@ def cmd_hierarchy(args) -> int:
     params = _resolve_params(args)
     _require_levels(args)
     h = build_hierarchy(params, args.dim)
-    with _open_output(args.output) as fh:
-        if args.format == "json":
-            obj = {
-                "params": params_to_dict(params),
-                "sectors": [
-                    {
-                        "sector": mu,
-                        "energies": [float(e) for e in h.hmats[mu].real_diagonal()[: args.nmax + 1]],
-                    }
-                    for mu in range(h.period + 1)
-                ],
-            }
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-        else:
+    if args.format == "json":
+        obj = {
+            "params": params_to_dict(params),
+            "sectors": [
+                {
+                    "sector": mu,
+                    "energies": [float(e) for e in h.hmats[mu].real_diagonal()[: args.nmax + 1]],
+                }
+                for mu in range(h.params.lam + 1)
+            ],
+        }
+        _write_json(obj, args.output)
+    else:
+        with _open_output(args.output) as fh:
             print("sector,n,energy", file=fh)
-            for mu in range(h.period + 1):
+            for mu in range(h.params.lam + 1):
                 diag = h.hmats[mu].real_diagonal()
                 for n in range(args.nmax + 1):
                     print(f"{mu},{n},{_fmt(diag[n])}", file=fh)
@@ -329,9 +331,7 @@ def cmd_variant(args) -> int:
     _require_levels(args)
     run, _ = SUITES[args.kind]
     sol, report = run(args, params)
-    with _open_output(args.output) as fh:
-        json.dump(variant_to_dict(sol, report, n_levels=args.nmax + 1), fh, indent=2)
-        fh.write("\n")
+    _write_json(variant_to_dict(sol, report, n_levels=args.nmax + 1), args.output)
     return 0 if report.ok else 1
 
 
@@ -339,10 +339,7 @@ def cmd_dump(args) -> int:
     from .fock import build_rep, rep_to_dict
 
     params = _resolve_params(args)
-    rep = build_rep(params, args.dim)
-    with _open_output(args.output) as fh:
-        json.dump(rep_to_dict(rep), fh, indent=2)
-        fh.write("\n")
+    _write_json(rep_to_dict(build_rep(params, args.dim)), args.output)
     return 0
 
 
@@ -359,7 +356,7 @@ def _add_common_flags(sub, *names: str) -> None:
     specs = {
         "dim": dict(type=int, default=60, help="truncation dimension"),
         "tol": dict(type=float, default=1e-10, help="check/cluster tolerance"),
-        "nmax": dict(type=int, default=20, help="highest level index to emit"),
+        "nmax": dict(type=int, default=20, help="highest level index"),
         "format": dict(choices=("csv", "json"), default="csv"),
         "output": dict(type=str, default=None, help="output path (default stdout)"),
     }
@@ -391,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("spectrum", help="analytic spectrum and degeneracy pattern")
     _add_params_flags(sp)
     _add_common_flags(sp, "tol", "nmax", "format", "output")
-    sp.set_defaults(func=cmd_spectrum)
+    sp.set_defaults(func=cmd_spectrum, tol=_CLUSTER_TOL)
 
     vf = subs.add_parser("verify", help="run one relation-check suite")
     vf.add_argument("--suite", choices=SUITES, required=True)
@@ -403,10 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw = subs.add_parser("sweep", help="classify spectra over a parameter grid")
     sw.add_argument("--lambda", dest="lam", type=int, required=True, metavar="N")
     sw.add_argument("--grid", type=str, required=True, metavar="a0=lo:hi:step[,a1=...]")
-    sw.add_argument("--nmax", type=int, default=60)
-    sw.add_argument("--tol", type=float, default=1e-9)
-    sw.add_argument("--output", type=str, default=None)
-    sw.set_defaults(func=cmd_sweep)
+    _add_common_flags(sw, "nmax", "tol", "output")
+    sw.set_defaults(func=cmd_sweep, nmax=60, tol=_CLUSTER_TOL)
 
     hi = subs.add_parser("hierarchy", help="partner Hamiltonian spectra per sector")
     _add_params_flags(hi)
@@ -469,6 +464,11 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except MemoryError:
         print("error: out of memory; lower --dim or --nmax", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy, which is not installed", file=sys.stderr)
         return 2
 
 

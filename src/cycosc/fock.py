@@ -18,7 +18,6 @@ import numpy as np
 from .algebra import (
     AlgebraParams,
     DomainError,
-    cyc,
     derived_constants,
     require_fock,
     structure_values,
@@ -344,7 +343,7 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
         ),
         (
             "adag P_mu = P_{mu+1} adag",
-            [adag @ proj[mu] - proj[cyc(mu + 1, lam)] @ adag for mu in range(lam)],
+            [adag @ proj[mu] - proj[(mu + 1) % lam] @ adag for mu in range(lam)],
         ),
         (
             "P_mu P_nu = delta_{mu,nu} P_mu",

@@ -16,7 +16,6 @@ import numpy as np
 from .algebra import (
     AlgebraParams,
     DomainError,
-    cyc,
     cyclic_shift,
     derived_constants,
     require_fock,
@@ -34,11 +33,10 @@ from .fock import (
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """Partner chain of period p = lam over one truncated Fock tower."""
+    """Partner chain of period p = params.lam over one truncated Fock tower."""
 
     params: AlgebraParams
     dim: int
-    period: int
     ladders: tuple[Ladder, ...]
     e0: tuple[float, ...]
     omega: tuple[float, ...]
@@ -91,7 +89,6 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     return Hierarchy(
         params=params,
         dim=dim,
-        period=p,
         ladders=ladders,
         e0=(0.0, *itertools.accumulate(omega)),
         omega=omega,
@@ -103,7 +100,7 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
     """Verify both factorizations of every H^(mu) and the cyclic spacings."""
     hr = DEGREE2_HEADROOM
     dim = h.dim
-    p = h.period
+    p = h.params.lam
     eye = BandOp.diag(np.ones(dim))
     H = h.hmats
     # Adag_0 A_0 enters twice (sectors 0 and p), so every product is formed once.
@@ -122,7 +119,7 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
         relations.append(
             (
                 f"H^({mu}) = Adag_{mu} A_{mu} + E0^({mu})",
-                H[mu] - adag_a[cyc(mu, p)] - ground[mu],
+                H[mu] - adag_a[mu % p] - ground[mu],
             )
         )
 
@@ -143,8 +140,8 @@ def block_pair(h: Hierarchy, mu: int) -> BlockPair:
     Both diagonal blocks are shifted by the same ground energy E0^(mu), which
     is what makes {Q, Qdag} = H an identity rather than a definition.
     """
-    if not 0 <= mu < h.period:
-        raise DomainError(f"sector must satisfy 0 <= mu < {h.period}, got {mu}")
+    if not 0 <= mu < h.params.lam:
+        raise DomainError(f"sector must satisfy 0 <= mu < {h.params.lam}, got {mu}")
     dim = h.dim
     ladder = h.ladders[mu]
     zeros = np.zeros(dim)

@@ -22,6 +22,8 @@ from .algebra import (
 )
 
 NONDEGENERATE = "nondegenerate"
+# Energies at most this far apart are one level, in spectrum and sweep alike.
+_CLUSTER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ def _cluster_energies(energies: list[float], tol: float) -> tuple[Cluster, ...]:
 
 
 def classify_degeneracy(
-    params: AlgebraParams, n_max: int, tol: float = 1e-9
+    params: AlgebraParams, n_max: int, tol: float = _CLUSTER_TOL
 ) -> DegeneracyReport:
     """Cluster the first n_max + 1 energies and report the periodic pattern.
 
@@ -182,7 +184,7 @@ def sweep(
     lam: int,
     axes: Sequence[Iterable[float]],
     n_max: int = 60,
-    tol: float = 1e-9,
+    tol: float = _CLUSTER_TOL,
 ) -> Iterator[SweepRecord]:
     """Classify every point of a rectangular grid over (alpha_0..alpha_{lam-2}).
 

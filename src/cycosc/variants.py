@@ -30,7 +30,6 @@ import numpy as np
 from .algebra import (
     AlgebraParams,
     DomainError,
-    cyc,
     derived_constants,
     structure_values,
 )
@@ -71,14 +70,16 @@ class GroundState:
     broken: bool
 
 
-def _h_diagonal(lam: int, dim: int, shift: float, grade_weights: np.ndarray) -> BandOp:
+def _h_diagonal(lam: int, dim: int, shift: float, weights: dict[int, float]) -> BandOp:
     """Diagonal n + shift + w_{n mod lam} in float64, shared by all builders.
 
-    Raises DomainError if an entry is not finite (an overflowing shift or weight).
+    weights maps a residue class to its w; classes it omits get 0.  Raises
+    DomainError if an entry is not finite (an overflowing shift or weight).
     """
     n = np.arange(dim, dtype=float)
+    w = np.array([weights.get(k, 0.0) for k in range(lam)], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = n + shift + np.asarray(grade_weights, dtype=float)[np.arange(dim) % lam]
+        diag = n + shift + w[np.arange(dim) % lam]
     if not np.isfinite(diag).all():
         raise DomainError(f"the parameters give the Hamiltonian a non-finite shift or level, shift {shift}")
     return BandOp.diag(diag)
@@ -130,10 +131,10 @@ def pssqm_r_constant(params: AlgebraParams, mu: int) -> float:
     lam = params.lam
     p = lam - 1
     alpha = params.alpha
-    m2 = cyc(mu + 2, lam)
+    m2 = (mu + 2) % lam
     tail = 0
     for nu in range(3, p + 1):
-        tail += (p - nu + 1) * alpha[cyc(mu + nu, lam)]
+        tail += (p - nu + 1) * alpha[(mu + nu) % lam]
     return ((p - 2) * alpha[m2] + 2.0 * tail + p * (p - 2)) / p
 
 
@@ -149,7 +150,7 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
         raise DomainError(f"family index must satisfy 0 <= mu <= {p}, got {mu}")
     require_rep(params, dim)
     gamma = derived_constants(params).gamma
-    m2 = cyc(mu + 2, lam)
+    m2 = (mu + 2) % lam
 
     # F(n) = n + beta_{n mod lam}, with beta the prefix sums of alpha, all in
     # extended precision; band -1 holds Q[n, n - 1].
@@ -159,9 +160,7 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
     Q = BandOp(dim, {-1: np.where((n - 1) % lam != mu, np.sqrt(2 * fvals), 0)})
 
     r = pssqm_r_constant(params, mu)
-    weights = np.zeros(lam)
-    for nu in range(1, p + 1):
-        weights[cyc(mu + nu, lam)] = p + 1 - nu
+    weights = {(mu + nu) % lam: p + 1 - nu for nu in range(1, p + 1)}
     H = _h_diagonal(lam, dim, _order2_shift(gamma[m2], r, p), weights)
     # The check terms stay below 4p t^(p + 1); a root, as a power would raise on overflow.
     t = max(float(np.abs(Q.bands[-1]).max()), math.sqrt(float(np.abs(H.real_diagonal()).max())))
@@ -265,7 +264,7 @@ def pseudo_family1_build(
         raise DomainError(f"phi must lie in [0, 2 pi), got {phi}")
     alpha = params.alpha
     gamma = derived_constants(params).gamma
-    m1, m2 = cyc(mu + 1, 3), cyc(mu + 2, 3)
+    m1, m2 = (mu + 1) % 3, (mu + 2) % 3
     lower, upper = _masked_ladders(params, dim, m2, m2)
     _require_check_range(c, lower, upper)
 
@@ -277,10 +276,7 @@ def pseudo_family1_build(
     r = (1.0 + alpha[m2]) * ((eta - root2c) * (eta + root2c)) / (2.0 * c * c)
 
     Q = BandOp(dim, {-1: eta * upper, 1: xi * lower})
-    weights = np.zeros(3)
-    weights[m1] = 2.0
-    weights[m2] = 1.0
-    H = _h_diagonal(3, dim, _order2_shift(gamma[m2], r, 2), weights)
+    H = _h_diagonal(3, dim, _order2_shift(gamma[m2], r, 2), {m1: 2.0, m2: 1.0})
     return VariantSolution(
         kind=KIND_PSEUDO1,
         mu=mu,
@@ -309,16 +305,13 @@ def pseudo_family2_build(
         raise DomainError("c must be nonzero")
     alpha = params.alpha
     gamma = derived_constants(params).gamma
-    m1, m2 = cyc(mu + 1, 3), cyc(mu + 2, 3)
+    m1, m2 = (mu + 1) % 3, (mu + 2) % 3
 
     lower = _masked_ladders(params, dim, m2, m2)[0]
     _require_check_range(c, lower)
     Q = BandOp(dim, {1: 2.0 * abs(c) * lower})
-    weights = np.zeros(3)
-    weights[mu] = 0.5 * (1.0 - alpha[m1] + alpha[m2] + r_mu)
-    weights[m1] = 1.0
-    shift = 0.5 * (2.0 * gamma[m2] - alpha[m2])
-    H = _h_diagonal(3, dim, shift, weights)
+    weights = {mu: 0.5 * (1.0 - alpha[m1] + alpha[m2] + r_mu), m1: 1.0}
+    H = _h_diagonal(3, dim, 0.5 * (2.0 * gamma[m2] - alpha[m2]), weights)
     return VariantSolution(
         kind=KIND_PSEUDO2,
         mu=mu,
@@ -338,7 +331,7 @@ def equal_spacing_r(params: AlgebraParams, mu: int) -> float:
     """
     _check_lam(params, 3, "family-2 pseudosupersymmetry")
     alpha = params.alpha
-    m1, m2 = cyc(mu + 1, 3), cyc(mu + 2, 3)
+    m1, m2 = (mu + 1) % 3, (mu + 2) % 3
     return (alpha[m1] - alpha[m2] + 3.0) % 6.0
 
 
@@ -383,7 +376,7 @@ def ossqm_build(
     if not 0.0 <= phi < 2.0 * math.pi:
         raise DomainError(f"phi must lie in [0, 2 pi), got {phi}")
     alpha = params.alpha
-    m1, m2 = cyc(mu + 1, 3), cyc(mu + 2, 3)
+    m1, m2 = (mu + 1) % 3, (mu + 2) % 3
     if abs(alpha[m1] + 1.0) > 1e-12:
         raise DomainError(
             f"alpha_{m1} must equal -1 for the mu = {mu} family, got {alpha[m1]}"
@@ -397,10 +390,7 @@ def ossqm_build(
     Q1 = BandOp(dim, {-1: (phase * w) * upper, 1: xi * lower})
     Q2 = BandOp(dim, {-1: xi * upper, 1: (-np.conj(phase) * w) * lower})
 
-    weights = np.zeros(3)
-    weights[mu] = 2.0
-    weights[m1] = 1.0
-    H = _h_diagonal(3, dim, _order2_shift(gamma[m1], 0.0, 2), weights)
+    H = _h_diagonal(3, dim, _order2_shift(gamma[m1], 0.0, 2), {mu: 2.0, m1: 1.0})
     return VariantSolution(
         kind=KIND_OSSQM,
         mu=mu,
@@ -447,8 +437,12 @@ def ossqm_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
     return relation_report(relations, [(0, sol.dim - h)], h, tol)
 
 
-def ground_state_analysis(sol: VariantSolution, tol: float = 1e-9) -> GroundState:
-    """Lowest level of H, its cluster multiplicity, and broken flag (energy > tol)."""
+def ground_state_analysis(sol: VariantSolution) -> GroundState:
+    """Lowest level of H, its cluster multiplicity, and broken flag (energy > tol).
+
+    Levels within tol = 1e-9 of the lowest count towards its multiplicity.
+    """
+    tol = 1e-9
     diag = sol.H.real_diagonal()
     lowest = float(diag.min())
     multiplicity = int(np.sum(np.abs(diag - lowest) <= tol))

@@ -212,7 +212,7 @@ class TestCyclicShift:
 
 class TestKappaChart:
     def test_lam2_forward(self):
-        params = alpha_from_kappa(KappaParams(kappa=np.array([0.5 + 0j])), 2)
+        params = alpha_from_kappa(KappaParams(kappa=np.array([0.5 + 0j])))
         assert params.alpha == (0.5, -0.5)
 
     def test_lam2_kappa_equals_alpha0(self):
@@ -220,14 +220,14 @@ class TestKappaChart:
         assert abs(kp.kappa[0] - 0.7) <= 1e-12
 
     def test_zero_map(self):
-        params = alpha_from_kappa(KappaParams(kappa=np.zeros(3, dtype=complex)), 4)
+        params = alpha_from_kappa(KappaParams(kappa=np.zeros(3, dtype=complex)))
         assert np.abs(params.alpha).max() == 0.0
 
     def test_forward_matches_fourier_sum_oracle(self):
         # Independent oracle: evaluate the defining Fourier sum with cmath.
         lam = 4
         kappa = np.array([0.3 + 0.2j, -0.1 + 0j, 0.3 - 0.2j])
-        params = alpha_from_kappa(KappaParams(kappa=kappa), lam)
+        params = alpha_from_kappa(KappaParams(kappa=kappa))
         for mu in range(lam):
             expected = sum(
                 cmath.exp(2j * cmath.pi * mu * nu / lam) * kappa[nu - 1]
@@ -239,7 +239,7 @@ class TestKappaChart:
     def test_broken_conjugation_symmetry_rejected(self):
         kappa = np.array([0.3 + 0.2j, 0.0 + 0j, 0.4 - 0.2j])
         with pytest.raises(SymmetryError):
-            alpha_from_kappa(KappaParams(kappa=kappa), 4)
+            alpha_from_kappa(KappaParams(kappa=kappa))
 
     def test_inverse_requires_zero_sum(self):
         bad = AlgebraParams(lam=2, alpha=np.array([0.5, 0.5]))
@@ -258,7 +258,7 @@ class TestKappaChart:
         )
         params = new_params(lam, head)
         kp = kappa_from_alpha(params)
-        back = alpha_from_kappa(kp, lam)
+        back = alpha_from_kappa(kp)
         assert np.abs(np.subtract(back.alpha, params.alpha)).max() <= 1e-12
 
     def test_kappa_conjugation_symmetry_of_forward_map(self):
@@ -308,6 +308,21 @@ class TestSerialization:
     def test_missing_keys_rejected(self):
         with pytest.raises(DomainError):
             params_from_dict({"alpha": [0.5, -0.5]})
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: AlgebraParams(lam=1, alpha=(0.0,)), "order must be >= 2"),
+        (lambda: KappaParams(kappa=[[0.5 + 0j]]), "nonempty vector"),
+        (lambda: KappaParams(kappa=[complex(math.nan, 0.0)]), "must be finite"),
+        (lambda: params_from_dict({"lambda": 3, "alpha": [1.0]}), "length 3 or 2"),
+    ],
+    ids=["AlgebraParams-order-1", "KappaParams-2d", "KappaParams-nan", "params_from_dict-length"],
+)
+def test_malformed_input_rejected(make, match):
+    with pytest.raises(DomainError, match=match):
+        make()
 
 
 class TestInvalidParamsError:

@@ -297,6 +297,16 @@ class TestSweep:
         assert len(rows) == 4
         assert "0.0,4.0,true,2-fold,3.5" in rows
 
+    def test_spectrum_and_sweep_share_the_cluster_tolerance(self, capsys):
+        # 4.000000001 is 1e-9 from a 2-fold merge at 3.5: inside the default
+        # tolerance of both commands.
+        _, out, _ = run(capsys, "spectrum", "--lambda", "3", "--alpha", "0,4.000000001")
+        assert out.splitlines()[-1].startswith("# pattern=2-fold,threshold_energy=3.5,")
+        _, out, _ = run(
+            capsys, "sweep", "--lambda", "3", "--grid", "a0=0:0:1,a1=4.000000001:4.000000001:1"
+        )
+        assert csv_rows(out)[1] == ["0.0,4.000000001,true,2-fold,3.5"]
+
     def test_documented_grid_size(self, capsys):
         rc, out, _ = run(
             capsys,
@@ -316,6 +326,8 @@ class TestSweep:
             "a0=0:1:0,a1=0:1:1",
             "a0=1:0:0.5,a1=0:1:1",
             "a0=0:1:1,a1=0:1:1,a7=0:1:1",
+            "a0=1e:2:1,a1=0:1:1",
+            "a0=1e999:2e999:1,a1=0:1:1",
         ],
     )
     def test_malformed_grid_exits_2(self, capsys, grid):
@@ -363,6 +375,24 @@ class TestWithoutNumpy:
             assert rc == expected_rc == 0, argv
             assert out == expected_out, argv
         assert got["params"] == repr(cycosc.new_params(3, [0.5, 0.25]))
+
+
+class TestOperatorCommandsNeedNumpy:
+    def test_verify_without_numpy_exits_2_in_one_line(self):
+        # -S leaves site-packages, where numpy is installed, off the path.
+        probe = subprocess.run([sys.executable, "-S", "-c", "import numpy"], capture_output=True)
+        if probe.returncode == 0:
+            pytest.skip("numpy imports without site-packages")
+        src = os.path.dirname(os.path.dirname(cycosc.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "cycosc.cli", "verify", "--suite", "algebra",
+             "--lambda", "3", "--alpha", "0.5,0.25"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: verify needs numpy, which is not installed\n"
 
 
 class TestHierarchy:
@@ -527,6 +557,8 @@ class TestArgHandling:
                  "--r", "0", "--c", "1e-200"),
                 "non-finite shift or level",
             ),
+            # An --alpha entry that is not a number.
+            (("spectrum", "--lambda", "3", "--alpha", "1,x"), "--alpha"),
         ],
     )
     def test_bad_value_exits_2_naming_flag(self, argv, flag):

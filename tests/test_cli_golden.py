@@ -34,6 +34,10 @@ PLAIN = [
         0, "c162081d438f701298661c440695c594dad947a4185ef752457af595c20e5614",
     ),
     (
+        "hierarchy --lambda 4 --alpha 0.3,-0.2,0.4 --dim 40 --nmax 9 --format json",
+        0, "b4ec560f6993c7fbd7283341472e12cddc2ccb91308b5b415e96ec5b9a3296da",
+    ),
+    (
         "dump --lambda 3 --alpha 0.5,0.1 --dim 7",
         0, "c51056d20439dff4f6a3fd722f83fd9684e1b060e897b5f4799fbfb16643f120",
     ),

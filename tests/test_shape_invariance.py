@@ -58,7 +58,7 @@ class TestBuildHierarchy:
         h = build_hierarchy(new_params(2, [0.5]), 16)
         assert h.omega == (1.5, 0.5)
         assert h.e0 == (0.0, 1.5, 2.0)
-        assert h.period == 2
+        assert h.params.lam == 2
         assert len(h.ladders) == 2
         assert len(h.hmats) == 3
 

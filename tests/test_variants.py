@@ -377,6 +377,25 @@ def test_non_finite_parameters_rejected(bad):
             build()
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: pseudo_family2_build(new_params(3, [0.0, 0.0]), 3, 1.0, 0.0), "family index"),
+        (lambda: pseudo_family2_build(new_params(3, [0.0, 0.0]), 0, 0.0, 0.0), "c must be nonzero"),
+        (lambda: ossqm_build(new_params(3, [0.0, -1.0]), 3, xi=1.0, phi=0.0), "family index"),
+        (lambda: ossqm_build(new_params(3, [0.0, -1.0]), 0, xi=1.0, phi=2.0 * math.pi), "phi must lie"),
+        (
+            lambda: pssqm_cubic_check(pseudo_family2_build(new_params(3, [0.0, 0.0]), 0, 1.0, 0.0, dim=24)),
+            "expected a pssqm solution",
+        ),
+    ],
+    ids=["pseudo2-mu-3", "pseudo2-c-0", "ossqm-mu-3", "ossqm-phi-2pi", "cubic-on-pseudo"],
+)
+def test_out_of_domain_arguments_rejected(build, match):
+    with pytest.raises(DomainError, match=match):
+        build()
+
+
 class TestOssqmBuild:
     def test_unbroken_family(self):
         sol = ossqm_build(new_params(3, [0.5, 0.5]), 1, xi=1.0, phi=0.0, dim=24)
