@@ -4,6 +4,12 @@ A change meant to leave the CLI's bytes alone (a refactor or a speed-up) must
 keep every digest.  Commands whose output carries relation residuals depend on
 the width of np.longdouble, so their digests are checked only where it has a
 64-bit mantissa (x86-64), where they were recorded.
+
+Run as a script, this file prints (argv, exit code, sha256) for every pinned
+command, so digests are recorded by running it at the commit whose output
+they pin:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
 """
 
 import contextlib
@@ -102,14 +108,35 @@ WITH_RESIDUALS = [
     ),
 ]
 
+# The kernel at the dimensions the benchmark runs, where every band is long.
+AT_DIM_480 = [
+    (
+        "verify --format json --suite algebra --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --dim 480",
+        0, "d1acbd517d06860f1d94abf9c7ec07850edebde9c713ab9336b2dc9f4150cb20",
+    ),
+    (
+        "verify --format json --suite partners --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --dim 480",
+        0, "551c0997d313d90a46248da38c374f11bdc6ed2a1f495405d07ea9a510505784",
+    ),
+    (
+        "verify --format json --suite sqm2 --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --mu 3 --dim 480",
+        0, "9c1f52f8897f5eca625f120b5035b3d13c26f565fcdf4780aa81729232e89bcb",
+    ),
+]
+
 EXTENDED_64 = np.finfo(np.longdouble).nmant == 63
 
 
-def _check(command, rc, digest):
+def _run(command):
+    """The exit code and the sha256 of stdout of one in-process CLI call."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(command.split()) == rc
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+        rc = main(command.split())
+    return rc, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _check(command, rc, digest):
+    assert _run(command) == (rc, digest)
 
 
 @pytest.mark.parametrize("command, rc, digest", PLAIN, ids=[c for c, _, _ in PLAIN])
@@ -118,6 +145,11 @@ def test_plain_output_bytes(command, rc, digest):
 
 
 @pytest.mark.skipif(not EXTENDED_64, reason="residual digests recorded with a 64-bit np.longdouble mantissa")
-@pytest.mark.parametrize("command, rc, digest", WITH_RESIDUALS, ids=[c for c, _, _ in WITH_RESIDUALS])
+@pytest.mark.parametrize("command, rc, digest", WITH_RESIDUALS + AT_DIM_480, ids=[c for c, _, _ in WITH_RESIDUALS + AT_DIM_480])
 def test_residual_output_bytes(command, rc, digest):
     _check(command, rc, digest)
+
+
+if __name__ == "__main__":
+    for command, _, _ in PLAIN + WITH_RESIDUALS + AT_DIM_480:
+        print((command, *_run(command)))
