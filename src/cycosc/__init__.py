@@ -2,8 +2,9 @@
 
 The package builds the ladder, number and projector operators, the partner
 Hamiltonians and the super-, para-, pseudo- and orthosupersymmetric charges as
-weighted shifts (BandOp: coefficient vectors in np.longdouble, or
-np.clongdouble where a phase enters, at fixed diagonal offsets), checks their
+weighted shifts (BandOp: coefficient vectors in np.int64 for the integer
+operators, np.longdouble, or np.clongdouble where a phase enters, at fixed
+diagonal offsets), checks their
 defining relations band by band, and computes and classifies oscillator
 spectra.  Dense matrices are made only for dumps.
 

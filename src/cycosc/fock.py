@@ -2,11 +2,12 @@
 
 The representation acts on the number basis |0>..|D-1> with ladder matrix
 elements sqrt(F(n)).  Every operator the package builds is a BandOp, a sum of
-weighted shifts in np.longdouble (np.clongdouble where a phase enters), and
-every relation check evaluates its identity band by band on those bands.
-Truncation corrupts only the top of the tower, so every identity is verified
-on a headroom-restricted block of rows and columns.  Dense arrays are made
-only for the JSON dump (BandOp.dense).
+weighted shifts stored in the narrowest type that holds it exactly: np.int64
+for the integer operators (N, P_mu, I, (-1)^N), np.longdouble for real ones,
+np.clongdouble where a phase enters.  Every relation check evaluates its
+identity band by band on those bands.  Truncation corrupts only the top of the
+tower, so every identity is verified on a headroom-restricted block of rows
+and columns.  Dense arrays are made only for the JSON dump (BandOp.dense).
 """
 
 from __future__ import annotations
@@ -114,17 +115,28 @@ def _shift(v: np.ndarray, s: int) -> np.ndarray:
     return w
 
 
+def _band_dtype(kinds) -> type:
+    """The narrowest exact type for bands of these dtype kinds: integers stay np.int64."""
+    if "c" in kinds:
+        return np.clongdouble
+    return np.longdouble if "f" in kinds else np.int64
+
+
 @dataclass(eq=False)
 class BandOp:
-    """A square operator as a sum of weighted shifts, in extended precision.
+    """A square operator as a sum of weighted shifts, each exact in its band type.
 
     bands maps an offset k to the vector v with v[i] = m[i, i + k], zero where
     i + k leaves the matrix.  Every operator of the algebra has at most two
     bands, so a product or a block maximum costs O(dim) per pair of bands
     instead of a dense O(dim^3) matmul (which has no BLAS path in extended
     precision), and the float64 rounding of the inputs dominates what is left.
-    Vectors are read-only np.longdouble, or np.clongdouble for an operator with
-    a complex one (T, phased charges); real arithmetic is complex's real part.
+    Vectors are read-only np.int64 for an integer operator, else np.longdouble,
+    or np.clongdouble for an operator with a complex band (T, phased charges);
+    real arithmetic is complex's real part.  A product or sum takes the wider
+    type of its operands, and a float or complex scalar times an integer band
+    is formed in np.longdouble or np.clongdouble, so the exact integer bands
+    give every value the extended-precision ones gave.
     """
 
     dim: int
@@ -133,14 +145,18 @@ class BandOp:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        dtype = np.result_type(np.longdouble, *map(np.asarray, self.bands.values()))
-        self.bands = {k: np.asarray(v, dtype=dtype) for k, v in self.bands.items()}
-        for v in self.bands.values():
+        bands = {k: np.asarray(v) for k, v in self.bands.items()}
+        dtype = _band_dtype({v.dtype.kind for v in bands.values()})
+        for k, v in bands.items():
+            if v.dtype != dtype:
+                v = bands[k] = v.astype(dtype)
             v.setflags(write=False)
+        self.bands = bands
 
     @classmethod
-    def _wrap(cls, dim: int, bands: dict[int, np.ndarray]) -> BandOp:
-        """An arithmetic result, whose fresh vectors need no conversion."""
+    def wrap(cls, dim: int, bands: dict[int, np.ndarray]) -> BandOp:
+        """An operator over vectors already in their final type: fresh arithmetic
+        results, or rows of a read-only table."""
         op = cls.__new__(cls)
         op.dim, op.bands = dim, bands
         return op
@@ -172,37 +188,49 @@ class BandOp:
     @property
     def dag(self) -> BandOp:
         """Conjugate transpose: band k moves to band -k."""
-        return BandOp._wrap(self.dim, {-k: np.conj(_shift(v, -k)) for k, v in self.bands.items()})
+        return BandOp.wrap(self.dim, {-k: np.conj(_shift(v, -k)) for k, v in self.bands.items()})
 
     def __matmul__(self, other: BandOp) -> BandOp:
         # (x y)[i, i + kx + ky] = x[i, i + kx] y[i + kx, i + kx + ky]
         dim = self.dim
-        dtype = np.result_type(np.longdouble, *self.bands.values(), *other.bands.values())
         out = {}
         for kx, vx in self.bands.items():
+            # Rows lo..hi-1 of band kx: all of them on the main diagonal.
             lo, hi = _span(dim, kx)
+            if kx:
+                vx = vx[lo:hi]
             for ky, vy in other.bands.items():
                 k = kx + ky
                 if abs(k) >= dim:
                     continue
                 # A band's first term is stored as it is, or zero-padded where kx
-                # shortens it (or promoted); later terms add in place.
-                term = vx[lo:hi] * vy[lo + kx : hi + kx]
+                # shortens it; a later term adds in place, after promoting the
+                # band if the term's type is wider.
+                term = vx * vy[lo + kx : hi + kx] if kx else vx * vy
                 w = out.get(k)
-                if w is not None:
-                    w[lo:hi] += term
-                elif kx == 0 and term.dtype == dtype:
-                    out[k] = term
-                else:
-                    w = out[k] = np.zeros(dim, dtype)
-                    w[lo:hi] = term
-        return BandOp._wrap(dim, out)
+                if w is None:
+                    if kx == 0:
+                        out[k] = term
+                    else:
+                        w = out[k] = np.zeros(dim, term.dtype)
+                        w[lo:hi] = term
+                    continue
+                if w.dtype != term.dtype and not np.can_cast(term.dtype, w.dtype):
+                    w = out[k] = w.astype(term.dtype)
+                w[lo:hi] += term
+        # As in construction, one wider band (a complex one) widens them all.
+        if len(out) > 1:
+            kinds = {w.dtype.kind for w in out.values()}
+            if len(kinds) > 1:
+                dtype = _band_dtype(kinds)
+                out = {k: w.astype(dtype, copy=False) for k, w in out.items()}
+        return BandOp.wrap(dim, out)
 
     def __add__(self, other: BandOp) -> BandOp:
         out = dict(self.bands)
         for k, v in other.bands.items():
             out[k] = out[k] + v if k in out else v
-        return BandOp._wrap(self.dim, out)
+        return BandOp.wrap(self.dim, out)
 
     def __radd__(self, other):
         # sum() starts from 0.
@@ -212,10 +240,18 @@ class BandOp:
         out = dict(self.bands)
         for k, v in other.bands.items():
             out[k] = out[k] - v if k in out else -v
-        return BandOp._wrap(self.dim, out)
+        return BandOp.wrap(self.dim, out)
 
     def __mul__(self, c) -> BandOp:
-        return BandOp._wrap(self.dim, {k: c * v for k, v in self.bands.items()})
+        if isinstance(c, (float, complex)):
+            # Named, so that an integer band is scaled in extended precision
+            # (numpy before 2.0 would form a float scalar times it in float64).
+            kind = "c" if isinstance(c, complex) else "f"
+            return BandOp.wrap(
+                self.dim,
+                {k: np.multiply(c, v, dtype=_band_dtype({kind, v.dtype.kind})) for k, v in self.bands.items()},
+            )
+        return BandOp.wrap(self.dim, {k: c * v for k, v in self.bands.items()})
 
     __rmul__ = __mul__
 
@@ -223,6 +259,9 @@ class BandOp:
         """Max absolute entry (i, j) with i and j in the half-open ranges rows.
 
         NaN when any of those entries is NaN, so a non-finite residual fails.
+        Rounding to float64 is monotone and symmetric, so the float64 maximum
+        of the rounded moduli is the rounded maximum; a complex modulus is
+        taken before rounding, a real one after.
         """
         peak = 0.0
         for k, v in self.bands.items():
@@ -230,10 +269,13 @@ class BandOp:
                 for c, d in rows:
                     lo, hi = max(a, c - k), min(b, d - k)
                     if lo < hi:
-                        m = float(np.abs(v[lo:hi]).max())
+                        x = v[lo:hi]
+                        x = np.abs(x).astype(float) if x.dtype.kind == "c" else np.abs(x.astype(float))
+                        m = float(np.maximum.reduce(x))
                         if m != m:
                             return m
-                        peak = max(peak, m)
+                        if m > peak:
+                            peak = m
         return peak
 
 
@@ -259,19 +301,32 @@ def relation_report(relations, rows, headroom: int, tol: float) -> RelationRepor
 def require_rep(params: AlgebraParams, dim: int) -> None:
     """Raise unless the algebra has a Fock representation and dim >= 2 lam."""
     require_fock(params)
-    if dim < 2 * params.lam:
-        raise DomainError(f"dimension must be >= {2 * params.lam}, got {dim}")
+    require_dim(params.lam, dim)
+
+
+def require_dim(lam: int, dim: int) -> None:
+    """Raise unless dim >= 2 lam."""
+    if dim < 2 * lam:
+        raise DomainError(f"dimension must be >= {2 * lam}, got {dim}")
+
+
+def ladders_from_table(roots: np.ndarray, dim: int) -> tuple[Ladder, ...]:
+    """The ladders read from the rows of a read-only np.longdouble table, one per algebra.
+
+    A row holds sqrt(F(0)), ..., sqrt(F(dim - 1)) and then 0: adag's band -1
+    as it stands (F(0) = 0), and a's band +1 moved up one level.  So a has
+    sqrt(F(n)) at (n-1, n) and adag is its conjugate transpose.
+    """
+    return tuple(Ladder(a=BandOp.wrap(dim, {1: r[1 : dim + 1]}), adag=BandOp.wrap(dim, {-1: r[:dim]})) for r in roots)
 
 
 def build_ladder(params: AlgebraParams, dim: int) -> Ladder:
-    """The ladder operators of a valid algebra.
-
-    a has sqrt(F(n)) at (n-1, n) and adag is its conjugate transpose.
-    """
+    """The ladder operators of a valid algebra (see ladders_from_table)."""
     require_rep(params, dim)
-    # sqrt(F(n)) is adag's band -1 as it stands (F(0) = 0) and a's band +1 moved up one level.
-    roots = np.sqrt(structure_values(params, dim - 1))
-    return Ladder(a=BandOp(dim, {1: _shift(roots, 1)}), adag=BandOp(dim, {-1: roots}))
+    roots = np.zeros((1, dim + 1), np.longdouble)
+    roots[0, :dim] = np.sqrt(structure_values(params, dim - 1))
+    roots.setflags(write=False)
+    return ladders_from_table(roots, dim)[0]
 
 
 def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
@@ -279,7 +334,7 @@ def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
 
     a and adag are build_ladder's, N is diagonal, P_mu projects onto levels
     n = mu mod lam, and T = exp(2i pi N / lam) is built from the phases at
-    n mod lam, so it is exactly lam-periodic.
+    n mod lam, so it is exactly lam-periodic.  N and the P_mu are np.int64.
     """
     ladder = build_ladder(params, dim)
     lam = params.lam
@@ -291,7 +346,7 @@ def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
         a=ladder.a,
         adag=ladder.adag,
         nmat=BandOp.diag(levels),
-        proj=tuple(BandOp.diag(classes == mu) for mu in range(lam)),
+        proj=tuple(map(BandOp.diag, np.eye(lam, dtype=np.int64)[:, classes])),
         tmat=BandOp.diag(np.exp(2j * np.pi * np.arange(lam) / lam)[classes]),
     )
 
@@ -326,10 +381,10 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     dim = rep.dim
     alpha = rep.params.alpha
     a, adag, nmat, tmat, proj = rep.a, rep.adag, rep.nmat, rep.tmat, rep.proj
-    eye = BandOp.diag(np.ones(dim))
+    eye = BandOp.diag(np.ones(dim, np.int64))
     fvals = structure_values(rep.params, dim)
-    tpow = eye
-    for _ in range(lam):
+    tpow = tmat
+    for _ in range(lam - 1):
         tpow = tpow @ tmat
     w = np.exp(-2j * np.pi / lam)
     a_adag, adag_a = a @ adag, adag @ a
@@ -374,8 +429,8 @@ def klein_reduction_check(rep: TruncatedRep, tol: float = 1e-12) -> RelationRepo
     dim = rep.dim
     kappa = rep.params.alpha[0]
     a, adag = rep.a, rep.adag
-    klein = BandOp.diag((-1.0) ** np.arange(dim))
-    eye = BandOp.diag(np.ones(dim))
+    klein = BandOp.diag((-1) ** np.arange(dim))
+    eye = BandOp.diag(np.ones(dim, np.int64))
     relations = [
         ("T = (-1)^N", (rep.tmat - klein).block_max([(0, dim)])),
         ("[a, adag] = I + kappa (-1)^N", a @ adag - adag @ a - (eye + kappa * klein)),

@@ -16,18 +16,17 @@ import numpy as np
 from .algebra import (
     AlgebraParams,
     DomainError,
-    cyclic_shift,
+    InvalidParamsError,
     derived_constants,
-    require_fock,
-    structure_values,
 )
 from .fock import (
     DEGREE2_HEADROOM,
     BandOp,
     Ladder,
     RelationReport,
-    build_ladder,
+    ladders_from_table,
     relation_report,
+    require_dim,
 )
 
 
@@ -60,9 +59,12 @@ def window_violations(params: AlgebraParams) -> tuple[str, ...]:
     -1 < alpha_mu < lam - mu - 1 - sum(alpha_nu for nu < mu).
     Together with the zero-sum constraint these make every spacing positive.
     """
-    lam = params.lam
-    alpha = params.alpha
-    beta = derived_constants(params).beta
+    return _window_violations(params.alpha, derived_constants(params).beta)
+
+
+def _window_violations(alpha: tuple[float, ...], beta: tuple[float, ...]) -> tuple[str, ...]:
+    """window_violations for parameters alpha with prefix sums beta."""
+    lam = len(alpha)
     violations = []
     if not -1.0 < alpha[0] < lam - 1.0:
         violations.append(f"-1 < alpha_0 < {lam - 1} fails: alpha_0 = {alpha[0]}")
@@ -75,24 +77,51 @@ def window_violations(params: AlgebraParams) -> tuple[str, ...]:
     return tuple(violations)
 
 
+def _require_fock(beta: tuple[float, ...]) -> None:
+    """require_fock for the algebra whose prefix sums are beta."""
+    violations = tuple(k for k in range(1, len(beta)) if not k + beta[k] > 0.0)
+    if violations:
+        raise InvalidParamsError(violations)
+
+
 def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
-    """Build the ladders of the p = lam shifted algebras and the partner Hamiltonians."""
-    require_fock(params)
-    bad = window_violations(params)
+    """Build the ladders of the p = lam shifted algebras and the partner Hamiltonians.
+
+    F of every shifted algebra comes from one float64 table: row mu is
+    n + beta^(mu)_{n mod p}, with beta^(mu) the prefix sums of alpha rotated
+    by mu, taken left to right as derived_constants takes them.  The ladders
+    and Hamiltonians are read-only rows of one np.longdouble table: rows
+    0..p-1 hold the square roots of F of each shifted algebra, and row p holds
+    F itself, from which H^(mu) = F(N + mu) reads dim levels from level mu.
+    """
+    p = params.lam
+    alpha = params.alpha
+    const = derived_constants(params)
+    _require_fock(const.beta)
+    bad = _window_violations(alpha, const.beta)
     if bad:
         raise DomainError("; ".join(bad))
-    p = params.lam
-    ladders = tuple(build_ladder(cyclic_shift(params, mu), dim) for mu in range(p))
-    omega = derived_constants(params).omega
-    fvals = structure_values(params, dim - 1 + p)
-    hmats = tuple(BandOp.diag(fvals[mu : mu + dim]) for mu in range(p + 1))
+    require_dim(p, dim)
+    betas = [const.beta]
+    for mu in range(1, p):
+        betas.append((0.0, *itertools.accumulate((alpha[mu:] + alpha[:mu])[:-1])))
+        _require_fock(betas[-1])
+    # F of algebra mu at level n = m p + k is n + beta^(mu)_k, for n < dim + p.
+    periods = -(-dim // p) + 1
+    fvals = np.repeat(np.array(betas)[:, None, :], periods, axis=1).reshape(p, -1)
+    fvals += np.arange(periods * p, dtype=float)
+    table = np.empty((p + 1, dim + p), np.longdouble)
+    table[:p, :dim] = np.sqrt(fvals[:, :dim])
+    table[:p, dim:] = 0
+    table[p] = fvals[0, : dim + p]
+    table.setflags(write=False)
     return Hierarchy(
         params=params,
         dim=dim,
-        ladders=ladders,
-        e0=(0.0, *itertools.accumulate(omega)),
-        omega=omega,
-        hmats=hmats,
+        ladders=ladders_from_table(table[:p], dim),
+        e0=(0.0, *itertools.accumulate(const.omega)),
+        omega=const.omega,
+        hmats=tuple(BandOp.wrap(dim, {0: table[p, mu : mu + dim]}) for mu in range(p + 1)),
     )
 
 
@@ -101,12 +130,11 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
     hr = DEGREE2_HEADROOM
     dim = h.dim
     p = h.params.lam
-    eye = BandOp.diag(np.ones(dim))
     H = h.hmats
     # Adag_0 A_0 enters twice (sectors 0 and p), so every product is formed once.
     adag_a = [ld.adag @ ld.a for ld in h.ladders]
     a_adag = [ld.a @ ld.adag for ld in h.ladders]
-    ground = [e * eye for e in h.e0]
+    ground = [BandOp.diag(np.full(dim, e, np.longdouble)) for e in h.e0]
     relations = [("H^(0) = Adag_0 A_0", H[0] - adag_a[0])]
     for mu in range(1, p + 1):
         prev = mu - 1
@@ -123,13 +151,12 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
             )
         )
 
-    # Spacing claim: consecutive diagonal entries of H^(mu) differ by omega cyclically.
-    worst = 0.0
-    omega, levels = np.array(h.omega), np.arange(dim - hr - 1)
-    for mu in range(p + 1):
-        gaps = np.diff(H[mu].real_diagonal()[: dim - hr])
-        target = omega[(levels + mu) % p]
-        worst = max(worst, float(np.abs(gaps - target).max()))
+    # Spacing claim: consecutive diagonal entries of H^(mu) differ by omega cyclically,
+    # over the (p + 1, dim - hr) table of energies in one pass.
+    energies = np.array([hm.real_diagonal()[: dim - hr] for hm in H])
+    sectors, levels = np.ogrid[: p + 1, : dim - hr - 1]
+    target = np.array(h.omega)[(levels + sectors) % p]
+    worst = float(np.abs(np.diff(energies) - target).max())
     relations.append(("H^(mu) spacings realize omega cyclically", worst))
     return relation_report(relations, [(0, dim - hr)], hr, tol)
 

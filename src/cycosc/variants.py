@@ -156,16 +156,18 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
     # extended precision; band -1 holds Q[n, n - 1].
     beta = np.concatenate(([0], np.cumsum(np.array(params.alpha, dtype=np.longdouble))[:-1]))
     n = np.arange(dim)
-    fvals = n + beta[n % lam]
-    Q = BandOp(dim, {-1: np.where((n - 1) % lam != mu, np.sqrt(2 * fvals), 0)})
+    # F(n) on the levels Q leaves, and 0 on those it maps to zero.
+    fvals = np.where((n - 1) % lam != mu, n + beta[n % lam], 0)
 
     r = pssqm_r_constant(params, mu)
     weights = {(mu + nu) % lam: p + 1 - nu for nu in range(1, p + 1)}
     H = _h_diagonal(lam, dim, _order2_shift(gamma[m2], r, p), weights)
-    # The check terms stay below 4p t^(p + 1); a root, as a power would raise on overflow.
-    t = max(float(np.abs(Q.bands[-1]).max()), math.sqrt(float(np.abs(H.real_diagonal()).max())))
-    if not t < (np.finfo(float).max / (4.0 * p)) ** (1.0 / (p + 1)):
+    # The check terms stay below 4p t^(p + 1), t^2 = max(2 F, |H|) and |Q| = sqrt(2 F):
+    # checked before Q is formed, as 2 F may overflow where np.longdouble is float64.
+    t2 = max(2.0 * float(fvals.max()), float(np.abs(H.real_diagonal()).max()))
+    if not t2 < (np.finfo(float).max / (4.0 * p)) ** (2.0 / (p + 1)):
         raise DomainError(f"alpha takes the order-{p + 1} check terms beyond float64 range", name="alpha")
+    Q = BandOp(dim, {-1: np.sqrt(2 * fvals)})
     return VariantSolution(
         kind=KIND_PSSQM,
         mu=mu,

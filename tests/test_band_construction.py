@@ -146,12 +146,24 @@ def test_orthosupercharge_pair(dim, seed, mu, maximal):
 
 
 def test_band_vectors_are_read_only_longdouble_unless_phased():
-    # Real operators keep real bands; only T carries a phase.
+    # Real operators keep real bands; only T carries a phase; N and P_mu are exact integers.
     rep = build_rep(new_params(3, [0.5, 0.1]), 12)
+    integer = (rep.nmat, *rep.proj)
     for op in (rep.a, rep.adag, rep.nmat, rep.tmat, *rep.proj):
         for v in op.bands.values():
-            assert v.dtype == (np.clongdouble if op is rep.tmat else np.longdouble)
+            if op is rep.tmat:
+                assert v.dtype == np.clongdouble
+            else:
+                assert v.dtype == (np.int64 if any(op is x for x in integer) else np.longdouble)
             assert not v.flags.writeable
+    # A float or complex multiple of an integer band is formed in extended
+    # precision, with the values the np.longdouble band gave.
+    for c in (0.1, -1.0 / 3.0, 1e300, 2.5 + 0.7j):
+        for op in integer:
+            scaled = (c * op).bands[0]
+            assert scaled.dtype == (np.clongdouble if isinstance(c, complex) else np.longdouble)
+            assert np.array_equal(scaled, c * op.bands[0].astype(np.longdouble))
+            assert np.array_equal((op * c).bands[0], scaled)
 
 
 def test_hamiltonian_energies_read_back_exactly():

@@ -395,6 +395,33 @@ class TestOperatorCommandsNeedNumpy:
         assert proc.stderr == "error: verify needs numpy, which is not installed\n"
 
 
+# Run with np.longdouble and np.clongdouble aliased to float64 and complex128,
+# as where they are no wider, and every RuntimeWarning an error.
+FLOAT64_LONGDOUBLE_SCRIPT = """
+import sys
+import numpy as np
+np.longdouble, np.clongdouble = np.float64, np.complex128
+from cycosc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestFloat64Longdouble:
+    def test_pssqm_range_error_is_one_line(self):
+        # 2 F(n) overflows float64 here, so the range check must come before Q is formed.
+        src = os.path.dirname(os.path.dirname(cycosc.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", FLOAT64_LONGDOUBLE_SCRIPT,
+             "variant", "--kind", "pssqm", "--lambda", "3", "--alpha", "1e308,0"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert "--alpha" in proc.stderr
+
+
 class TestHierarchy:
     def test_csv_rows_cover_wraparound_sector(self, capsys):
         rc, out, _ = run(

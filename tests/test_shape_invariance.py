@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycosc import (
     DomainError,
@@ -16,8 +18,10 @@ from cycosc import (
     partner_check,
     sqm2_check,
     structure_values,
+    validate_fock,
     window_violations,
 )
+from cycosc.fock import build_ladder
 from conftest import window_valid_params
 
 
@@ -86,6 +90,63 @@ class TestBuildHierarchy:
     def test_invalid_fock_rejected_first(self):
         with pytest.raises(InvalidParamsError):
             build_hierarchy(new_params(3, [-2.0, 0.0]), 12)
+
+
+def first_hierarchy_error(params, dim):
+    """(type, message) of the first precondition build_hierarchy finds broken, or None.
+
+    In order: the Fock condition, the window, dim >= 2 lam, and the Fock
+    condition of every shifted algebra.
+    """
+    check = validate_fock(params)
+    if not check.ok:
+        return InvalidParamsError, str(InvalidParamsError(check.violations))
+    if window_violations(params):
+        return DomainError, "; ".join(window_violations(params))
+    if dim < 2 * params.lam:
+        return DomainError, f"dimension must be >= {2 * params.lam}, got {dim}"
+    for mu in range(1, params.lam):
+        check = validate_fock(cyclic_shift(params, mu))
+        if not check.ok:
+            return InvalidParamsError, str(InvalidParamsError(check.violations))
+    return None
+
+
+class TestHierarchyTable:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=30), st.data())
+    def test_errors_come_in_order_with_their_messages(self, lam, dim, data):
+        head = data.draw(st.lists(st.floats(min_value=-1.5, max_value=lam), min_size=lam - 1, max_size=lam - 1))
+        params = new_params(lam, head)
+        expected = first_hierarchy_error(params, dim)
+        if expected is None:
+            build_hierarchy(params, dim)
+            return
+        with pytest.raises(DomainError) as exc:
+            build_hierarchy(params, dim)
+        assert (type(exc.value), str(exc.value)) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    def test_rows_equal_the_single_builds(self, lam, seed, data):
+        params = window_valid_params(np.random.default_rng(seed), lam)
+        dim = data.draw(st.integers(min_value=2 * lam, max_value=120))
+        h = build_hierarchy(params, dim)
+        assert len(h.ladders) == lam and len(h.hmats) == lam + 1
+        for mu, ladder in enumerate(h.ladders):
+            single = build_ladder(cyclic_shift(params, mu), dim)
+            for got, want in ((ladder.a, single.a), (ladder.adag, single.adag)):
+                assert got.bands.keys() == want.bands.keys()
+                for k, v in got.bands.items():
+                    assert v.dtype == want.bands[k].dtype == np.longdouble
+                    assert np.array_equal(v, want.bands[k])
+                    assert not v.flags.writeable
+        fvals = structure_values(params, dim - 1 + lam)
+        for mu, hm in enumerate(h.hmats):
+            assert list(hm.bands) == [0]
+            assert hm.bands[0].dtype == np.longdouble
+            assert np.array_equal(hm.bands[0], fvals[mu : mu + dim])
+            assert not hm.bands[0].flags.writeable
 
 
 class TestPartnerCheck:
