@@ -122,6 +122,31 @@ AT_DIM_480 = [
         "verify --format json --suite sqm2 --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --mu 3 --dim 480",
         0, "9c1f52f8897f5eca625f120b5035b3d13c26f565fcdf4780aa81729232e89bcb",
     ),
+    (
+        "verify --format json --suite klein --lambda 2 --alpha 0.7 --dim 480",
+        0, "9d3234cf55c8d2f4691ed2b4e90fd4c4351314941ce1f84dc8a208f2324a40e6",
+    ),
+    (
+        # Exit 1: the order-4 multilinear entry is above its gate at this dim.
+        "verify --format json --suite pssqm --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --mu 1 --dim 480",
+        1, "67f99c23ff3ea19599ba0df30297aa845efd1c001766e71249a40ae8012bd5ef",
+    ),
+    (
+        "verify --format json --suite pssqm-cubic --lambda 3 --alpha 0.5,0.1 --dim 480",
+        1, "3a829556d4f6ad0ea29eac9dc9044b829366b3fb9d99e64e38e98992e4c6bc03",
+    ),
+    (
+        "verify --format json --suite pseudo1 --lambda 3 --alpha 0.5,0.1 --c 0.7 --eta 0.4 --phi 1.1 --dim 480",
+        0, "ffe027505dc0549f52a8fc4595c70229747e64dfff73836c2b3e6a7299c0a3ab",
+    ),
+    (
+        "verify --format json --suite pseudo2 --lambda 3 --alpha 0.5,0.1 --mu 1 --c -0.6 --dim 480",
+        0, "6053526f506aef4ed6eeff92c05335905c2b7aadade7f42952b3bb1a39d7dabf",
+    ),
+    (
+        "verify --format json --suite ossqm --lambda 3 --alpha 0.5,-1 --xi 0.8 --phi 2.0 --dim 480",
+        0, "4be78deb9fad36bb5d0e3dc424bd7b49fa9721e7ec60cb8884d7303260a7c01d",
+    ),
 ]
 
 EXTENDED_64 = np.finfo(np.longdouble).nmant == 63
