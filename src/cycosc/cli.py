@@ -15,7 +15,8 @@ import json
 import math
 import re
 import sys
-from typing import TYPE_CHECKING
+
+import cycosc
 
 from .algebra import (
     AlgebraParams,
@@ -27,10 +28,9 @@ from .algebra import (
 )
 from .spectrum import _CLUSTER_TOL, analytic_spectrum, classify_degeneracy, sweep
 
-# fock, shape_invariance and variants load numpy, so only the subcommands that
-# build operators (verify, hierarchy, variant, dump) import them, when they run.
-if TYPE_CHECKING:
-    from .fock import RelationReport
+# The operator modules (fock, shape_invariance, variants) load numpy.  They are
+# reached only as cycosc.<module>, whose lazy export imports a module on first
+# use, so spectrum and sweep never load them.
 
 # Keeps every axis list under 32 MB and a sweep under about ten minutes at the
 # measured ~0.3-0.5 ms per point; the largest documented grid has 6084 points.
@@ -129,7 +129,7 @@ def _write_json(obj, path: str | None) -> None:
         fh.write("\n")
 
 
-def _print_report(report: RelationReport, suite: str, fh) -> None:
+def _print_report(report: cycosc.fock.RelationReport, suite: str, fh) -> None:
     width = max(len(e.name) for e in report.entries)
     for e in report.entries:
         status = "pass" if e.passed else "FAIL"
@@ -178,64 +178,48 @@ def cmd_spectrum(args) -> int:
 
 
 def _algebra(args, params: AlgebraParams):
-    from . import fock
-
-    return None, fock.check_relations(fock.build_rep(params, args.dim), args.tol)
+    return None, cycosc.fock.check_relations(cycosc.fock.build_rep(params, args.dim), args.tol)
 
 
 def _klein(args, params: AlgebraParams):
-    from . import fock
-
-    return None, fock.klein_reduction_check(fock.build_rep(params, args.dim), args.tol)
+    return None, cycosc.fock.klein_reduction_check(cycosc.fock.build_rep(params, args.dim), args.tol)
 
 
 def _partners(args, params: AlgebraParams):
-    from . import shape_invariance as si
-
+    si = cycosc.shape_invariance
     return None, si.partner_check(si.build_hierarchy(params, args.dim), args.tol)
 
 
 def _sqm2(args, params: AlgebraParams):
-    from . import shape_invariance as si
-
+    si = cycosc.shape_invariance
     return None, si.sqm2_check(si.build_hierarchy(params, args.dim), args.mu, args.tol)
 
 
 def _pssqm(args, params: AlgebraParams):
-    from . import variants
-
-    sol = variants.pssqm_build(params, args.mu, args.dim)
-    return sol, variants.pssqm_check(sol, params.lam - 1, args.tol)
+    sol = cycosc.variants.pssqm_build(params, args.mu, args.dim)
+    return sol, cycosc.variants.pssqm_check(sol, params.lam - 1, args.tol)
 
 
 def _pssqm_cubic(args, params: AlgebraParams):
-    from . import variants
-
-    sol = variants.pssqm_build(params, args.mu, args.dim)
-    return sol, variants.pssqm_cubic_check(sol, args.tol)
+    sol = cycosc.variants.pssqm_build(params, args.mu, args.dim)
+    return sol, cycosc.variants.pssqm_cubic_check(sol, args.tol)
 
 
 def _pseudo1(args, params: AlgebraParams):
-    from . import variants
-
     eta = args.eta if args.eta is not None else math.sqrt(2.0) * abs(args.c)
-    sol = variants.pseudo_family1_build(params, args.mu, args.c, eta, args.phi, args.dim)
-    return sol, variants.pseudo_check(sol, args.c, args.tol)
+    sol = cycosc.variants.pseudo_family1_build(params, args.mu, args.c, eta, args.phi, args.dim)
+    return sol, cycosc.variants.pseudo_check(sol, args.c, args.tol)
 
 
 def _pseudo2(args, params: AlgebraParams):
-    from . import variants
-
-    r = args.r if args.r is not None else variants.equal_spacing_r(params, args.mu)
-    sol = variants.pseudo_family2_build(params, args.mu, args.c, r, args.dim)
-    return sol, variants.pseudo_check(sol, args.c, args.tol)
+    r = args.r if args.r is not None else cycosc.variants.equal_spacing_r(params, args.mu)
+    sol = cycosc.variants.pseudo_family2_build(params, args.mu, args.c, r, args.dim)
+    return sol, cycosc.variants.pseudo_check(sol, args.c, args.tol)
 
 
 def _ossqm(args, params: AlgebraParams):
-    from . import variants
-
-    sol = variants.ossqm_build(params, args.mu, args.xi, args.phi, args.dim)
-    return sol, variants.ossqm_check(sol, args.tol)
+    sol = cycosc.variants.ossqm_build(params, args.mu, args.xi, args.phi, args.dim)
+    return sol, cycosc.variants.ossqm_check(sol, args.tol)
 
 
 # Suite name -> (runner, also a `variant --kind`), in --help order.  A runner maps
@@ -297,11 +281,9 @@ def _require_levels(args) -> None:
 
 
 def cmd_hierarchy(args) -> int:
-    from .shape_invariance import build_hierarchy
-
     params = _resolve_params(args)
     _require_levels(args)
-    h = build_hierarchy(params, args.dim)
+    h = cycosc.shape_invariance.build_hierarchy(params, args.dim)
     if args.format == "json":
         obj = {
             "params": params_to_dict(params),
@@ -325,21 +307,17 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_variant(args) -> int:
-    from .variants import variant_to_dict
-
     params = _resolve_params(args)
     _require_levels(args)
     run, _ = SUITES[args.kind]
     sol, report = run(args, params)
-    _write_json(variant_to_dict(sol, report, n_levels=args.nmax + 1), args.output)
+    _write_json(cycosc.variants.variant_to_dict(sol, report, n_levels=args.nmax + 1), args.output)
     return 0 if report.ok else 1
 
 
 def cmd_dump(args) -> int:
-    from .fock import build_rep, rep_to_dict
-
     params = _resolve_params(args)
-    _write_json(rep_to_dict(build_rep(params, args.dim)), args.output)
+    _write_json(cycosc.fock.rep_to_dict(cycosc.fock.build_rep(params, args.dim)), args.output)
     return 0
 
 

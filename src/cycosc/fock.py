@@ -6,8 +6,9 @@ weighted shifts stored in the narrowest type that holds it exactly: np.int64
 for the integer operators (N, P_mu, I, (-1)^N), np.longdouble for real ones,
 np.clongdouble where a phase enters.  Every relation check evaluates its
 identity band by band on those bands.  Truncation corrupts only the top of the
-tower, so every identity is verified on a headroom-restricted block of rows
-and columns.  Dense arrays are made only for the JSON dump (BandOp.dense).
+tower, so every identity is verified on the rows and columns that
+kept_levels leaves for its degree.  Dense arrays are made only for the JSON
+dump (BandOp.dense).
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .algebra import (
     require_fock,
     structure_values,
 )
-
-# Headroom covering every relation of degree <= 2 in the ladder operators.
-DEGREE2_HEADROOM = 3
 
 
 @dataclass(frozen=True)
@@ -279,14 +277,22 @@ class BandOp:
         return peak
 
 
-def relation_report(relations, rows, headroom: int, tol: float) -> RelationReport:
+def kept_levels(dim: int, degree: int) -> int:
+    """Levels n < dim - degree - 1, which truncation leaves intact in relations of this degree."""
+    return dim - degree - 1
+
+
+def relation_report(relations, dim: int, degree: int, tol: float, blocks: int = 1) -> RelationReport:
     """Report over (name, residual[, nonzero]) tuples, in the order given.
 
     A residual is a BandOp or a list of them (the largest counts), measured
-    on the block whose rows and columns lie in the half-open ranges rows, or
-    a float measured by the caller.  nonzero=True asserts the operator is not
-    negligible, so that entry passes when its residual exceeds tol.
+    on the kept levels of its degree in each of blocks diagonal dim x dim
+    blocks, or a float measured by the caller.  nonzero=True asserts the
+    operator is not negligible, so that entry passes when its residual
+    exceeds tol.  The headroom reported is the number of levels dropped.
     """
+    top = kept_levels(dim, degree)
+    rows = [(b * dim, b * dim + top) for b in range(blocks)]
     entries = []
     for name, resid, *nonzero in relations:
         if isinstance(resid, BandOp):
@@ -295,7 +301,7 @@ def relation_report(relations, rows, headroom: int, tol: float) -> RelationRepor
             resid = _peak(op.block_max(rows) for op in resid)
         flag = bool(nonzero) and nonzero[0]
         entries.append(RelationEntry(name, resid, resid > tol if flag else resid <= tol, flag))
-    return RelationReport(entries=tuple(entries), headroom=headroom, tol=tol)
+    return RelationReport(entries=tuple(entries), headroom=dim - top, tol=tol)
 
 
 def require_rep(params: AlgebraParams, dim: int) -> None:
@@ -354,11 +360,11 @@ def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
 def h0(rep: TruncatedRep) -> BandOp:
     """Oscillator Hamiltonian (1/2){a, adag} as a diagonal BandOp of float64 energies.
 
-    Raises DomainError unless, on the headroom block, it is exactly diagonal
-    and its diagonal matches N + 1/2 + sum gamma_mu P_mu within 1e-12.
+    Raises DomainError unless, on the levels kept at degree 2, it is exactly
+    diagonal and its diagonal matches N + 1/2 + sum gamma_mu P_mu within 1e-12.
     """
     m = 0.5 * (rep.a @ rep.adag + rep.adag @ rep.a)
-    top = rep.dim - DEGREE2_HEADROOM
+    top = kept_levels(rep.dim, 2)
     diag = m.bands.get(0, np.zeros(rep.dim))
     if (m - BandOp.diag(diag)).block_max([(0, top)]) != 0.0:
         raise DomainError("h0 must be diagonal away from the truncation edge")
@@ -375,7 +381,7 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     """Verify the defining relations and structure-function identities.
 
     All relations are degree <= 2 in the generators, checked band by band on
-    rows and columns n < dim - 3.
+    the levels kept at degree 2.
     """
     lam = rep.params.lam
     dim = rep.dim
@@ -414,15 +420,14 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
         ("adag T = exp(-2i pi/lam) T adag", adag @ tmat - w * (tmat @ adag)),
         ("a T = exp(2i pi/lam) T a", a @ tmat - np.conj(w) * (tmat @ a)),
     ]
-    h = DEGREE2_HEADROOM
-    return relation_report(relations, [(0, dim - h)], h, tol)
+    return relation_report(relations, dim, 2, tol)
 
 
 def klein_reduction_check(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     """Verify the order-2 reduction: T = (-1)^N and [a, adag] = I + kappa (-1)^N.
 
-    T = (-1)^N is checked on the whole matrix, the commutator on rows and
-    columns n < dim - 3.
+    T = (-1)^N is checked on the whole matrix, the commutator on the levels
+    kept at degree 2.
     """
     if rep.params.lam != 2:
         raise DomainError(f"reduction requires order 2, got {rep.params.lam}")
@@ -435,8 +440,7 @@ def klein_reduction_check(rep: TruncatedRep, tol: float = 1e-12) -> RelationRepo
         ("T = (-1)^N", (rep.tmat - klein).block_max([(0, dim)])),
         ("[a, adag] = I + kappa (-1)^N", a @ adag - adag @ a - (eye + kappa * klein)),
     ]
-    h = DEGREE2_HEADROOM
-    return relation_report(relations, [(0, dim - h)], h, tol)
+    return relation_report(relations, dim, 2, tol)
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:

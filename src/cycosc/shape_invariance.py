@@ -18,12 +18,13 @@ from .algebra import (
     DomainError,
     InvalidParamsError,
     derived_constants,
+    require_fock,
 )
 from .fock import (
-    DEGREE2_HEADROOM,
     BandOp,
     Ladder,
     RelationReport,
+    kept_levels,
     ladders_from_table,
     relation_report,
     require_dim,
@@ -59,12 +60,8 @@ def window_violations(params: AlgebraParams) -> tuple[str, ...]:
     -1 < alpha_mu < lam - mu - 1 - sum(alpha_nu for nu < mu).
     Together with the zero-sum constraint these make every spacing positive.
     """
-    return _window_violations(params.alpha, derived_constants(params).beta)
-
-
-def _window_violations(alpha: tuple[float, ...], beta: tuple[float, ...]) -> tuple[str, ...]:
-    """window_violations for parameters alpha with prefix sums beta."""
-    lam = len(alpha)
+    lam, alpha = params.lam, params.alpha
+    beta = derived_constants(params).beta
     violations = []
     if not -1.0 < alpha[0] < lam - 1.0:
         violations.append(f"-1 < alpha_0 < {lam - 1} fails: alpha_0 = {alpha[0]}")
@@ -77,13 +74,6 @@ def _window_violations(alpha: tuple[float, ...], beta: tuple[float, ...]) -> tup
     return tuple(violations)
 
 
-def _require_fock(beta: tuple[float, ...]) -> None:
-    """require_fock for the algebra whose prefix sums are beta."""
-    violations = tuple(k for k in range(1, len(beta)) if not k + beta[k] > 0.0)
-    if violations:
-        raise InvalidParamsError(violations)
-
-
 def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     """Build the ladders of the p = lam shifted algebras and the partner Hamiltonians.
 
@@ -93,23 +83,27 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     and Hamiltonians are read-only rows of one np.longdouble table: rows
     0..p-1 hold the square roots of F of each shifted algebra, and row p holds
     F itself, from which H^(mu) = F(N + mu) reads dim levels from level mu.
+    Each shifted algebra's Fock condition F(k) > 0, k = 1..p-1, is read off
+    that table, in shift order, before any square root.
     """
-    p = params.lam
-    alpha = params.alpha
-    const = derived_constants(params)
-    _require_fock(const.beta)
-    bad = _window_violations(alpha, const.beta)
+    require_fock(params)
+    bad = window_violations(params)
     if bad:
         raise DomainError("; ".join(bad))
+    p = params.lam
     require_dim(p, dim)
+    alpha = params.alpha
+    const = derived_constants(params)
     betas = [const.beta]
     for mu in range(1, p):
         betas.append((0.0, *itertools.accumulate((alpha[mu:] + alpha[:mu])[:-1])))
-        _require_fock(betas[-1])
     # F of algebra mu at level n = m p + k is n + beta^(mu)_k, for n < dim + p.
     periods = -(-dim // p) + 1
     fvals = np.repeat(np.array(betas)[:, None, :], periods, axis=1).reshape(p, -1)
     fvals += np.arange(periods * p, dtype=float)
+    for row in ~(fvals[1:, 1:p] > 0.0):
+        if row.any():
+            raise InvalidParamsError(tuple((np.flatnonzero(row) + 1).tolist()))
     table = np.empty((p + 1, dim + p), np.longdouble)
     table[:p, :dim] = np.sqrt(fvals[:, :dim])
     table[:p, dim:] = 0
@@ -127,7 +121,6 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
 
 def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
     """Verify both factorizations of every H^(mu) and the cyclic spacings."""
-    hr = DEGREE2_HEADROOM
     dim = h.dim
     p = h.params.lam
     H = h.hmats
@@ -152,13 +145,14 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
         )
 
     # Spacing claim: consecutive diagonal entries of H^(mu) differ by omega cyclically,
-    # over the (p + 1, dim - hr) table of energies in one pass.
-    energies = np.array([hm.real_diagonal()[: dim - hr] for hm in H])
-    sectors, levels = np.ogrid[: p + 1, : dim - hr - 1]
+    # over the (p + 1, kept levels) table of energies in one pass.
+    top = kept_levels(dim, 2)
+    energies = np.array([hm.real_diagonal()[:top] for hm in H])
+    sectors, levels = np.ogrid[: p + 1, : top - 1]
     target = np.array(h.omega)[(levels + sectors) % p]
     worst = float(np.abs(np.diff(energies) - target).max())
     relations.append(("H^(mu) spacings realize omega cyclically", worst))
-    return relation_report(relations, [(0, dim - hr)], hr, tol)
+    return relation_report(relations, dim, 2, tol)
 
 
 def block_pair(h: Hierarchy, mu: int) -> BlockPair:
@@ -182,14 +176,14 @@ def block_pair(h: Hierarchy, mu: int) -> BlockPair:
 def sqm2_check(h: Hierarchy, mu: int, tol: float = 1e-12) -> RelationReport:
     """Verify Q^2 = 0, [H, Q] = 0, {Q, Qdag} = H for sector mu.
 
-    The comparison keeps the headroom block of each dim x dim quadrant.
+    The comparison keeps the levels of each diagonal dim x dim quadrant that
+    truncation leaves intact at degree 2.
     """
     pair = block_pair(h, mu)
-    hr = DEGREE2_HEADROOM
     H, Q, Qdag = pair.H, pair.Q, pair.Qdag
     relations = [
         ("Q^2 = 0", Q @ Q),
         ("[H, Q] = 0", H @ Q - Q @ H),
         ("{Q, Qdag} = H", Q @ Qdag + Qdag @ Q - H),
     ]
-    return relation_report(relations, [(0, h.dim - hr), (h.dim, 2 * h.dim - hr)], hr, tol)
+    return relation_report(relations, h.dim, 2, tol, blocks=2)

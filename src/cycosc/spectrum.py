@@ -116,11 +116,10 @@ def classify_degeneracy(
     so the pattern is read off the last period whose clusters are complete,
     and stabilization requires the period before it to agree.
     """
-    require_fock(params)
+    energies = [line.energy for line in analytic_spectrum(params, n_max)]
     lam = params.lam
     if n_max < lam - 1:
         raise DomainError(f"n_max = {n_max} leaves a ladder empty; use n_max >= {3 * lam}")
-    energies = [line.energy for line in analytic_spectrum(params, n_max)]
     clusters = _cluster_energies(energies, tol)
 
     # A cluster is complete when every ladder still reaches its energy.

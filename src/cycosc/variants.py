@@ -184,7 +184,7 @@ def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationRep
     """Verify nilpotency at order p + 1 and the order-p multilinear relation.
 
     Every entry is evaluated in np.longdouble from the bands of sol.Q and
-    sol.H, whatever their band structure, on rows and columns n < dim - p - 2.
+    sol.H, whatever their band structure, on the levels kept at degree p + 1.
     With the extended-precision charge of pssqm_build the order-4 relation
     stays below 1e-10 where np.longdouble is wider than float64; where it is
     float64 its floor is 1e-10 to 2e-10.
@@ -193,7 +193,6 @@ def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationRep
         raise DomainError(f"expected a {KIND_PSSQM} solution, got {sol.kind}")
     if p != sol.params.lam - 1:
         raise DomainError(f"solution has order {sol.params.lam - 1}, got p = {p}")
-    h = p + 2
     Q, H = sol.Q, sol.H
     # powers[k] = Q^k for k >= 1.  Q^0 = I is never formed: a factor I only
     # multiplies by 1, so leaving it out changes no residual.
@@ -212,7 +211,7 @@ def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationRep
             multilinear - 2.0 * p * (powers[p - 1] @ H if p > 1 else H),
         ),
     ]
-    return relation_report(relations, [(0, sol.dim - h)], h, tol)
+    return relation_report(relations, sol.dim, p + 1, tol)
 
 
 def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
@@ -228,7 +227,6 @@ def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationRepor
         raise DomainError(f"expected a {KIND_PSSQM} solution, got {sol.kind}")
     if sol.params.lam != 3:
         raise DomainError(f"cubic relation applies at order 3, got {sol.params.lam}")
-    h = 4
     Q, H = sol.Q, sol.H
     qdag = Q.dag
     inner = qdag @ Q - Q @ qdag
@@ -236,7 +234,7 @@ def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationRepor
         ("[Q, [Qdag, Q]] = 2 Q H", Q @ inner - inner @ Q - 2.0 * (Q @ H)),
         ("Q != 0", Q, True),
     ]
-    return relation_report(relations, [(0, sol.dim - h)], h, tol)
+    return relation_report(relations, sol.dim, 3, tol)
 
 
 def pseudo_family1_build(
@@ -341,7 +339,6 @@ def pseudo_check(sol: VariantSolution, c: float, tol: float = 1e-10) -> Relation
     """Verify Q^2 = 0, [H, Q] = 0, and Q Qdag Q = 4 c^2 Q H."""
     if sol.kind not in (KIND_PSEUDO1, KIND_PSEUDO2):
         raise DomainError(f"expected a pseudosupersymmetric solution, got {sol.kind}")
-    h = 4
     Q, H = sol.Q, sol.H
     q_h = Q @ H
     relations = [
@@ -349,7 +346,7 @@ def pseudo_check(sol: VariantSolution, c: float, tol: float = 1e-10) -> Relation
         ("[H, Q] = 0", H @ Q - q_h),
         ("Q Qdag Q = 4 c^2 Q H", Q @ Q.dag @ Q - 4.0 * c * c * q_h),
     ]
-    return relation_report(relations, [(0, sol.dim - h)], h, tol)
+    return relation_report(relations, sol.dim, 3, tol)
 
 
 def ossqm_build(
@@ -415,7 +412,6 @@ def ossqm_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
     """
     if sol.kind != KIND_OSSQM:
         raise DomainError(f"expected an {KIND_OSSQM} solution, got {sol.kind}")
-    h = 3
     q = (sol.Q, sol.Q2)
     qdag = (sol.Q.dag, sol.Q2.dag)
     H, two_h = sol.H, 2.0 * sol.H
@@ -436,7 +432,7 @@ def ossqm_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
             q1_qdag1 + qdag_q[0] + qdag_q[1] - two_h,
         ),
     ]
-    return relation_report(relations, [(0, sol.dim - h)], h, tol)
+    return relation_report(relations, sol.dim, 2, tol)
 
 
 def ground_state_analysis(sol: VariantSolution) -> GroundState:
