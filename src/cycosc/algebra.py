@@ -59,8 +59,7 @@ class AlgebraParams:
     alpha: tuple[float, ...]
 
     def __post_init__(self):
-        if self.lam < 2:
-            raise DomainError(f"order must be >= 2, got {self.lam}")
+        require_order(self.lam)
         object.__setattr__(self, "alpha", _finite_floats(self.alpha, "alpha", self.lam))
 
 
@@ -109,12 +108,20 @@ class FockValidation:
     violations: tuple[int, ...]
 
 
+def require_order(lam: int) -> None:
+    """Raise DomainError unless lam >= 2."""
+    if lam < 2:
+        raise DomainError(f"order must be >= 2, got {lam}")
+
+
 def _finite_floats(values, what: str, size: int) -> tuple[float, ...]:
     """values as a tuple of floats; DomainError unless it holds size finite numbers."""
     try:
         floats = tuple(map(float, values))
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be a vector of {size} numbers") from None
+    except OverflowError:
+        raise DomainError(f"{what} entries must be finite") from None
     if len(floats) != size:
         raise DomainError(f"{what} must have length {size}, got ({len(floats)},)")
     if not all(map(math.isfinite, floats)):
@@ -129,8 +136,7 @@ def new_params(lam: int, alpha_head: Iterable[float]) -> AlgebraParams:
     constraint is exact in floating point.  The Fock condition is not enforced
     here; see validate_fock.
     """
-    if lam < 2:
-        raise DomainError(f"order must be >= 2, got {lam}")
+    require_order(lam)
     head = _finite_floats(alpha_head, "alpha_head", lam - 1)
     # Left to right, as derived_constants takes beta: the derived entry cancels
     # beta_{lam-1} exactly, so F(lam) = lam holds bitwise downstream.
@@ -249,14 +255,26 @@ def params_to_dict(params: AlgebraParams) -> dict:
 
 
 def params_from_dict(obj: dict) -> AlgebraParams:
-    """Load the canonical JSON form, accepting either full alpha or its head."""
+    """Load the canonical JSON form, accepting either full alpha or its head.
+
+    lambda must be an integer and alpha a list of numbers, as JSON gives them
+    (a JSON boolean is neither).
+    """
     try:
-        lam = int(obj["lambda"])
-        alpha = [float(a) for a in obj["alpha"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed params object: {exc}") from exc
+        lam, alpha = obj["lambda"], obj["alpha"]
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"malformed params object: {exc}") from None
+    if type(lam) is not int:
+        raise DomainError(f"malformed params object: lambda must be an integer, got {type(lam).__name__}")
+    if type(alpha) is not list or not all(type(a) in (int, float) for a in alpha):
+        raise DomainError("malformed params object: alpha must be a list of numbers")
+    alpha = _finite_floats(alpha, "alpha", len(alpha))
     if len(alpha) == lam:
-        if abs(math.fsum(alpha)) > REAL_TOL:
+        try:
+            total = math.fsum(alpha)
+        except OverflowError:
+            raise DomainError("the sum of alpha leaves float64 range") from None
+        if abs(total) > REAL_TOL:
             raise DomainError("alpha must sum to zero")
         return new_params(lam, alpha[: lam - 1])
     if len(alpha) == lam - 1:

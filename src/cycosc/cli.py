@@ -25,6 +25,7 @@ from .algebra import (
     new_params,
     params_from_dict,
     params_to_dict,
+    require_order,
 )
 from .spectrum import _CLUSTER_TOL, analytic_spectrum, classify_degeneracy, sweep
 
@@ -55,7 +56,8 @@ def _resolve_params(args) -> AlgebraParams:
         with open(args.params_file, encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
-            except json.JSONDecodeError as exc:
+            # A JSONDecodeError or UnicodeDecodeError, or nesting too deep to parse.
+            except (ValueError, RecursionError) as exc:
                 raise DomainError(f"malformed params file: {exc}") from None
         return params_from_dict(obj)
     if args.lam is None or args.alpha is None:
@@ -259,11 +261,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    axes = _parse_grid(args.grid, args.lam)
+    require_order(args.lam)
+    # sweep checks its arguments when called, so a bad one writes nothing.
+    records = sweep(args.lam, _parse_grid(args.grid, args.lam), n_max=args.nmax, tol=args.tol)
     head = [f"alpha_{k}" for k in range(args.lam - 1)]
     with _open_output(args.output) as fh:
         print(",".join(head + ["valid", "pattern", "threshold_energy"]), file=fh)
-        for rec in sweep(args.lam, axes, n_max=args.nmax, tol=args.tol):
+        for rec in records:
             values = [_fmt(v) for v in rec.params.alpha[: args.lam - 1]]
             if rec.report is None:
                 pattern, threshold = "", ""

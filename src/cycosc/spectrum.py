@@ -18,6 +18,7 @@ from .algebra import (
     derived_constants,
     new_params,
     require_fock,
+    require_order,
     validate_fock,
 )
 
@@ -89,6 +90,12 @@ def analytic_spectrum(params: AlgebraParams, n_max: int) -> list[SpectrumLine]:
     return lines
 
 
+def _require_ladders(lam: int, n_max: int) -> None:
+    """Raise unless levels 0..n_max reach every one of the lam ladders."""
+    if n_max < lam - 1:
+        raise DomainError(f"n_max = {n_max} leaves a ladder empty; use n_max >= {3 * lam}")
+
+
 def _cluster_energies(energies: list[float], tol: float) -> tuple[Cluster, ...]:
     """Group levels into clusters separated by gaps larger than tol."""
     # sorted is stable, so equal energies keep index order.
@@ -118,8 +125,7 @@ def classify_degeneracy(
     """
     energies = [line.energy for line in analytic_spectrum(params, n_max)]
     lam = params.lam
-    if n_max < lam - 1:
-        raise DomainError(f"n_max = {n_max} leaves a ladder empty; use n_max >= {3 * lam}")
+    _require_ladders(lam, n_max)
     clusters = _cluster_energies(energies, tol)
 
     # A cluster is complete when every ladder still reaches its energy.
@@ -188,12 +194,14 @@ def sweep(
     """Classify every point of a rectangular grid over (alpha_0..alpha_{lam-2}).
 
     Yields one record per grid point in row-major order; invalid points are
-    flagged rather than skipped.  Results stream one at a time.
+    flagged rather than skipped.  The order, the axes and n_max are checked
+    when sweep is called; results then stream one at a time.
     """
+    require_order(lam)
     values = [[float(v) for v in axis] for axis in axes]
     if len(values) != lam - 1:
         raise DomainError(f"grid needs {lam - 1} axes for order {lam}, got {len(values)}")
     if not all(values):
         raise DomainError("grid axes must be nonempty")
-    for point in itertools.product(*values):
-        yield _sweep_point(lam, point, n_max, tol)
+    _require_ladders(lam, n_max)
+    return (_sweep_point(lam, point, n_max, tol) for point in itertools.product(*values))

@@ -317,8 +317,21 @@ class TestSerialization:
         (lambda: KappaParams(kappa=[[0.5 + 0j]]), "nonempty vector"),
         (lambda: KappaParams(kappa=[complex(math.nan, 0.0)]), "must be finite"),
         (lambda: params_from_dict({"lambda": 3, "alpha": [1.0]}), "length 3 or 2"),
+        (lambda: params_from_dict({"lambda": math.inf, "alpha": [0.5, 0.1]}), "lambda must be an integer"),
+        (lambda: params_from_dict({"lambda": 3.9, "alpha": [0.5, 0.1]}), "lambda must be an integer"),
+        (lambda: params_from_dict({"lambda": True, "alpha": [0.5]}), "lambda must be an integer"),
+        (lambda: params_from_dict({"lambda": 3, "alpha": "05"}), "alpha must be a list of numbers"),
+        (lambda: params_from_dict({"lambda": 3, "alpha": {"0.5": 1, "0.1": 2}}), "alpha must be a list of numbers"),
+        (lambda: params_from_dict({"lambda": 3, "alpha": [True, 0.1]}), "alpha must be a list of numbers"),
+        (lambda: params_from_dict({"lambda": 3, "alpha": [math.inf, -math.inf, 0.0]}), "must be finite"),
+        (lambda: params_from_dict({"lambda": 3, "alpha": [10**400, 0.1]}), "must be finite"),
+        (lambda: params_from_dict({"lambda": 3, "alpha": [1e308, 1e308, -1e308]}), "float64 range"),
     ],
-    ids=["AlgebraParams-order-1", "KappaParams-2d", "KappaParams-nan", "params_from_dict-length"],
+    ids=[
+        "AlgebraParams-order-1", "KappaParams-2d", "KappaParams-nan", "params_from_dict-length",
+        "lambda-inf", "lambda-float", "lambda-bool", "alpha-str", "alpha-dict", "alpha-bool",
+        "alpha-inf", "alpha-huge-int", "alpha-sum-overflow",
+    ],
 )
 def test_malformed_input_rejected(make, match):
     with pytest.raises(DomainError, match=match):

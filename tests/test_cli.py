@@ -120,12 +120,24 @@ class TestSpectrum:
         assert rc == 3
         assert "i/o error" in err
 
-    def test_malformed_params_file(self, capsys, tmp_path):
+    def test_malformed_params_file(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        rc, _, err = run(capsys, "spectrum", "--params", str(path))
-        assert rc == 2
-        assert "malformed params file" in err
+        for content, message in [
+            (b"{not json", "malformed params file"),
+            (b'\xff\xfe{"lambda": 3}', "malformed params file"),
+            (b"[" * 100000 + b"]" * 100000, "malformed params file"),
+            (b'{"lambda": Infinity, "alpha": [0.5, 0.1]}', "lambda must be an integer"),
+            (b'{"lambda": 3.9, "alpha": [0.5, 0.1]}', "lambda must be an integer"),
+            (b'{"lambda": 3, "alpha": "05"}', "alpha must be a list of numbers"),
+            (b'{"lambda": 3, "alpha": {"0.5": 1, "0.1": 2}}', "alpha must be a list of numbers"),
+            (b'{"lambda": 3, "alpha": [Infinity, -Infinity, 0]}', "must be finite"),
+            (b'{"lambda": 3, "alpha": [1e308, 1e308, -1e308]}', "float64 range"),
+        ]:
+            path.write_bytes(content)
+            rc, out, err = call(["spectrum", "--params", str(path)])
+            assert (rc, out) == (2, ""), content[:50]
+            assert len(err.splitlines()) == 1, err
+            assert message in err
 
     def test_output_flag_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "spec.csv"
@@ -334,6 +346,21 @@ class TestSweep:
         rc, _, err = run(capsys, "sweep", "--lambda", "3", "--grid", grid)
         assert rc == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--lambda", "1", "--grid", "a0=0:1:1"], "order must be >= 2, got 1"),
+            (["--lambda", "2", "--grid", "a0=0:1:1", "--nmax", "0"], "leaves a ladder empty"),
+        ],
+    )
+    def test_bad_arguments_write_nothing(self, tmp_path, argv, message):
+        for output in ([], ["--output", str(tmp_path / "out.csv")]):
+            rc, out, err = call(["sweep", *argv, *output])
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+            assert message in err
+        assert not (tmp_path / "out.csv").exists()
 
 
 # Run in a fresh interpreter where every numpy import fails: spectra and sweeps

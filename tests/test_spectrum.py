@@ -202,3 +202,16 @@ class TestSweep:
     def test_empty_axis_rejected(self):
         with pytest.raises(DomainError):
             list(sweep(2, [[]], n_max=20))
+
+    @pytest.mark.parametrize(
+        "lam, axes, n_max, match",
+        [
+            (1, [], 20, "order must be >= 2"),
+            (3, [[0.0], [1.0]], 1, "leaves a ladder empty"),
+            (2, [[-1.5]], 0, "leaves a ladder empty"),
+        ],
+    )
+    def test_arguments_checked_before_the_first_record(self, lam, axes, n_max, match):
+        # Raised by the call itself, so a caller can check them before writing.
+        with pytest.raises(DomainError, match=match):
+            sweep(lam, axes, n_max=n_max)
