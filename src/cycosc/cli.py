@@ -29,9 +29,8 @@ from .algebra import (
 )
 from .spectrum import _CLUSTER_TOL, analytic_spectrum, classify_degeneracy, sweep
 
-# The operator modules (fock, shape_invariance, variants) load numpy.  They are
-# reached only as cycosc.<module>, whose lazy export imports a module on first
-# use, so spectrum and sweep never load them.
+# Other package modules are reached as cycosc.<module>, whose lazy export imports
+# a module on first use, so each subcommand loads only the modules it runs.
 
 # Keeps every axis list under 32 MB and a sweep under about ten minutes at the
 # measured ~0.3-0.5 ms per point; the largest documented grid has 6084 points.

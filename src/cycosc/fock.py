@@ -278,7 +278,7 @@ class BandOp:
 
 
 def kept_levels(dim: int, degree: int) -> int:
-    """Levels n < dim - degree - 1, which truncation leaves intact in relations of this degree."""
+    """Number of levels, n < dim - degree - 1, that truncation leaves intact in relations of this degree."""
     return dim - degree - 1
 
 
