@@ -149,6 +149,35 @@ AT_DIM_480 = [
     ),
 ]
 
+# Every sector of the 2x2 block supercharge, at a dim where the bands are long.
+SQM2_SECTORS = [
+    (
+        "verify --format json --suite sqm2 --lambda 4 --alpha 0.3,-0.2,0.4 --mu 0 --dim 240",
+        0, "18f8f83ba9e8cab5ca1f0982c5f28d0b8c137470d1e530ac49ceb935ae770067",
+    ),
+    (
+        "verify --format json --suite sqm2 --lambda 4 --alpha 0.3,-0.2,0.4 --mu 1 --dim 240",
+        0, "6b493da3199c6dd41c7d0d16317bbf8b471da9672636f452513ee0f21012e3bd",
+    ),
+    (
+        "verify --format json --suite sqm2 --lambda 4 --alpha 0.3,-0.2,0.4 --mu 2 --dim 240",
+        0, "93e1e989438bb783d390c9304de99e24b1e0dc92f5d482df07a43cb2c425b0ee",
+    ),
+    (
+        "verify --format json --suite sqm2 --lambda 4 --alpha 0.3,-0.2,0.4 --mu 3 --dim 240",
+        0, "7c833fc48d3804f1527022cde478f70a62a6908c7db2921adc1047ad77ccbe42",
+    ),
+    (
+        "verify --format json --suite sqm2 --lambda 2 --alpha 0.7 --mu 0",
+        0, "c05ebdf889bc21468454c6a94fae8f399920433b1d614d067137f4081de1a32b",
+    ),
+    (
+        "verify --format json --suite sqm2 --lambda 2 --alpha 0.7 --mu 1",
+        0, "c05ebdf889bc21468454c6a94fae8f399920433b1d614d067137f4081de1a32b",
+    ),
+]
+
+RESIDUAL = WITH_RESIDUALS + AT_DIM_480 + SQM2_SECTORS
 EXTENDED_64 = np.finfo(np.longdouble).nmant == 63
 
 
@@ -170,11 +199,11 @@ def test_plain_output_bytes(command, rc, digest):
 
 
 @pytest.mark.skipif(not EXTENDED_64, reason="residual digests recorded with a 64-bit np.longdouble mantissa")
-@pytest.mark.parametrize("command, rc, digest", WITH_RESIDUALS + AT_DIM_480, ids=[c for c, _, _ in WITH_RESIDUALS + AT_DIM_480])
+@pytest.mark.parametrize("command, rc, digest", RESIDUAL, ids=[c for c, _, _ in RESIDUAL])
 def test_residual_output_bytes(command, rc, digest):
     _check(command, rc, digest)
 
 
 if __name__ == "__main__":
-    for command, _, _ in PLAIN + WITH_RESIDUALS + AT_DIM_480:
+    for command, _, _ in PLAIN + RESIDUAL:
         print((command, *_run(command)))

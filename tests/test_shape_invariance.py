@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycosc import (
+    BandOp,
     DomainError,
     InvalidParamsError,
+    Ladder,
     block_pair,
     build_hierarchy,
     build_rep,
@@ -216,6 +218,26 @@ class TestSqm2:
             for mu in range(lam):
                 report = sqm2_check(h, mu, 1e-12)
                 assert report.ok, [(e.name, e.residual) for e in report.failures()]
+
+    @pytest.mark.parametrize("fault", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("level", [0, 7, 16])
+    def test_non_finite_ladder_fails(self, fault, level):
+        # A fault at a kept level of A_mu (level 16 is the last kept at dim 20),
+        # mirrored into Adag_mu or not, fails the sector whatever the other entries.
+        h = build_hierarchy(new_params(3, [0.5, 0.1]), 20)
+        for mu in range(3):
+            a = h.ladders[mu].a.bands[1].copy()
+            a[level] = fault
+            adag = np.roll(a, 1)
+            for ladder in (
+                Ladder(a=BandOp(20, {1: a}), adag=h.ladders[mu].adag),
+                Ladder(a=BandOp(20, {1: a}), adag=BandOp(20, {-1: adag})),
+            ):
+                ladders = h.ladders[:mu] + (ladder,) + h.ladders[mu + 1 :]
+                # inf - inf and 0 * inf leave NaN residuals, which must fail rather than vanish.
+                with np.errstate(invalid="ignore"):
+                    report = sqm2_check(dataclasses.replace(h, ladders=ladders), mu, 1e-12)
+                assert not report.ok
 
     def test_anticommutator_fault_detected(self):
         h = build_hierarchy(new_params(2, [0.5]), 20)
