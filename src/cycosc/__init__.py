@@ -27,8 +27,7 @@ _EXPORTS = {
         "build_rep", "check_relations", "h0", "klein_reduction_check", "rep_to_dict",
     ),
     "shape_invariance": (
-        "BlockPair", "Hierarchy", "block_pair", "build_hierarchy", "partner_check",
-        "sqm2_check", "window_violations",
+        "Hierarchy", "build_hierarchy", "partner_check", "sqm2_check", "window_violations",
     ),
     "spectrum": (
         "Cluster", "DegeneracyReport", "SpectrumLine", "SweepRecord",

@@ -253,8 +253,8 @@ class BandOp:
 
     __rmul__ = __mul__
 
-    def block_max(self, rows) -> float:
-        """Max absolute entry (i, j) with i and j in the half-open ranges rows.
+    def block_max(self, top: int) -> float:
+        """Max absolute entry (i, j) with i, j < top.
 
         NaN when any of those entries is NaN, so a non-finite residual fails.
         Rounding to float64 is monotone and symmetric, so the float64 maximum
@@ -263,17 +263,15 @@ class BandOp:
         """
         peak = 0.0
         for k, v in self.bands.items():
-            for a, b in rows:
-                for c, d in rows:
-                    lo, hi = max(a, c - k), min(b, d - k)
-                    if lo < hi:
-                        x = v[lo:hi]
-                        x = np.abs(x).astype(float) if x.dtype.kind == "c" else np.abs(x.astype(float))
-                        m = float(np.maximum.reduce(x))
-                        if m != m:
-                            return m
-                        if m > peak:
-                            peak = m
+            lo, hi = _span(top, k)
+            if lo < hi:
+                x = v[lo:hi]
+                x = np.abs(x).astype(float) if x.dtype.kind == "c" else np.abs(x.astype(float))
+                m = float(np.maximum.reduce(x))
+                if m != m:
+                    return m
+                if m > peak:
+                    peak = m
         return peak
 
 
@@ -282,23 +280,22 @@ def kept_levels(dim: int, degree: int) -> int:
     return dim - degree - 1
 
 
-def relation_report(relations, dim: int, degree: int, tol: float, blocks: int = 1) -> RelationReport:
+def relation_report(relations, dim: int, degree: int, tol: float) -> RelationReport:
     """Report over (name, residual[, nonzero]) tuples, in the order given.
 
-    A residual is a BandOp or a list of them (the largest counts), measured
-    on the kept levels of its degree in each of blocks diagonal dim x dim
-    blocks, or a float measured by the caller.  nonzero=True asserts the
-    operator is not negligible, so that entry passes when its residual
-    exceeds tol.  The headroom reported is the number of levels dropped.
+    A residual is a dim x dim BandOp or a list of them (the largest counts),
+    measured on the kept levels of its degree, or a float measured by the
+    caller.  nonzero=True asserts the operator is not negligible, so that
+    entry passes when its residual exceeds tol.  The headroom reported is the
+    number of levels dropped.
     """
     top = kept_levels(dim, degree)
-    rows = [(b * dim, b * dim + top) for b in range(blocks)]
     entries = []
     for name, resid, *nonzero in relations:
         if isinstance(resid, BandOp):
             resid = [resid]
         if not isinstance(resid, float):
-            resid = _peak(op.block_max(rows) for op in resid)
+            resid = _peak(op.block_max(top) for op in resid)
         flag = bool(nonzero) and nonzero[0]
         entries.append(RelationEntry(name, resid, resid > tol if flag else resid <= tol, flag))
     return RelationReport(entries=tuple(entries), headroom=dim - top, tol=tol)
@@ -366,7 +363,7 @@ def h0(rep: TruncatedRep) -> BandOp:
     m = 0.5 * (rep.a @ rep.adag + rep.adag @ rep.a)
     top = kept_levels(rep.dim, 2)
     diag = m.bands.get(0, np.zeros(rep.dim))
-    if (m - BandOp.diag(diag)).block_max([(0, top)]) != 0.0:
+    if (m - BandOp.diag(diag)).block_max(top) != 0.0:
         raise DomainError("h0 must be diagonal away from the truncation edge")
     gamma = derived_constants(rep.params).gamma
     levels = np.arange(rep.dim)
@@ -437,7 +434,7 @@ def klein_reduction_check(rep: TruncatedRep, tol: float = 1e-12) -> RelationRepo
     klein = BandOp.diag((-1) ** np.arange(dim))
     eye = BandOp.diag(np.ones(dim, np.int64))
     relations = [
-        ("T = (-1)^N", (rep.tmat - klein).block_max([(0, dim)])),
+        ("T = (-1)^N", (rep.tmat - klein).block_max(dim)),
         ("[a, adag] = I + kappa (-1)^N", a @ adag - adag @ a - (eye + kappa * klein)),
     ]
     return relation_report(relations, dim, 2, tol)

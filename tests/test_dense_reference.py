@@ -4,9 +4,9 @@ Every check evaluates its identities band by band, so operators with every
 diagonal filled must give the residuals of the dense masked products.  Full
 random complex matrices are wrapped with BandOp.of and injected into the
 representation, hierarchy or solution, and each entry is compared with the
-dense evaluation.  block_pair keeps only the real diagonal of each partner
-Hamiltonian, so the block check is compared with the dense form of the pair
-it built.
+dense evaluation.  sqm2_check reads only the real diagonal of each partner
+Hamiltonian, so its dense 2 dim x 2 dim reference is built from those
+diagonals and the injected ladder.
 """
 
 import dataclasses
@@ -17,7 +17,6 @@ import pytest
 from cycosc import (
     BandOp,
     Ladder,
-    block_pair,
     build_hierarchy,
     build_rep,
     check_relations,
@@ -157,9 +156,13 @@ def test_partner_check(lam):
 @pytest.mark.parametrize("mu", [0, 1])
 def test_sqm2_check(mu):
     rng = np.random.default_rng(30 + mu)
-    h, _, _ = random_hierarchy(rng, 2)
-    pair = block_pair(h, mu)
-    H, Q, Qd = (op.dense().astype(complex) for op in (pair.H, pair.Q, pair.Qdag))
+    h, ladders, hmats = random_hierarchy(rng, 2)
+    a, ad = ladders[mu]
+    top, bottom = (np.diag(np.diag(hmats[nu]).real - h.e0[mu]) for nu in (mu, mu + 1))
+    zero = np.zeros((DIM, DIM))
+    H = np.block([[top, zero], [zero, bottom]])
+    Q = np.block([[zero, zero], [a, zero]])
+    Qd = np.block([[zero, ad], [zero, zero]])
     keep = np.r_[0 : DIM - 3, DIM : 2 * DIM - 3]
     dense = {
         "Q^2 = 0": [Q @ Q],

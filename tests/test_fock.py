@@ -96,7 +96,7 @@ class TestBuildRep:
 
 class TestHeadroom:
     def test_block_max_ignores_truncation_edge(self):
-        keep = [(0, 7)]
+        keep = 7
         m = np.zeros((10, 10))
         m[9, 8] = 5.0
         assert BandOp.of(m).block_max(keep) == 0.0

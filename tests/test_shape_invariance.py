@@ -12,7 +12,6 @@ from cycosc import (
     DomainError,
     InvalidParamsError,
     Ladder,
-    block_pair,
     build_hierarchy,
     build_rep,
     cyclic_shift,
@@ -180,36 +179,31 @@ class TestPartnerCheck:
         assert report.max_residual == pytest.approx(0.1, abs=1e-9)
 
 
-class TestBlockPair:
-    def test_block_layout(self):
-        h = build_hierarchy(new_params(2, [0.5]), 12)
-        pair = block_pair(h, 0)
-        H, Q, Qdag = pair.H.dense(), pair.Q.dense(), pair.Qdag.dense()
-        assert H.shape == (24, 24)
-        assert np.array_equal(Qdag[:12, 12:], h.ladders[0].adag.dense())
-        assert np.abs(Qdag[12:, :]).max() == 0.0
-        assert np.array_equal(Q, Qdag.conj().T)
+class TestSqm2:
+    def test_charge_is_exactly_nilpotent(self):
+        # Q = [[0, 0], [A_mu, 0]] squares to the zero matrix, which the check reports as 0.0.
+        h = build_hierarchy(new_params(3, [0.5, 0.1]), 16)
+        zero = np.zeros((16, 16))
+        Q = np.block([[zero, zero], [h.ladders[0].a.dense(), zero]])
+        assert np.abs(Q @ Q).max() == 0.0
+        assert sqm2_check(h, 0).residual("Q^2 = 0") == 0.0
 
     def test_both_blocks_share_one_ground_shift(self):
+        # Only E0^(mu) enters sector mu, and it shifts both diagonal blocks.
         h = build_hierarchy(new_params(3, [0.5, 0.1]), 12)
-        pair = block_pair(h, 1)
-        top = np.diag(pair.H.dense())[:12].real
-        bottom = np.diag(pair.H.dense())[12:].real
-        assert np.array_equal(top, h.hmats[1].real_diagonal() - h.e0[1])
-        assert np.array_equal(bottom, h.hmats[2].real_diagonal() - h.e0[1])
+        report = sqm2_check(h, 1)
+        others = dataclasses.replace(h, e0=(h.e0[0] + 0.5, h.e0[1], h.e0[2] - 0.5, h.e0[3] + 2.0))
+        assert sqm2_check(others, 1) == report
+        shifted = dataclasses.replace(h, e0=(h.e0[0], h.e0[1] + 0.125, *h.e0[2:]))
+        bad = sqm2_check(shifted, 1)
+        assert bad.residual("[H, Q] = 0") == report.residual("[H, Q] = 0")
+        assert bad.residual("{Q, Qdag} = H") == pytest.approx(0.125, abs=1e-12)
 
     def test_sector_out_of_range(self):
         h = build_hierarchy(new_params(2, [0.5]), 12)
-        with pytest.raises(DomainError):
-            block_pair(h, 2)
-
-
-class TestSqm2:
-    def test_charge_is_exactly_nilpotent(self):
-        h = build_hierarchy(new_params(3, [0.5, 0.1]), 16)
-        pair = block_pair(h, 0)
-        Q = pair.Q.dense()
-        assert np.abs(Q @ Q).max() == 0.0
+        for mu in (2, -1):
+            with pytest.raises(DomainError, match="0 <= mu < 2"):
+                sqm2_check(h, mu)
 
     def test_all_sectors_pass(self):
         rng = np.random.default_rng(29)
