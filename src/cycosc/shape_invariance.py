@@ -161,7 +161,7 @@ def sqm2_check(h: Hierarchy, mu: int, tol: float = 1e-12) -> RelationReport:
         # Q's one nonzero block maps sector mu into mu + 1 and no block of Q
         # leaves mu + 1, so Q^2 has no block to form.
         ("Q^2 = 0", 0.0),
-        # The one block of [H, Q] is Q's.
+        # [H, Q] is nonzero only in Q's block.
         ("[H, Q] = 0", H1 @ A - A @ H0),
         # {Q, Qdag} = diag(Adag A, A Adag).
         ("{Q, Qdag} = H", [Adag @ A - H0, A @ Adag - H1]),

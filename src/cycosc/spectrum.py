@@ -9,6 +9,7 @@ Everything here runs on Python floats, so spectra and sweeps load no numpy.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -69,7 +70,11 @@ class DegeneracyReport:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point of a parameter sweep."""
+    """One grid point of a parameter sweep.
+
+    report is None at a point outside the Fock domain (valid is False) and at
+    a valid point whose first n_max + 1 levels resolve no full period.
+    """
 
     params: AlgebraParams
     valid: bool
@@ -146,8 +151,12 @@ def classify_degeneracy(
                 (k, tuple(cluster_of[n].multiplicity for n in period))
             )
     if not signatures:
+        # Every ladder reaches period 0's top energy, at most lam - 1 + max gamma,
+        # once n_max - (lam - 1) + min gamma does.
+        gamma = derived_constants(params).gamma
+        need = math.ceil(2 * lam - 2 + max(gamma) - min(gamma))
         raise DomainError(
-            f"n_max = {n_max} leaves no fully resolved period; use n_max >= {3 * lam}"
+            f"n_max = {n_max} leaves no fully resolved period; use n_max >= {need}"
         )
     last_k, last_sig = signatures[-1]
     stabilized = len(signatures) >= 2 and signatures[-2][1] == last_sig
@@ -181,7 +190,11 @@ def _sweep_point(
     params = new_params(lam, list(point))
     if not validate_fock(params).ok:
         return SweepRecord(params=params, valid=False, report=None)
-    report = classify_degeneracy(params, n_max, tol)
+    try:
+        report = classify_degeneracy(params, n_max, tol)
+    except DomainError:
+        # The point is Fock-valid and sweep checked n_max, so no period resolved.
+        report = None
     return SweepRecord(params=params, valid=True, report=report)
 
 
@@ -193,9 +206,10 @@ def sweep(
 ) -> Iterator[SweepRecord]:
     """Classify every point of a rectangular grid over (alpha_0..alpha_{lam-2}).
 
-    Yields one record per grid point in row-major order; invalid points are
-    flagged rather than skipped.  The order, the axes and n_max are checked
-    when sweep is called; results then stream one at a time.
+    Yields one record per grid point in row-major order; invalid points, and
+    valid ones that n_max leaves unresolved, are flagged rather than skipped.
+    The order, the axes and n_max are checked when sweep is called; results
+    then stream one at a time.
     """
     require_order(lam)
     values = [[float(v) for v in axis] for axis in axes]

@@ -75,6 +75,16 @@ class TestSpectrum:
         assert "invalid parameters" in err
         assert "mu = 1" in err
 
+    def test_unresolved_period_advises_a_resolving_nmax(self):
+        # gamma spreads over 10 here, so 3 lam = 9 levels resolve no period.
+        argv = ["spectrum", "--lambda", "3", "--alpha", "20,-0.9"]
+        rc, out, err = call([*argv, "--nmax", "9"])
+        assert (rc, out) == (2, "")
+        assert err == "error: n_max = 9 leaves no fully resolved period; use n_max >= 14\n"
+        rc, out, _ = call([*argv, "--nmax", "14"])
+        assert rc == 0
+        assert out.splitlines()[-1].startswith("# pattern=2-fold,")
+
     def test_csv_and_json_carry_identical_values(self, capsys):
         args = ("spectrum", "--lambda", "3", "--alpha", "0.7,-0.2", "--nmax", "12")
         rc, out_csv, _ = run(capsys, *args)
@@ -299,6 +309,18 @@ class TestSweep:
         assert header == "alpha_0,valid,pattern,threshold_energy"
         assert rows[0] == "-1.5,false,,"
         assert rows[1].startswith("-0.5,true,nondegenerate,")
+
+    def test_unresolved_points_flagged_not_fatal(self, tmp_path):
+        argv = ["sweep", "--lambda", "3", "--grid", "a0=0:60:30,a1=-0.9:-0.9:1", "--nmax", "9"]
+        rc, out, err = call(argv)
+        assert (rc, err) == (0, "")
+        header, rows = csv_rows(out)
+        assert header == "alpha_0,alpha_1,valid,pattern,threshold_energy"
+        assert rows[0].startswith("0.0,-0.9,true,nondegenerate,")
+        assert rows[1:] == ["30.0,-0.9,true,,", "60.0,-0.9,true,,"]
+        output = tmp_path / "out.csv"
+        assert call([*argv, "--output", str(output)])[0] == 0
+        assert output.read_text() == out
 
     def test_known_classification_row(self, capsys):
         rc, out, _ = run(

@@ -1,6 +1,7 @@
 """Oscillator spectrum, degeneracy classification, and parameter sweeps."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cycosc import (
     analytic_spectrum,
     build_rep,
     classify_degeneracy,
+    derived_constants,
     h0,
     new_params,
     sweep,
@@ -158,6 +160,20 @@ class TestClassifyDegeneracy:
         with pytest.raises(InvalidParamsError):
             classify_degeneracy(new_params(3, [-2.0, 0.0]), 30, 1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_advised_nmax_resolves_a_period(self, lam, seed):
+        # Widely spread gamma offsets need far more than 3 lam levels.
+        params = fock_valid_params(np.random.default_rng(seed), lam, hi=30.0)
+        gamma = derived_constants(params).gamma
+        need = math.ceil(2 * lam - 2 + max(gamma) - min(gamma))
+        classify_degeneracy(params, need)
+        for n_max in range(lam - 1, need):
+            try:
+                classify_degeneracy(params, n_max)
+            except DomainError as exc:
+                assert str(exc).endswith(f"use n_max >= {need}")
+
 
 class TestSweep:
     def test_row_major_order_and_flags(self):
@@ -189,6 +205,12 @@ class TestSweep:
         assert [rec.valid for rec in records] == [False, True]
         assert records[0].report is None
         assert records[1].report is not None
+
+    def test_unresolved_points_flagged_not_fatal(self):
+        records = list(sweep(3, [[0.0, 30.0, 60.0], [-0.9]], n_max=9))
+        assert [rec.valid for rec in records] == [True, True, True]
+        assert records[0].report.pattern == "nondegenerate"
+        assert records[1].report is None and records[2].report is None
 
     def test_single_point_grid(self):
         records = list(sweep(3, [[0.0], [4.0]], n_max=40))
