@@ -151,8 +151,8 @@ def classify_degeneracy(
                 (k, tuple(cluster_of[n].multiplicity for n in period))
             )
     if not signatures:
-        # Every ladder reaches period 0's top energy, at most lam - 1 + max gamma,
-        # once n_max - (lam - 1) + min gamma does.
+        # Period 0 lies at or below lam - 1 + max gamma + 1/2 and every ladder
+        # reaches n_max - (lam - 1) + min gamma + 1/2, so this n_max resolves it.
         gamma = derived_constants(params).gamma
         need = math.ceil(2 * lam - 2 + max(gamma) - min(gamma))
         raise DomainError(

@@ -216,8 +216,8 @@ class TestSqm2:
     @pytest.mark.parametrize("fault", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("level", [0, 7, 16])
     def test_non_finite_ladder_fails(self, fault, level):
-        # A fault at a kept level of A_mu (level 16 is the last kept at dim 20),
-        # mirrored into Adag_mu or not, fails the sector whatever the other entries.
+        # A fault in a kept row of A_mu (row 16 is the last kept at dim 20),
+        # mirrored into Adag_mu or not, fails the sector.
         h = build_hierarchy(new_params(3, [0.5, 0.1]), 20)
         for mu in range(3):
             a = h.ladders[mu].a.bands[1].copy()
