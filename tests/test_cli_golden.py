@@ -47,6 +47,10 @@ PLAIN = [
         "dump --lambda 3 --alpha 0.5,0.1 --dim 7",
         0, "c51056d20439dff4f6a3fd722f83fd9684e1b060e897b5f4799fbfb16643f120",
     ),
+    (
+        "dump --lambda 3 --alpha 0.5,0.25 --dim 6",
+        0, "5a7a4431c29c2aedb45cc8067bc98f6ebff574a3720eedece0ea05282f6077d8",
+    ),
 ]
 
 WITH_RESIDUALS = [
@@ -177,7 +181,44 @@ SQM2_SECTORS = [
     ),
 ]
 
-RESIDUAL = WITH_RESIDUALS + AT_DIM_480 + SQM2_SECTORS
+# The smallest dims, where a band's edges are most of the band.
+SMALLEST_DIMS = [
+    (
+        "verify --format json --suite algebra --lambda 5 --alpha 0.3,-0.2,0.1,0.25 --dim 10",
+        0, "40e998b555a742ab4288da2b0907ee93da77eb7380386a3ae5bc19d6df776680",
+    ),
+    (
+        "verify --format json --suite klein --lambda 2 --alpha 0.5 --dim 4",
+        0, "507eef863df1fa81a6c565b3195bf47339541f6967ebed484cc06d8c46e92e8f",
+    ),
+    (
+        "verify --format json --suite sqm2 --lambda 2 --alpha 0.5 --mu 1 --dim 4",
+        0, "46b3b109183f96cc43578a4138265b5a954ef8968269308423b95127e4cfefd4",
+    ),
+    (
+        "verify --format json --suite partners --lambda 3 --alpha 0.5,0.25 --dim 6",
+        0, "0591f195934ae36e514966e7e9080de174a19af8247a24052cb5a9f898d9f79c",
+    ),
+    (
+        # Exit 1: Q^4 != 0 fails, as the kept block is too small to hold a nonzero entry.
+        "verify --format json --suite pssqm --lambda 5 --alpha 0.3,-0.2,0.1,0.25 --dim 11",
+        1, "d76dce69688e764ae70de197890cbabf4590ca593d58703812926cd0fb0c0d5f",
+    ),
+    (
+        "verify --format json --suite pseudo1 --lambda 3 --alpha 0.25,0 --dim 6 --phi 1.0",
+        0, "d646f431017a0ec958eb49d42b589e056b3f490d4e8d58c201b14e4a56a16581",
+    ),
+    (
+        "verify --format json --suite ossqm --lambda 3 --alpha 0.5,-1 --dim 7",
+        0, "4dcaad5297b849e8c4eb99aabe946a899306674cb9dc07041f9b1f17780e54ac",
+    ),
+    (
+        "variant --kind pseudo2 --lambda 3 --alpha 0.25,0 --dim 7 --nmax 6",
+        0, "e37a0838c730ee163cd418bebb157a42cb1b1757217a3d555417b864df64aecf",
+    ),
+]
+
+RESIDUAL = WITH_RESIDUALS + AT_DIM_480 + SQM2_SECTORS + SMALLEST_DIMS
 EXTENDED_64 = np.finfo(np.longdouble).nmant == 63
 
 
