@@ -2,13 +2,13 @@
 
 The representation acts on the number basis |0>..|D-1> with ladder matrix
 elements sqrt(F(n)).  Every operator the package builds is a BandOp, a sum of
-weighted shifts stored in the narrowest type that holds it exactly: np.int64
-for the integer operators (N, P_mu, I, (-1)^N), np.longdouble for real ones,
-np.clongdouble where a phase enters.  Every relation check evaluates its
-identity band by band on those bands.  Truncation corrupts only the top of the
-tower, so every identity is verified on the rows and columns that
-kept_levels leaves for its degree.  Dense arrays are made only for the JSON
-dump (BandOp.dense).
+weighted shifts, each stored as its diagonal in the narrowest type that holds
+it exactly: np.int64 for the integer operators (N, P_mu, I, (-1)^N),
+np.longdouble for real ones, np.clongdouble where a phase enters.  Every
+relation check evaluates its identity band by band on those diagonals.
+Truncation corrupts only the top of the tower, so every identity is verified
+on the rows and columns that kept_levels leaves for its degree.  Dense arrays
+are made only for the JSON dump (BandOp.dense).
 """
 
 from __future__ import annotations
@@ -94,23 +94,9 @@ class TruncatedRep:
     tmat: BandOp
 
 
-def _span(n: int, k: int) -> tuple[int, int]:
-    """Rows i with 0 <= i < n and 0 <= i + k < n, as a half-open range."""
-    return max(0, -k), min(n, n - k)
-
-
 def _peak(values) -> float:
     """The largest of values (0.0 if none), NaN if any is NaN, which max() alone may skip."""
     return float(max(values, key=lambda x: (x != x, x), default=0.0))
-
-
-def _shift(v: np.ndarray, s: int) -> np.ndarray:
-    """w[i] = v[i + s], zero where i + s leaves the vector."""
-    w = np.zeros_like(v)
-    lo, hi = _span(v.size, s)
-    if lo < hi:
-        w[lo:hi] = v[lo + s : hi + s]
-    return w
 
 
 def _band_dtype(kinds) -> type:
@@ -124,11 +110,12 @@ def _band_dtype(kinds) -> type:
 class BandOp:
     """A square operator as a sum of weighted shifts, each exact in its band type.
 
-    bands maps an offset k to the vector v with v[i] = m[i, i + k], zero where
-    i + k leaves the matrix.  Every operator of the algebra has at most two
-    bands, so a product or a block maximum costs O(dim) per pair of bands
-    instead of a dense O(dim^3) matmul (which has no BLAS path in extended
-    precision), and the float64 rounding of the inputs dominates what is left.
+    bands maps an offset k to the diagonal v = np.diagonal(m, k): dim - |k|
+    entries, entry j at row j + max(0, -k); a band of any other shape is a
+    ValueError.  Every operator of the algebra has at most two bands, so a
+    product or a block maximum costs O(dim) per pair of bands instead of a
+    dense O(dim^3) matmul (which has no BLAS path in extended precision), and
+    the float64 rounding of the inputs dominates what is left.
     Vectors are read-only np.int64 for an integer operator, else np.longdouble,
     or np.clongdouble for an operator with a complex band (T, phased charges);
     real arithmetic is complex's real part.  A product or sum takes the wider
@@ -146,6 +133,8 @@ class BandOp:
         bands = {k: np.asarray(v) for k, v in self.bands.items()}
         dtype = _band_dtype({v.dtype.kind for v in bands.values()})
         for k, v in bands.items():
+            if v.shape != (self.dim - abs(k),):
+                raise ValueError(f"band {k} needs shape ({self.dim - abs(k)},) at dim {self.dim}, got {v.shape}")
             if v.dtype != dtype:
                 v = bands[k] = v.astype(dtype)
             v.setflags(write=False)
@@ -161,10 +150,10 @@ class BandOp:
 
     @classmethod
     def of(cls, m: np.ndarray) -> BandOp:
-        """The nonzero diagonals of any square array, promoted exactly (for injected matrices)."""
+        """The nonzero diagonals of any square array, copied and promoted exactly (for injected matrices)."""
         rows, cols = np.nonzero(m)
         offsets = np.unique(cols - rows).tolist()
-        return cls(len(m), {k: np.pad(np.diagonal(m, k), (max(0, -k), max(0, k))) for k in offsets})
+        return cls(len(m), {k: np.diagonal(m, k).copy() for k in offsets})
 
     @classmethod
     def diag(cls, v: np.ndarray) -> BandOp:
@@ -175,8 +164,8 @@ class BandOp:
         """The dim x dim np.clongdouble matrix."""
         m = np.zeros((self.dim, self.dim), dtype=np.clongdouble)
         for k, v in self.bands.items():
-            rows = np.arange(*_span(self.dim, k))
-            m[rows, rows + k] = v[rows]
+            rows = np.arange(len(v)) + max(0, -k)
+            m[rows, rows + k] = v
         return m
 
     def real_diagonal(self) -> np.ndarray:
@@ -186,36 +175,36 @@ class BandOp:
     @property
     def dag(self) -> BandOp:
         """Conjugate transpose: band k moves to band -k."""
-        return BandOp.wrap(self.dim, {-k: np.conj(_shift(v, -k)) for k, v in self.bands.items()})
+        return BandOp.wrap(self.dim, {-k: np.conj(v) for k, v in self.bands.items()})
 
     def __matmul__(self, other: BandOp) -> BandOp:
-        # (x y)[i, i + kx + ky] = x[i, i + kx] y[i + kx, i + kx + ky]
+        # (x y)[i, i + kx + ky] = x[i, i + kx] y[i + kx, i + kx + ky], and band
+        # k holds row i at entry i - max(0, -k).
         dim = self.dim
         out = {}
         for kx, vx in self.bands.items():
-            # Rows lo..hi-1 of band kx: all of them on the main diagonal.
-            lo, hi = _span(dim, kx)
-            if kx:
-                vx = vx[lo:hi]
             for ky, vy in other.bands.items():
                 k = kx + ky
-                if abs(k) >= dim:
+                # Rows lo..hi-1, where all three entries exist: none when |k| >= dim.
+                lo, hi = max(0, -kx, -k), dim - max(0, kx, k)
+                if lo >= hi:
                     continue
-                # A band's first term is stored as it is, or zero-padded where kx
-                # shortens it; a later term adds in place, after promoting the
-                # band if the term's type is wider.
-                term = vx * vy[lo + kx : hi + kx] if kx else vx * vy
+                sx, sy, s = max(0, -kx), max(0, -ky) - kx, max(0, -k)
+                term = vx[lo - sx : hi - sx] * vy[lo - sy : hi - sy]
+                # A band's first term is stored as it is where it fills the band,
+                # else put into zeros; a later term adds in place, after promoting
+                # the band if the term's type is wider.
                 w = out.get(k)
                 if w is None:
-                    if kx == 0:
+                    if hi - lo == dim - abs(k):
                         out[k] = term
                     else:
-                        w = out[k] = np.zeros(dim, term.dtype)
-                        w[lo:hi] = term
+                        w = out[k] = np.zeros(dim - abs(k), term.dtype)
+                        w[lo - s : hi - s] = term
                     continue
                 if w.dtype != term.dtype and not np.can_cast(term.dtype, w.dtype):
                     w = out[k] = w.astype(term.dtype)
-                w[lo:hi] += term
+                w[lo - s : hi - s] += term
         # As in construction, one wider band (a complex one) widens them all.
         if len(out) > 1:
             kinds = {w.dtype.kind for w in out.values()}
@@ -263,9 +252,8 @@ class BandOp:
         """
         peak = 0.0
         for k, v in self.bands.items():
-            lo, hi = _span(top, k)
-            if lo < hi:
-                x = v[lo:hi]
+            if top > abs(k):
+                x = v[: top - abs(k)]
                 x = np.abs(x).astype(float) if x.dtype.kind == "c" else np.abs(x.astype(float))
                 m = float(np.maximum.reduce(x))
                 if m != m:
@@ -316,18 +304,17 @@ def require_dim(lam: int, dim: int) -> None:
 def ladders_from_table(roots: np.ndarray, dim: int) -> tuple[Ladder, ...]:
     """The ladders read from the rows of a read-only np.longdouble table, one per algebra.
 
-    A row holds sqrt(F(0)), ..., sqrt(F(dim - 1)) and then 0: adag's band -1
-    as it stands (F(0) = 0), and a's band +1 moved up one level.  So a has
+    A row holds sqrt(F(0)), sqrt(F(1)), ...; its entries for n = 1..dim-1 are
+    the one diagonal that a's band +1 and adag's band -1 share.  So a has
     sqrt(F(n)) at (n-1, n) and adag is its conjugate transpose.
     """
-    return tuple(Ladder(a=BandOp.wrap(dim, {1: r[1 : dim + 1]}), adag=BandOp.wrap(dim, {-1: r[:dim]})) for r in roots)
+    return tuple(Ladder(a=BandOp.wrap(dim, {1: d}), adag=BandOp.wrap(dim, {-1: d})) for d in roots[:, 1:dim])
 
 
 def build_ladder(params: AlgebraParams, dim: int) -> Ladder:
     """The ladder operators of a valid algebra (see ladders_from_table)."""
     require_rep(params, dim)
-    roots = np.zeros((1, dim + 1), np.longdouble)
-    roots[0, :dim] = np.sqrt(structure_values(params, dim - 1))
+    roots = np.sqrt(structure_values(params, dim - 1)).astype(np.longdouble)[None]
     roots.setflags(write=False)
     return ladders_from_table(roots, dim)[0]
 

@@ -95,8 +95,7 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
         if row.any():
             raise InvalidParamsError(tuple((np.flatnonzero(row) + 1).tolist()))
     table = np.empty((p + 1, dim + p), np.longdouble)
-    table[:p, :dim] = np.sqrt(fvals[:, :dim])
-    table[:p, dim:] = 0
+    table[:p] = np.sqrt(fvals[:, : dim + p])
     table[p] = fvals[0, : dim + p]
     table.setflags(write=False)
     return Hierarchy(

@@ -86,13 +86,15 @@ def _h_diagonal(lam: int, dim: int, shift: float, weights: dict[int, float]) -> 
 
 
 def _masked_ladders(params: AlgebraParams, dim: int, lower: int, upper: int):
-    """Float64 bands of a P_lower (offset +1, zero on the last row) and adag P_upper (offset -1)."""
+    """Float64 diagonals of a P_lower (offset +1) and adag P_upper (offset -1).
+
+    Entry n - 1 of each is sqrt(F(n)), n = 1..dim-1, where level n is in class
+    lower (for a) or level n - 1 is in class upper (for adag), else 0.
+    """
     require_rep(params, dim)
-    roots = np.sqrt(structure_values(params, dim - 1))
-    n = np.arange(dim)
-    lowering = np.where((n + 1) % params.lam == lower, np.append(roots[1:], 0.0), 0.0)
-    raising = np.where((n - 1) % params.lam == upper, roots, 0.0)
-    return lowering, raising
+    roots = np.sqrt(structure_values(params, dim - 1)[1:])
+    n = np.arange(1, dim)
+    return np.where(n % params.lam == lower, roots, 0.0), np.where((n - 1) % params.lam == upper, roots, 0.0)
 
 
 def _require_finite(**values):
@@ -153,9 +155,9 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
     m2 = (mu + 2) % lam
 
     # F(n) = n + beta_{n mod lam}, with beta the prefix sums of alpha, all in
-    # extended precision; band -1 holds Q[n, n - 1].
+    # extended precision; band -1 holds Q[n, n - 1] at entry n - 1, n = 1..dim-1.
     beta = np.concatenate(([0], np.cumsum(np.array(params.alpha, dtype=np.longdouble))[:-1]))
-    n = np.arange(dim)
+    n = np.arange(1, dim)
     # F(n) on the levels Q leaves, and 0 on those it maps to zero.
     fvals = np.where((n - 1) % lam != mu, n + beta[n % lam], 0)
 

@@ -23,12 +23,13 @@ DIMS = st.integers(min_value=12, max_value=120)
 
 
 def random_bands(rng, lam, dim):
-    """Up to three bands at offsets |k| < lam, each real or carrying T-like phases."""
+    """Up to three diagonals at offsets |k| < lam, each real or carrying T-like phases."""
     bands = {}
     for k in rng.choice(np.arange(1 - lam, lam), size=int(rng.integers(1, 4)), replace=False):
-        v = rng.normal(size=dim) * rng.choice([1e-3, 1.0, 1e3])
+        size = dim - abs(int(k))
+        v = rng.normal(size=size) * rng.choice([1e-3, 1.0, 1e3])
         if rng.integers(2):
-            v = v * np.exp(2j * np.pi * (np.arange(dim) % lam) / lam)
+            v = v * np.exp(2j * np.pi * (np.arange(size) % lam) / lam)
         bands[int(k)] = v
     return bands
 
@@ -69,7 +70,7 @@ def test_real_times_real_stays_longdouble(seed, lam, dim):
     assert all(v.dtype == np.longdouble for v in (real @ real.dag - real).bands.values())
     assert all(v.dtype == np.clongdouble for v in (real @ phased).bands.values())
     # One complex band makes the whole operator complex, so no product inside it mixes types.
-    mixed = BandOp(dim, {0: np.ones(dim), 1: np.full(dim, 1j)})
+    mixed = BandOp(dim, {0: np.ones(dim), 1: np.full(dim - 1, 1j)})
     assert all(v.dtype == np.clongdouble for v in mixed.bands.values())
 
 
@@ -85,7 +86,7 @@ def test_nan_propagates_exactly_when_inside_the_block(seed, lam, dim):
         # The band's first entry (i, i + k), and its last, whose column or row is at the edge.
         for i in (max(0, -k), dim - 1 - max(k, 0)):
             v = np.array(bands[k])
-            v[i] = np.nan
+            v[i - max(0, -k)] = np.nan
             op, forced = natural_and_forced({**bands, k: v}, dim)
             expected = max(i, i + k) < top
             assert math.isnan(op.block_max(top)) == expected
@@ -115,8 +116,10 @@ def test_product_of_mixed_real_and_complex_bands(seed, lam, dim):
     # and np.clongdouble bands side by side; its products are the dense ones.
     rng = np.random.default_rng(seed)
     k_real, k_phased = (int(k) for k in rng.choice(np.arange(1 - lam, lam), size=2, replace=False))
-    phases = np.exp(2j * np.pi * (np.arange(dim) % lam) / lam)
-    mixed = BandOp(dim, {k_real: rng.normal(size=dim)}) + BandOp(dim, {k_phased: rng.normal(size=dim) * phases})
+    phases = np.exp(2j * np.pi * (np.arange(dim - abs(k_phased)) % lam) / lam)
+    mixed = BandOp(dim, {k_real: rng.normal(size=dim - abs(k_real))}) + BandOp(
+        dim, {k_phased: rng.normal(size=dim - abs(k_phased)) * phases}
+    )
     assert {v.dtype for v in mixed.bands.values()} == {np.dtype(np.longdouble), np.dtype(np.clongdouble)}
     y = BandOp(dim, random_bands(rng, lam, dim))
     for left, right in ((mixed, y), (y, mixed), (mixed, mixed)):

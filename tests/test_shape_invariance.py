@@ -222,10 +222,10 @@ class TestSqm2:
         for mu in range(3):
             a = h.ladders[mu].a.bands[1].copy()
             a[level] = fault
-            adag = np.roll(a, 1)
             for ladder in (
                 Ladder(a=BandOp(20, {1: a}), adag=h.ladders[mu].adag),
-                Ladder(a=BandOp(20, {1: a}), adag=BandOp(20, {-1: adag})),
+                # Adag_mu's band -1 is the same diagonal as A_mu's band 1.
+                Ladder(a=BandOp(20, {1: a}), adag=BandOp(20, {-1: a})),
             ):
                 ladders = h.ladders[:mu] + (ladder,) + h.ladders[mu + 1 :]
                 # inf - inf and 0 * inf leave NaN residuals, which must fail rather than vanish.
