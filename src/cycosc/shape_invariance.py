@@ -134,12 +134,13 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
         )
 
     # Spacing claim: consecutive diagonal entries of H^(mu) differ by omega cyclically,
-    # over the (p + 1, kept levels) table of energies in one pass.
+    # over the (p + 1, kept levels) table of energies in one pass; 0.0 when the
+    # kept block holds one level and so no spacing.
     top = kept_levels(dim, 2)
     energies = np.array([hm.real_diagonal()[:top] for hm in H])
     sectors, levels = np.ogrid[: p + 1, : top - 1]
     target = np.array(h.omega)[(levels + sectors) % p]
-    worst = float(np.abs(np.diff(energies) - target).max())
+    worst = float(np.abs(np.diff(energies) - target).max(initial=0.0))
     relations.append(("H^(mu) spacings realize omega cyclically", worst))
     return relation_report(relations, dim, 2, tol)
 

@@ -96,9 +96,24 @@ def analytic_spectrum(params: AlgebraParams, n_max: int) -> list[SpectrumLine]:
 
 
 def _require_ladders(lam: int, n_max: int) -> None:
-    """Raise unless levels 0..n_max reach every one of the lam ladders."""
+    """Raise unless levels 0..n_max reach every one of the lam ladders.
+
+    For a sweep, whose grid has no single gamma spread to bound n_max by.
+    """
     if n_max < lam - 1:
         raise DomainError(f"n_max = {n_max} leaves a ladder empty; use n_max >= {3 * lam}")
+
+
+def _unresolved(params: AlgebraParams, n_max: int, what: str) -> DomainError:
+    """The error for an n_max that resolves no period, advising one that does.
+
+    Period 0 lies at or below lam - 1 + max gamma + 1/2 and every ladder
+    reaches n_max - (lam - 1) + min gamma + 1/2, so n_max >= 2 lam - 2 +
+    max gamma - min gamma resolves it, and fills every ladder too.
+    """
+    gamma = derived_constants(params).gamma
+    need = math.ceil(2 * params.lam - 2 + max(gamma) - min(gamma))
+    return DomainError(f"n_max = {n_max} {what}; use n_max >= {need}")
 
 
 def _cluster_energies(energies: list[float], tol: float) -> tuple[Cluster, ...]:
@@ -130,7 +145,8 @@ def classify_degeneracy(
     """
     energies = [line.energy for line in analytic_spectrum(params, n_max)]
     lam = params.lam
-    _require_ladders(lam, n_max)
+    if n_max < lam - 1:
+        raise _unresolved(params, n_max, "leaves a ladder empty")
     clusters = _cluster_energies(energies, tol)
 
     # A cluster is complete when every ladder still reaches its energy.
@@ -151,13 +167,7 @@ def classify_degeneracy(
                 (k, tuple(cluster_of[n].multiplicity for n in period))
             )
     if not signatures:
-        # Period 0 lies at or below lam - 1 + max gamma + 1/2 and every ladder
-        # reaches n_max - (lam - 1) + min gamma + 1/2, so this n_max resolves it.
-        gamma = derived_constants(params).gamma
-        need = math.ceil(2 * lam - 2 + max(gamma) - min(gamma))
-        raise DomainError(
-            f"n_max = {n_max} leaves no fully resolved period; use n_max >= {need}"
-        )
+        raise _unresolved(params, n_max, "leaves no fully resolved period")
     last_k, last_sig = signatures[-1]
     stabilized = len(signatures) >= 2 and signatures[-2][1] == last_sig
 

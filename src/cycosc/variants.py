@@ -94,7 +94,9 @@ def _masked_ladders(params: AlgebraParams, dim: int, lower: int, upper: int):
     require_rep(params, dim)
     roots = np.sqrt(structure_values(params, dim - 1)[1:])
     n = np.arange(1, dim)
-    return np.where(n % params.lam == lower, roots, 0.0), np.where((n - 1) % params.lam == upper, roots, 0.0)
+    lowering = np.where(n % params.lam == lower, roots, 0.0)
+    raising = np.where((n - 1) % params.lam == upper, roots, 0.0)
+    return lowering, raising
 
 
 def _require_finite(**values):

@@ -85,6 +85,11 @@ class TestSpectrum:
         assert rc == 0
         assert out.splitlines()[-1].startswith("# pattern=2-fold,")
 
+    def test_empty_ladder_advises_a_resolving_nmax(self):
+        rc, out, err = call(["spectrum", "--lambda", "3", "--alpha", "20,-0.9", "--nmax", "1"])
+        assert (rc, out) == (2, "")
+        assert err == "error: n_max = 1 leaves a ladder empty; use n_max >= 14\n"
+
     def test_csv_and_json_carry_identical_values(self, capsys):
         args = ("spectrum", "--lambda", "3", "--alpha", "0.7,-0.2", "--nmax", "12")
         rc, out_csv, _ = run(capsys, *args)
@@ -296,6 +301,33 @@ class TestVerify:
         assert rc == 2
         assert out == ""
         assert err.count("\n") == 1 and "--dim" in err
+        assert "Traceback" not in err
+
+
+# One window-valid order and alpha per suite: the hierarchy suites need the
+# window, ossqm needs alpha_1 = -1, and klein order 2.
+SMALLEST_DIM_SUITES = [
+    ("algebra", 2, "0.5"), ("algebra", 3, "0.5,0.25"), ("algebra", 4, "0.3,-0.2,0.4"),
+    ("algebra", 5, "0.3,-0.2,0.4,0.1"), ("klein", 2, "0.5"),
+    ("partners", 2, "0.5"), ("partners", 3, "0.5,0.25"), ("partners", 4, "0.3,-0.2,0.4"),
+    ("partners", 5, "0.3,-0.2,0.4,0.1"),
+    ("sqm2", 2, "0.5"), ("sqm2", 3, "0.5,0.25"), ("sqm2", 4, "0.3,-0.2,0.4"),
+    ("sqm2", 5, "0.3,-0.2,0.4,0.1"),
+    ("pssqm", 3, "0.5,0.25"), ("pssqm", 4, "0.3,-0.2,0.4"), ("pssqm", 5, "0.3,-0.2,0.4,0.1"),
+    ("pssqm-cubic", 3, "0.5,0.25"), ("pseudo1", 3, "0.5,0.25"), ("pseudo2", 3, "0.5,0.25"),
+    ("ossqm", 3, "0.5,-1"),
+]
+
+
+class TestSmallestDims:
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("suite, lam, alpha", SMALLEST_DIM_SUITES)
+    def test_every_suite_reports(self, suite, lam, alpha, extra):
+        # dim = 2 lam is the smallest build_rep and build_hierarchy accept.
+        argv = ["verify", "--suite", suite, "--lambda", str(lam), "--alpha", alpha, "--dim", str(2 * lam + extra)]
+        rc, out, err = call(argv)
+        assert rc in (0, 1), (argv, rc, err)
+        assert out.splitlines()[-1].startswith(f"suite {suite}: ")
         assert "Traceback" not in err
 
 
@@ -710,7 +742,7 @@ def flags_of(command):
 # Optional flag -> (k, value text): a subcommand that has the flag gets it in
 # one example of k.
 OPTIONAL_FLAGS = {
-    "--dim": (1, lambda draw: str(draw(st.sampled_from([60, 24, 64, 7, 0, -4])))),
+    "--dim": (1, lambda draw: str(draw(st.sampled_from([60, 24, 64, 7, 0, -4, 4])))),
     "--format": (1, lambda draw: draw(st.sampled_from(["csv", "json"]))),
     "--mu": (1, lambda draw: str(draw(st.integers(min_value=-1, max_value=4)))),
     "--c": (3, lambda draw: draw(SCALE_TEXT) if draw(st.booleans()) else number_text(draw)),
@@ -769,6 +801,8 @@ class TestFuzz:
     @example(["verify", "--suite", "pseudo1", "--lambda", "3", "--alpha", "0,0", "--c", "1e-200"])
     # Wrote an Infinity residual.
     @example(["variant", "--kind", "pssqm", "--lambda", "3", "--alpha", "1e308,0"])
+    # Reduced an empty array: at dim 2 lam, partners keeps no level spacing.
+    @example(["verify", "--suite", "partners", "--lambda", "2", "--alpha", "0.5", "--dim", "4"])
     def test_exit_code_documented_and_no_traceback(self, argv):
         rc, out, err = call(argv)
         assert rc in (0, 1, 2, 3), (argv, rc, err)

@@ -200,6 +200,11 @@ SMALLEST_DIMS = [
         0, "0591f195934ae36e514966e7e9080de174a19af8247a24052cb5a9f898d9f79c",
     ),
     (
+        # Recorded once the spacing claim read 0.0 over a block with one level.
+        "verify --format json --suite partners --lambda 2 --alpha 0.5 --dim 4",
+        0, "92953054530a7ba4e9aa2f59dca8fb2fa3f10c4f00a98206636076c064e6e26a",
+    ),
+    (
         # Exit 1: Q^4 != 0 fails, as the kept block is too small to hold a nonzero entry.
         "verify --format json --suite pssqm --lambda 5 --alpha 0.3,-0.2,0.1,0.25 --dim 11",
         1, "d76dce69688e764ae70de197890cbabf4590ca593d58703812926cd0fb0c0d5f",

@@ -93,6 +93,11 @@ class TestBuildRep:
         with pytest.raises(ValueError):
             rep.a.bands[1][0] = 9.0
 
+    def test_ladders_share_one_diagonal(self):
+        rep = build_rep(new_params(3, [0.4, -0.2]), 9)
+        assert rep.a.bands[1] is rep.adag.bands[-1]
+        assert np.array_equal(rep.a.bands[1], np.sqrt(structure_values(rep.params, 8)[1:]))
+
 
 class TestHeadroom:
     def test_block_max_ignores_truncation_edge(self):
@@ -102,6 +107,39 @@ class TestHeadroom:
         assert BandOp.of(m).block_max(keep) == 0.0
         m[2, 3] = 0.25
         assert BandOp.of(m).block_max(keep) == 0.25
+
+
+class TestBandLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=24),
+        st.sampled_from([np.int64, float, complex]),
+    )
+    def test_bands_are_the_diagonals(self, seed, dim, dtype):
+        rng = np.random.default_rng(seed)
+        m = np.zeros((dim, dim), dtype)
+        for k in rng.choice(np.arange(1 - dim, dim), size=min(3, 2 * dim - 1), replace=False):
+            size = dim - abs(int(k))
+            v = rng.integers(1, 9, size) * rng.choice([-1, 1], size)
+            if dtype is not np.int64:
+                v = v * rng.normal(size=size)
+            if dtype is complex:
+                v = v * np.exp(1j * rng.normal(size=size))
+            m += np.diag(v, int(k)).astype(dtype)
+        op = BandOp.of(m)
+        assert op.bands
+        for k, v in op.bands.items():
+            assert np.array_equal(v, np.diagonal(m, k))
+            assert not np.shares_memory(v, m)
+        assert np.array_equal(op.dense(), m)
+        assert np.array_equal(op.dag.dense(), m.conj().T)
+
+    @pytest.mark.parametrize("k, shape", [(0, (5,)), (1, (6,)), (-2, (3,)), (7, (0,)), (0, (6, 1))])
+    def test_wrong_length_band_rejected(self, k, shape):
+        # (1, (6,)) is a band zero-padded to dim entries.
+        with pytest.raises(ValueError, match=rf"^band {k} needs shape"):
+            BandOp(6, {k: np.ones(shape)})
 
 
 class TestCheckRelations:

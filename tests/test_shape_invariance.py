@@ -136,6 +136,7 @@ class TestHierarchyTable:
         assert len(h.ladders) == lam and len(h.hmats) == lam + 1
         for mu, ladder in enumerate(h.ladders):
             single = build_ladder(cyclic_shift(params, mu), dim)
+            assert ladder.a.bands[1] is ladder.adag.bands[-1]
             for got, want in ((ladder.a, single.a), (ladder.adag, single.adag)):
                 assert got.bands.keys() == want.bands.keys()
                 for k, v in got.bands.items():

@@ -168,11 +168,15 @@ class TestClassifyDegeneracy:
         gamma = derived_constants(params).gamma
         need = math.ceil(2 * lam - 2 + max(gamma) - min(gamma))
         classify_degeneracy(params, need)
-        for n_max in range(lam - 1, need):
+        # Below lam - 1 a ladder is empty, which raises its own message.
+        for n_max in range(need):
             try:
                 classify_degeneracy(params, n_max)
             except DomainError as exc:
+                assert n_max >= lam - 1 or "leaves a ladder empty" in str(exc)
                 assert str(exc).endswith(f"use n_max >= {need}")
+            else:
+                assert n_max >= lam - 1
 
 
 class TestSweep:
