@@ -2,10 +2,12 @@
 
 The representation acts on the number basis |0>..|D-1> with ladder matrix
 elements sqrt(F(n)).  Every operator the package builds is a BandOp, a sum of
-weighted shifts, each stored as its diagonal in the narrowest type that holds
-it exactly: np.int64 for the integer operators (N, P_mu, I, (-1)^N),
-np.longdouble for real ones, np.clongdouble where a phase enters.  Every
-relation check evaluates its identity band by band on those diagonals.
+weighted shifts, each stored as its diagonal in the type of the vectors it
+was built from: np.int64 for the integer operators (N, P_mu, I, (-1)^N),
+float64 for real ones, complex128 where a phase enters.  Every relation check
+evaluates its identity band by band on those diagonals; a commutator with a
+diagonal operator takes the difference of its two diagonal entries before
+multiplying (commutator), so [N, adag] = adag holds exactly.
 Truncation corrupts only the top of the tower, so every identity is verified
 on the rows and columns that kept_levels leaves for its degree.  Dense arrays
 are made only for the JSON dump (BandOp.dense).
@@ -99,29 +101,20 @@ def _peak(values) -> float:
     return float(max(values, key=lambda x: (x != x, x), default=0.0))
 
 
-def _band_dtype(kinds) -> type:
-    """The narrowest exact type for bands of these dtype kinds: integers stay np.int64."""
-    if "c" in kinds:
-        return np.clongdouble
-    return np.longdouble if "f" in kinds else np.int64
-
-
 @dataclass(eq=False)
 class BandOp:
-    """A square operator as a sum of weighted shifts, each exact in its band type.
+    """A square operator as a sum of weighted shifts, each stored as its diagonal.
 
     bands maps an offset k to the diagonal v = np.diagonal(m, k): dim - |k|
     entries, entry j at row j + max(0, -k); a band of any other shape is a
     ValueError.  Every operator of the algebra has at most two bands, so a
     product or a block maximum costs O(dim) per pair of bands instead of a
-    dense O(dim^3) matmul (which has no BLAS path in extended precision), and
-    the float64 rounding of the inputs dominates what is left.
-    Vectors are read-only np.int64 for an integer operator, else np.longdouble,
-    or np.clongdouble for an operator with a complex band (T, phased charges);
-    real arithmetic is complex's real part.  A product or sum takes the wider
-    type of its operands, and a float or complex scalar times an integer band
-    is formed in np.longdouble or np.clongdouble, so the exact integer bands
-    give every value the extended-precision ones gave.
+    dense O(dim^3) matmul.
+    An operator's vectors are read-only and share one type, the np.result_type
+    of the vectors it was built from: np.int64 for the integer operators (N,
+    P_mu, I), float64 for real ones, complex128 where a phase enters, and
+    np.longdouble only for the parasupercharge, which is built in it.  Products,
+    sums and scalar multiples take numpy's promotion of their operands.
     """
 
     dim: int
@@ -131,11 +124,13 @@ class BandOp:
 
     def __post_init__(self):
         bands = {k: np.asarray(v) for k, v in self.bands.items()}
-        dtype = _band_dtype({v.dtype.kind for v in bands.values()})
+        dtype = np.result_type(*bands.values()) if bands else None
         for k, v in bands.items():
             if v.shape != (self.dim - abs(k),):
                 raise ValueError(f"band {k} needs shape ({self.dim - abs(k)},) at dim {self.dim}, got {v.shape}")
-            if v.dtype != dtype:
+            # A writable band is the caller's array: copied, so that freezing it
+            # leaves the caller's array as it was.
+            if v.dtype != dtype or v.flags.writeable:
                 v = bands[k] = v.astype(dtype)
             v.setflags(write=False)
         self.bands = bands
@@ -161,8 +156,8 @@ class BandOp:
         return cls(len(v), {0: v})
 
     def dense(self) -> np.ndarray:
-        """The dim x dim np.clongdouble matrix."""
-        m = np.zeros((self.dim, self.dim), dtype=np.clongdouble)
+        """The dim x dim matrix, complex128 unless a band is wider."""
+        m = np.zeros((self.dim, self.dim), np.result_type(np.complex128, *self.bands.values()))
         for k, v in self.bands.items():
             rows = np.arange(len(v)) + max(0, -k)
             m[rows, rows + k] = v
@@ -205,12 +200,6 @@ class BandOp:
                 if w.dtype != term.dtype and not np.can_cast(term.dtype, w.dtype):
                     w = out[k] = w.astype(term.dtype)
                 w[lo - s : hi - s] += term
-        # As in construction, one wider band (a complex one) widens them all.
-        if len(out) > 1:
-            kinds = {w.dtype.kind for w in out.values()}
-            if len(kinds) > 1:
-                dtype = _band_dtype(kinds)
-                out = {k: w.astype(dtype, copy=False) for k, w in out.items()}
         return BandOp.wrap(dim, out)
 
     def __add__(self, other: BandOp) -> BandOp:
@@ -230,14 +219,6 @@ class BandOp:
         return BandOp.wrap(self.dim, out)
 
     def __mul__(self, c) -> BandOp:
-        if isinstance(c, (float, complex)):
-            # Named, so that an integer band is scaled in extended precision
-            # (numpy before 2.0 would form a float scalar times it in float64).
-            kind = "c" if isinstance(c, complex) else "f"
-            return BandOp.wrap(
-                self.dim,
-                {k: np.multiply(c, v, dtype=_band_dtype({kind, v.dtype.kind})) for k, v in self.bands.items()},
-            )
         return BandOp.wrap(self.dim, {k: c * v for k, v in self.bands.items()})
 
     __rmul__ = __mul__
@@ -247,20 +228,39 @@ class BandOp:
 
         NaN when any of those entries is NaN, so a non-finite residual fails.
         Rounding to float64 is monotone and symmetric, so the float64 maximum
-        of the rounded moduli is the rounded maximum; a complex modulus is
-        taken before rounding, a real one after.
+        of the rounded moduli is the rounded maximum of the moduli.
         """
         peak = 0.0
         for k, v in self.bands.items():
             if top > abs(k):
-                x = v[: top - abs(k)]
-                x = np.abs(x).astype(float) if x.dtype.kind == "c" else np.abs(x.astype(float))
-                m = float(np.maximum.reduce(x))
+                m = float(np.maximum.reduce(np.abs(v[: top - abs(k)])))
                 if m != m:
                     return m
                 if m > peak:
                     peak = m
         return peak
+
+
+def commutator(x: BandOp, y: BandOp) -> BandOp:
+    """[x, y] = x y - y x, with the diagonal band d of x taken difference-first.
+
+    [diag(d), y] has band k equal to (d_i - d_{i+k}) y_k at row i: the
+    difference of d at the two ends of each entry is formed before it
+    multiplies y, so an integer or exactly cancelling difference adds no
+    rounding.  The other bands of x enter as x_off y - y x_off.
+    """
+    dim = x.dim
+    d = x.bands.get(0)
+    out = BandOp.wrap(dim, {})
+    if d is not None:
+        for k, v in y.bands.items():
+            # Band k holds rows max(0, -k).. against columns max(0, k)..
+            out.bands[k] = (d[max(0, -k) : dim - max(0, k)] - d[max(0, k) : dim - max(0, -k)]) * v
+    off = {k: v for k, v in x.bands.items() if k != 0}
+    if off:
+        off = BandOp.wrap(dim, off)
+        out = out + (off @ y - y @ off)
+    return out
 
 
 def kept_levels(dim: int, degree: int) -> int:
@@ -302,7 +302,7 @@ def require_dim(lam: int, dim: int) -> None:
 
 
 def ladders_from_table(roots: np.ndarray, dim: int) -> tuple[Ladder, ...]:
-    """The ladders read from the rows of a read-only np.longdouble table, one per algebra.
+    """The ladders read from the rows of a read-only float64 table, one per algebra.
 
     A row holds sqrt(F(0)), sqrt(F(1)), ...; its entries for n = 1..dim-1 are
     the one diagonal that a's band +1 and adag's band -1 share.  So a has
@@ -314,7 +314,7 @@ def ladders_from_table(roots: np.ndarray, dim: int) -> tuple[Ladder, ...]:
 def build_ladder(params: AlgebraParams, dim: int) -> Ladder:
     """The ladder operators of a valid algebra (see ladders_from_table)."""
     require_rep(params, dim)
-    roots = np.sqrt(structure_values(params, dim - 1)).astype(np.longdouble)[None]
+    roots = np.sqrt(structure_values(params, dim - 1))[None]
     roots.setflags(write=False)
     return ladders_from_table(roots, dim)[0]
 
@@ -379,8 +379,8 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     w = np.exp(-2j * np.pi / lam)
     a_adag, adag_a = a @ adag, adag @ a
     relations = [
-        ("[N, adag] = adag", nmat @ adag - adag @ nmat - adag),
-        ("[N, P_mu] = 0", [nmat @ p - p @ nmat for p in proj]),
+        ("[N, adag] = adag", commutator(nmat, adag) - adag),
+        ("[N, P_mu] = 0", [commutator(nmat, p) for p in proj]),
         ("sum_mu P_mu = I", sum(proj) - eye),
         (
             "[a, adag] = I + sum alpha_mu P_mu",
@@ -428,9 +428,8 @@ def klein_reduction_check(rep: TruncatedRep, tol: float = 1e-12) -> RelationRepo
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
-    """Row-major nested list of [re, im] pairs."""
-    mc = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mc]
+    """Row-major nested list of [re, im] pairs of a complex128 matrix."""
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def rep_to_dict(rep: TruncatedRep) -> dict:

@@ -70,7 +70,7 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     F of every shifted algebra comes from one float64 table: row mu is
     n + beta^(mu)_{n mod p}, with beta^(mu) the prefix sums of alpha rotated
     by mu, taken left to right as derived_constants takes them.  The ladders
-    and Hamiltonians are read-only rows of one np.longdouble table: rows
+    and Hamiltonians are read-only rows of a second float64 table: rows
     0..p-1 hold the square roots of F of each shifted algebra, and row p holds
     F itself, from which H^(mu) = F(N + mu) reads dim levels from level mu.
     Each shifted algebra's Fock condition F(k) > 0, k = 1..p-1, is read off
@@ -94,7 +94,7 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     for row in ~(fvals[1:, 1:p] > 0.0):
         if row.any():
             raise InvalidParamsError(tuple((np.flatnonzero(row) + 1).tolist()))
-    table = np.empty((p + 1, dim + p), np.longdouble)
+    table = np.empty((p + 1, dim + p))
     table[:p] = np.sqrt(fvals[:, : dim + p])
     table[p] = fvals[0, : dim + p]
     table.setflags(write=False)
@@ -116,7 +116,7 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
     # Adag_0 A_0 enters twice (sectors 0 and p), so every product is formed once.
     adag_a = [ld.adag @ ld.a for ld in h.ladders]
     a_adag = [ld.a @ ld.adag for ld in h.ladders]
-    ground = [BandOp.diag(np.full(dim, e, np.longdouble)) for e in h.e0]
+    ground = [BandOp.diag(np.full(dim, e)) for e in h.e0]
     relations = [("H^(0) = Adag_0 A_0", H[0] - adag_a[0])]
     for mu in range(1, p + 1):
         prev = mu - 1

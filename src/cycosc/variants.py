@@ -12,12 +12,15 @@ shift shared by the order-2 parasupersymmetric and family-1 pseudosupersymmetric
 Hamiltonians goes through one helper so the two coincide bitwise.
 
 Every charge and Hamiltonian is a fock.BandOp whose coefficient vectors are
-computed in float64 and held exactly in np.longdouble, or np.clongdouble
-where a phase enters (xi and the orthosupercharge phases).  The
-parasupercharge is computed from alpha in np.longdouble: its order-p relation
-cancels p + 1 terms of ~2 F(n)^{p/2} (1e6 at p = 4, dim = 60), so one float64
-rounding per entry would leave ~2e-10 however it is evaluated.  Where
-np.longdouble is float64 (not x86-64), that floor returns at order 4.
+float64, or complex128 where a phase enters (xi and the orthosupercharge
+phases), and every relation is evaluated in the type of its operands.  The
+one exception is the parasupercharge, computed from alpha in np.longdouble:
+its order-p relation cancels p + 1 terms of ~2 F(n)^{p/2} (1e6 at p = 4,
+dim = 60), so one float64 rounding per entry would leave ~2e-10 however it is
+evaluated.  Where np.longdouble is float64 (not x86-64), that floor returns
+at order 4.  Each [H, Q] = 0 takes the difference of two H levels before it
+multiplies Q's entry (fock.commutator), and Q Qdag Q = 4 c^2 Q H is
+evaluated bracket first, as Q (Qdag Q - 4 c^2 H).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .algebra import (
     derived_constants,
     structure_values,
 )
-from .fock import BandOp, RelationReport, relation_report, require_rep
+from .fock import BandOp, RelationReport, commutator, relation_report, require_rep
 
 KIND_PSSQM = "pssqm"
 KIND_PSEUDO1 = "pseudo-family1"
@@ -47,7 +50,8 @@ class VariantSolution:
 
     Q's bands hold float64 or complex128 values, except the parasupercharge's,
     computed in np.longdouble to check its order-p relations below the float64
-    floor.  H is diagonal with float64 entries.
+    floor.  H is diagonal with float64 entries, and so the relations of every
+    other charge are evaluated in float64 or complex128.
     """
 
     kind: str
@@ -187,8 +191,9 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
 def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationReport:
     """Verify nilpotency at order p + 1 and the order-p multilinear relation.
 
-    Every entry is evaluated in np.longdouble from the bands of sol.Q and
-    sol.H, whatever their band structure, on the levels kept at degree p + 1.
+    Every entry is evaluated from the bands of sol.Q and sol.H, whatever their
+    band structure, on the levels kept at degree p + 1: in np.longdouble for
+    the charge of pssqm_build, [H, Q] difference-first (fock.commutator).
     With the extended-precision charge of pssqm_build the order-4 relation
     stays below 1e-10 where np.longdouble is wider than float64; where it is
     float64 its floor is 1e-10 to 2e-10.
@@ -209,7 +214,7 @@ def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationRep
     relations = [
         (f"Q^{p + 1} = 0", powers[p + 1]),
         (f"Q^{p} != 0", powers[p], True),
-        ("[H, Q] = 0", H @ Q - Q @ H),
+        ("[H, Q] = 0", commutator(H, Q)),
         (
             "sum_j Q^{p-j} Qdag Q^j = 2p Q^{p-1} H",
             multilinear - 2.0 * p * (powers[p - 1] @ H if p > 1 else H),
@@ -225,7 +230,7 @@ def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationRepor
     this and the multilinear relation hold is empirical data, not an assertion.
     A vanishing charge satisfies the relation trivially, so the report also
     carries a nonzero-charge entry flagging that degenerate case.  Evaluated
-    band by band in np.longdouble, as in pssqm_check.
+    band by band in the charge's np.longdouble, as in pssqm_check.
     """
     if sol.kind != KIND_PSSQM:
         raise DomainError(f"expected a {KIND_PSSQM} solution, got {sol.kind}")
@@ -340,15 +345,19 @@ def equal_spacing_r(params: AlgebraParams, mu: int) -> float:
 
 
 def pseudo_check(sol: VariantSolution, c: float, tol: float = 1e-10) -> RelationReport:
-    """Verify Q^2 = 0, [H, Q] = 0, and Q Qdag Q = 4 c^2 Q H."""
+    """Verify Q^2 = 0, [H, Q] = 0, and Q Qdag Q = 4 c^2 Q H, in float64 or complex128.
+
+    [H, Q] is taken difference-first (fock.commutator) and the last relation
+    bracket first, as Q (Qdag Q - 4 c^2 H).  At dim 480 that entry sits at its
+    float64 floor, about 1e-10 to 2.4e-10 against the default 1e-10.
+    """
     if sol.kind not in (KIND_PSEUDO1, KIND_PSEUDO2):
         raise DomainError(f"expected a pseudosupersymmetric solution, got {sol.kind}")
     Q, H = sol.Q, sol.H
-    q_h = Q @ H
     relations = [
         ("Q^2 = 0", Q @ Q),
-        ("[H, Q] = 0", H @ Q - q_h),
-        ("Q Qdag Q = 4 c^2 Q H", Q @ Q.dag @ Q - 4.0 * c * c * q_h),
+        ("[H, Q] = 0", commutator(H, Q)),
+        ("Q Qdag Q = 4 c^2 Q H", Q @ (Q.dag @ Q - 4.0 * c * c * H)),
     ]
     return relation_report(relations, sol.dim, 3, tol)
 
@@ -426,7 +435,7 @@ def ossqm_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
     relations = [
         (f"Q{r + 1} Q{s + 1} = 0", q[r] @ q[s]) for r in (0, 1) for s in (0, 1)
     ]
-    relations += [(f"[H, Q{r + 1}] = 0", H @ q[r] - q[r] @ H) for r in (0, 1)]
+    relations += [(f"[H, Q{r + 1}] = 0", commutator(H, q[r])) for r in (0, 1)]
     relations += [
         ("Q1 Qdag1 + sum_t Qdag_t Q_t = 2 H", q1_qdag1 + qdagq - two_h),
         ("Q1 Qdag2 = 0", q[0] @ qdag[1]),

@@ -1,8 +1,9 @@
 """Every built operator equals, entry for entry, its dense numpy construction.
 
 The builders store weighted shifts (BandOp) whose coefficient vectors come
-from the same float expressions as the dense matrices they replace, promoted
-exactly to np.longdouble (np.clongdouble where a phase enters).  Each test
+from the same float expressions as the dense matrices they replace, in
+float64 (complex128 where a phase enters; np.longdouble for the
+parasupercharge, which is built in it).  Each test
 recomputes the dense matrix with numpy (np.diag, matmuls with the projectors)
 and requires == on every entry of .dense().
 """
@@ -134,24 +135,24 @@ def test_orthosupercharge_pair(dim, seed, mu, maximal):
     assert np.array_equal(sol.Q2.dense(), (-np.conj(phase) * w) * lower + xi * raising)
 
 
-def test_band_vectors_are_read_only_longdouble_unless_phased():
+def test_band_vectors_are_read_only_float64_unless_phased():
     # Real operators keep real bands; only T carries a phase; N and P_mu are exact integers.
     rep = build_rep(new_params(3, [0.5, 0.1]), 12)
     integer = (rep.nmat, *rep.proj)
     for op in (rep.a, rep.adag, rep.nmat, rep.tmat, *rep.proj):
         for v in op.bands.values():
             if op is rep.tmat:
-                assert v.dtype == np.clongdouble
+                assert v.dtype == np.complex128
             else:
-                assert v.dtype == (np.int64 if any(op is x for x in integer) else np.longdouble)
+                assert v.dtype == (np.int64 if any(op is x for x in integer) else np.float64)
             assert not v.flags.writeable
-    # A float or complex multiple of an integer band is formed in extended
-    # precision, with the values the np.longdouble band gave.
+    # A float or complex multiple of an integer band is float64 or complex128,
+    # with the values the float64 band gives.
     for c in (0.1, -1.0 / 3.0, 1e300, 2.5 + 0.7j):
         for op in integer:
             scaled = (c * op).bands[0]
-            assert scaled.dtype == (np.clongdouble if isinstance(c, complex) else np.longdouble)
-            assert np.array_equal(scaled, c * op.bands[0].astype(np.longdouble))
+            assert scaled.dtype == (np.complex128 if isinstance(c, complex) else np.float64)
+            assert np.array_equal(scaled, c * op.bands[0].astype(np.float64))
             assert np.array_equal((op * c).bands[0], scaled)
 
 

@@ -1,16 +1,18 @@
-"""Real bands stay np.longdouble, and that changes no residual bit.
+"""Real bands stay float64, and that changes no residual bit.
 
-BandOp stores a real vector in np.longdouble and a complex one in
-np.clongdouble.  For finite values, real arithmetic is the real part of the
-complex arithmetic and |x + 0i| = |x|, so every product, sum, adjoint and
-block maximum must come out the same (==) as when every band is forced to
-np.clongdouble.  Block maxima over the kept levels are also checked against
-the dense matrix's top-left block.
+BandOp stores a real vector in float64 and a complex one in complex128: an
+operator's bands take the np.result_type of the vectors it is built from.
+For finite values, real arithmetic is the real part of the complex
+arithmetic and |x + 0i| = |x|, so every product, sum, adjoint and block
+maximum must come out the same (==) as when every band is forced to
+complex128.  Block maxima over the kept levels are also checked against the
+dense matrix's top-left block.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +41,19 @@ def natural_and_forced(bands, dim):
     return BandOp(dim, bands), BandOp(dim, {k: v.astype(complex) for k, v in bands.items()})
 
 
+def band_order_product(x, y):
+    """x @ y as a dense complex matrix: each pair of bands multiplied entry by
+    entry, and the terms summed in the order of x's bands, then y's."""
+    dim = x.dim
+    out = np.zeros((dim, dim), complex)
+    for kx, vx in x.bands.items():
+        for ky, vy in y.bands.items():
+            # Rows i where (i, i + kx) and (i + kx, i + kx + ky) both exist.
+            i = np.arange(max(0, -kx, -kx - ky), dim - max(0, kx, kx + ky))
+            out[i, i + kx + ky] += vx[i - max(0, -kx)] * vy[i + kx - max(0, -ky)]
+    return out
+
+
 def block_top_max(m, top):
     return float(np.abs(m[:top, :top]).max(initial=0.0))
 
@@ -51,7 +66,7 @@ def test_real_bands_give_the_complex_results(seed, lam, dim, headroom):
     y, yc = natural_and_forced(random_bands(rng, lam, dim), dim)
     z, zc = natural_and_forced(random_bands(rng, lam, dim), dim)
     for v in (*x.bands.values(), *y.bands.values()):
-        assert v.dtype in (np.longdouble, np.clongdouble)
+        assert v.dtype in (np.float64, np.complex128)
     r, rc = x @ y - z, xc @ yc - zc
     assert np.array_equal(r.dense(), rc.dense())
     assert np.array_equal(x.dag.dense(), xc.dag.dense())
@@ -63,15 +78,30 @@ def test_real_bands_give_the_complex_results(seed, lam, dim, headroom):
 
 @EXAMPLES
 @given(SEEDS, LAMS, DIMS)
-def test_real_times_real_stays_longdouble(seed, lam, dim):
+def test_real_times_real_stays_float64(seed, lam, dim):
     rng = np.random.default_rng(seed)
     real = BandOp(dim, {k: v.real for k, v in random_bands(rng, lam, dim).items()})
     phased = BandOp.diag(np.exp(2j * np.pi * (np.arange(dim) % lam) / lam))
-    assert all(v.dtype == np.longdouble for v in (real @ real.dag - real).bands.values())
-    assert all(v.dtype == np.clongdouble for v in (real @ phased).bands.values())
+    assert all(v.dtype == np.float64 for v in (real @ real.dag - real).bands.values())
+    assert all(v.dtype == np.complex128 for v in (real @ phased).bands.values())
     # One complex band makes the whole operator complex, so no product inside it mixes types.
     mixed = BandOp(dim, {0: np.ones(dim), 1: np.full(dim - 1, 1j)})
-    assert all(v.dtype == np.clongdouble for v in mixed.bands.values())
+    assert all(v.dtype == np.complex128 for v in mixed.bands.values())
+    # Integer bands stay exact, and a float or complex multiple of them is float64 or complex128.
+    count = BandOp.diag(np.arange(dim))
+    assert count.bands[0].dtype == np.int64
+    assert (0.1 * count).bands[0].dtype == np.float64
+    assert (count * 1j).bands[0].dtype == np.complex128
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.complex128])
+def test_construction_leaves_the_callers_array_writable(dtype):
+    a = np.ones(5, dtype)
+    op = BandOp(6, {1: a})
+    assert a.flags.writeable
+    assert not op.bands[1].flags.writeable
+    a[0] = 2
+    assert op.bands[1][0] == 1
 
 
 @EXAMPLES
@@ -112,20 +142,20 @@ def test_difference_is_sum_with_negated_operand(seed, lam, dim):
 @EXAMPLES
 @given(SEEDS, LAMS, DIMS)
 def test_product_of_mixed_real_and_complex_bands(seed, lam, dim):
-    # A real operator plus a phased one at another offset holds np.longdouble
-    # and np.clongdouble bands side by side; its products are the dense ones.
+    # A real operator plus a phased one at another offset holds float64 and
+    # complex128 bands side by side; its products sum their terms in band order.
     rng = np.random.default_rng(seed)
     k_real, k_phased = (int(k) for k in rng.choice(np.arange(1 - lam, lam), size=2, replace=False))
     phases = np.exp(2j * np.pi * (np.arange(dim - abs(k_phased)) % lam) / lam)
     mixed = BandOp(dim, {k_real: rng.normal(size=dim - abs(k_real))}) + BandOp(
         dim, {k_phased: rng.normal(size=dim - abs(k_phased)) * phases}
     )
-    assert {v.dtype for v in mixed.bands.values()} == {np.dtype(np.longdouble), np.dtype(np.clongdouble)}
+    assert {v.dtype for v in mixed.bands.values()} == {np.dtype(np.float64), np.dtype(np.complex128)}
     y = BandOp(dim, random_bands(rng, lam, dim))
     for left, right in ((mixed, y), (y, mixed), (mixed, mixed)):
         product = left @ right
-        assert all(v.dtype == np.clongdouble for v in product.bands.values())
-        assert np.array_equal(product.dense(), left.dense() @ right.dense())
+        assert all(v.dtype in (np.float64, np.complex128) for v in product.bands.values())
+        assert np.array_equal(product.dense(), band_order_product(left, right))
 
 
 def test_operator_without_bands():

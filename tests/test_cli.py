@@ -487,7 +487,32 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+# Every suite but the parasupersymmetric ones, whose charge alone is built in np.longdouble.
+FLOAT64_SUITES = [
+    "algebra --lambda 5 --alpha 0.3,-0.2,0.4,0.1",
+    "klein --lambda 2 --alpha 0.7",
+    "partners --lambda 5 --alpha 0.3,-0.2,0.4,0.1",
+    "sqm2 --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --mu 3",
+    "pseudo1 --lambda 3 --alpha 0.5,0.1 --c 0.7 --eta 0.4 --phi 1.1",
+    "pseudo2 --lambda 3 --alpha 0.5,0.1 --mu 1 --c -0.6",
+    "ossqm --lambda 3 --alpha 0.5,-1 --xi 0.8 --phi 2.0",
+]
+
+
 class TestFloat64Longdouble:
+    @pytest.mark.parametrize("suite", FLOAT64_SUITES)
+    def test_verify_prints_the_native_bytes(self, capsys, suite):
+        argv = ["verify", "--format", "json", "--dim", "480", "--suite", *suite.split()]
+        src = os.path.dirname(os.path.dirname(cycosc.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", FLOAT64_LONGDOUBLE_SCRIPT, *argv],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        rc, out, _ = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (rc, out)
+        assert rc == 0, out
+
     def test_pssqm_range_error_is_one_line(self):
         # 2 F(n) overflows float64 here, so the range check must come before Q is formed.
         src = os.path.dirname(os.path.dirname(cycosc.__file__))

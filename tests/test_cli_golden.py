@@ -56,19 +56,19 @@ PLAIN = [
 WITH_RESIDUALS = [
     (
         "verify --suite algebra --lambda 4 --alpha 0.3,-0.2,0.4 --format json",
-        0, "7e8af86a2132d47ee02c8f087e719f570c6a5eabd819a36c95caea3b16075903",
+        0, "a4f4d5af62db3aa2b4303ee118deb1aa516d82463794e76c6065519db8a7d37e",
     ),
     (
         "verify --suite klein --lambda 2 --alpha 0.7 --format json",
-        0, "78d0a1e4bcb759cd61be60bf4be666d6d4b268e70cd9ba7f5eab4abd743b49bd",
+        0, "a3e0e7f6b76aa8fc86cfe2d843011c78fa7a55b008c837e2184f34f24de89f14",
     ),
     (
         "verify --suite partners --lambda 4 --alpha 0.3,-0.2,0.4 --format json",
-        0, "b17d6126e9674b26cee2debaeec86800d85c823d564fb228c80a8a359ade3c52",
+        0, "7be11957c5c20c23d92921dc5c248602bea08169db7189cef88567bd648237e8",
     ),
     (
         "verify --suite sqm2 --lambda 3 --alpha 0.5,0.1 --mu 2 --format json",
-        0, "a8377d95e4eb7898071a12a1bd71894f0be524fb633f2a262b52ee118b8cec32",
+        0, "a7e31d0b4e3198c0f419f4e052fd614c6b65e6cdbc9a518af39f1d6bdcff40df",
     ),
     (
         "verify --suite pssqm --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --mu 1 --format json",
@@ -80,15 +80,15 @@ WITH_RESIDUALS = [
     ),
     (
         "verify --suite pseudo1 --lambda 3 --alpha 0.5,0.1 --c 0.7 --eta 0.4 --phi 1.1 --format json",
-        0, "60ee14cb71133b5291014fed1fc7fddab38001488bda33ddec47efdcd347e2a1",
+        0, "fa43c84301c5f07a284a5fbed1fc236e39e29fb99ddec10f7c1d597f59a44e81",
     ),
     (
         "verify --suite pseudo2 --lambda 3 --alpha 0.5,0.1 --mu 1 --c -0.6 --format json",
-        0, "1f40e7f15379e459229bb6e1abf8d70615eee07497906c59028b5812fc4ca1fe",
+        0, "f130df86c3fed2d2ccb769888d715b4eace933f04cc1235de4ba6529a08df57b",
     ),
     (
         "verify --suite ossqm --lambda 3 --alpha 0.5,-1 --xi 0.8 --phi 2.0 --format json",
-        0, "211fd56f9f6e7381a1a6c4e2ffaae8662b71ff29d2f3cda8ca95ae97d2c48fdd",
+        0, "790223c8d06f7d7d2a34e82686e2b364dde80ef6993c79f5b246ae079aa322c1",
     ),
     (
         "variant --kind pssqm --lambda 4 --alpha 0.3,-0.2,0.4 --mu 2 --dim 40",
@@ -100,15 +100,15 @@ WITH_RESIDUALS = [
     ),
     (
         "variant --kind pseudo1 --lambda 3 --alpha 0.5,0.1 --mu 2 --c 1.3 --dim 40",
-        0, "28f77461db0533d50c1cfd972946e32db0083c7a162214f37f33848ea3cbb052",
+        0, "35c5a644c70f60d4c14eec8df65e5fb8659622ade763ddbd8347dadb2e8b255e",
     ),
     (
         "variant --kind pseudo2 --lambda 3 --alpha 0.5,0.1 --r 1.5 --dim 40",
-        0, "a4dd3fcb2a189dd4160214764f7c1368c8ce48e9942e2928c3ba656a219da591",
+        0, "817b4ab3b395d5001f792acfc69e6ad60a0cac33b80f966ea8866efa51985398",
     ),
     (
         "variant --kind ossqm --lambda 3 --alpha 0.4,0.6 --mu 1 --xi 1.2 --phi 0.5 --dim 40",
-        0, "e3620fc0bce7b07b9e1d098e6ca63a5892a9c2a48e9ad7b1b29414217eb5eed8",
+        0, "2daed219302753a5f14c83d805a01c0042726fb2812ae64b9fea739b994f0d25",
     ),
 ]
 
@@ -116,19 +116,19 @@ WITH_RESIDUALS = [
 AT_DIM_480 = [
     (
         "verify --format json --suite algebra --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --dim 480",
-        0, "d1acbd517d06860f1d94abf9c7ec07850edebde9c713ab9336b2dc9f4150cb20",
+        0, "ad600a5cfc6f7f8467dce97e7d33f82b0541e57fcf04fc21f83c19023b010301",
     ),
     (
         "verify --format json --suite partners --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --dim 480",
-        0, "551c0997d313d90a46248da38c374f11bdc6ed2a1f495405d07ea9a510505784",
+        0, "1d532085e79a9ccf87d7c75d64fd6067fdcb43b0745b4c41a0281f2547e0b556",
     ),
     (
         "verify --format json --suite sqm2 --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --mu 3 --dim 480",
-        0, "9c1f52f8897f5eca625f120b5035b3d13c26f565fcdf4780aa81729232e89bcb",
+        0, "75d6d97d234ea6a09b685593c54b5efef9e62e045ca628e767db347bfaf98547",
     ),
     (
         "verify --format json --suite klein --lambda 2 --alpha 0.7 --dim 480",
-        0, "9d3234cf55c8d2f4691ed2b4e90fd4c4351314941ce1f84dc8a208f2324a40e6",
+        0, "5c9942d9e4e01eab765d5991b804209682e454dd94389959551bb23736f3420d",
     ),
     (
         # Exit 1: the order-4 multilinear entry is above its gate at this dim.
@@ -141,15 +141,15 @@ AT_DIM_480 = [
     ),
     (
         "verify --format json --suite pseudo1 --lambda 3 --alpha 0.5,0.1 --c 0.7 --eta 0.4 --phi 1.1 --dim 480",
-        0, "ffe027505dc0549f52a8fc4595c70229747e64dfff73836c2b3e6a7299c0a3ab",
+        0, "cdf743de23de751a51d8fcb2d7afe3d8257163f921e66935ba56064cfad85f58",
     ),
     (
         "verify --format json --suite pseudo2 --lambda 3 --alpha 0.5,0.1 --mu 1 --c -0.6 --dim 480",
-        0, "6053526f506aef4ed6eeff92c05335905c2b7aadade7f42952b3bb1a39d7dabf",
+        0, "d00d582ab915a008d4a01339f78f896b7593f1670551be2c96694844008ab446",
     ),
     (
         "verify --format json --suite ossqm --lambda 3 --alpha 0.5,-1 --xi 0.8 --phi 2.0 --dim 480",
-        0, "4be78deb9fad36bb5d0e3dc424bd7b49fa9721e7ec60cb8884d7303260a7c01d",
+        0, "110f3e7d4b7a3f5c4764c2e1d19b961357204bb74a450f7cbbebe1ee733a0f01",
     ),
 ]
 
@@ -157,27 +157,27 @@ AT_DIM_480 = [
 SQM2_SECTORS = [
     (
         "verify --format json --suite sqm2 --lambda 4 --alpha 0.3,-0.2,0.4 --mu 0 --dim 240",
-        0, "18f8f83ba9e8cab5ca1f0982c5f28d0b8c137470d1e530ac49ceb935ae770067",
+        0, "ec2a48fe461438529c35bd52019f3cf4ab58933e2ae1164082b10b68ddfc737b",
     ),
     (
         "verify --format json --suite sqm2 --lambda 4 --alpha 0.3,-0.2,0.4 --mu 1 --dim 240",
-        0, "6b493da3199c6dd41c7d0d16317bbf8b471da9672636f452513ee0f21012e3bd",
+        0, "75d6d97d234ea6a09b685593c54b5efef9e62e045ca628e767db347bfaf98547",
     ),
     (
         "verify --format json --suite sqm2 --lambda 4 --alpha 0.3,-0.2,0.4 --mu 2 --dim 240",
-        0, "93e1e989438bb783d390c9304de99e24b1e0dc92f5d482df07a43cb2c425b0ee",
+        0, "75d6d97d234ea6a09b685593c54b5efef9e62e045ca628e767db347bfaf98547",
     ),
     (
         "verify --format json --suite sqm2 --lambda 4 --alpha 0.3,-0.2,0.4 --mu 3 --dim 240",
-        0, "7c833fc48d3804f1527022cde478f70a62a6908c7db2921adc1047ad77ccbe42",
+        0, "ec2a48fe461438529c35bd52019f3cf4ab58933e2ae1164082b10b68ddfc737b",
     ),
     (
         "verify --format json --suite sqm2 --lambda 2 --alpha 0.7 --mu 0",
-        0, "c05ebdf889bc21468454c6a94fae8f399920433b1d614d067137f4081de1a32b",
+        0, "a7e31d0b4e3198c0f419f4e052fd614c6b65e6cdbc9a518af39f1d6bdcff40df",
     ),
     (
         "verify --format json --suite sqm2 --lambda 2 --alpha 0.7 --mu 1",
-        0, "c05ebdf889bc21468454c6a94fae8f399920433b1d614d067137f4081de1a32b",
+        0, "a7e31d0b4e3198c0f419f4e052fd614c6b65e6cdbc9a518af39f1d6bdcff40df",
     ),
 ]
 
@@ -185,24 +185,24 @@ SQM2_SECTORS = [
 SMALLEST_DIMS = [
     (
         "verify --format json --suite algebra --lambda 5 --alpha 0.3,-0.2,0.1,0.25 --dim 10",
-        0, "40e998b555a742ab4288da2b0907ee93da77eb7380386a3ae5bc19d6df776680",
+        0, "8324f73b8fe1f47da472fa7703acc0b843ebc07444de5ca9e2e8e6ea838ec550",
     ),
     (
         "verify --format json --suite klein --lambda 2 --alpha 0.5 --dim 4",
-        0, "507eef863df1fa81a6c565b3195bf47339541f6967ebed484cc06d8c46e92e8f",
+        0, "3acbe2adbe10c4d1c14ecca9e97c8190922a414f590069913d8a48b6b37a3c9e",
     ),
     (
         "verify --format json --suite sqm2 --lambda 2 --alpha 0.5 --mu 1 --dim 4",
-        0, "46b3b109183f96cc43578a4138265b5a954ef8968269308423b95127e4cfefd4",
+        0, "9443affb5c091518c76cf9b7765d1d2e704877286fee65e8d31d152ddc0d3ae8",
     ),
     (
         "verify --format json --suite partners --lambda 3 --alpha 0.5,0.25 --dim 6",
-        0, "0591f195934ae36e514966e7e9080de174a19af8247a24052cb5a9f898d9f79c",
+        0, "058ef7486ebe6d1dda7ac77d1caa7429044529649c2deb2e2c90aa4c124ba04c",
     ),
     (
         # Recorded once the spacing claim read 0.0 over a block with one level.
         "verify --format json --suite partners --lambda 2 --alpha 0.5 --dim 4",
-        0, "92953054530a7ba4e9aa2f59dca8fb2fa3f10c4f00a98206636076c064e6e26a",
+        0, "bf623ec00401043722ff60d306f70a42fd0df93bb5dec5668d001e35f9852f57",
     ),
     (
         # Exit 1: Q^4 != 0 fails, as the kept block is too small to hold a nonzero entry.
@@ -215,7 +215,7 @@ SMALLEST_DIMS = [
     ),
     (
         "verify --format json --suite ossqm --lambda 3 --alpha 0.5,-1 --dim 7",
-        0, "4dcaad5297b849e8c4eb99aabe946a899306674cb9dc07041f9b1f17780e54ac",
+        0, "283cf4d496bb4742bfeccb63eb13d04e893edb3b136d783ca2f34b6a811b02a7",
     ),
     (
         "variant --kind pseudo2 --lambda 3 --alpha 0.25,0 --dim 7 --nmax 6",

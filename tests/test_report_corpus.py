@@ -52,33 +52,33 @@ EXTENDED_64 = np.finfo(np.longdouble).nmant == 63
 
 # (suite, dim) -> sha256 of the section's lines.
 DIGESTS = {
-    ("algebra", 60): "f4135d69248b3911bda82f7036f820e0f6613b343048c24e34dbe8506a91c9fe",
-    ("algebra", 240): "4501b7db5f45dc3dafac55993ef5566ac29a9e42e150418032f1bb6f90676001",
-    ("algebra", 480): "ec4ebfa093affbafa2caeea7f91167fa444149b68c20f109a98ccd6efcd830ba",
-    ("klein", 60): "25aea60a441a6833c669e4ffbdbb213efc351fc02cb7e135449f62ceeebc6044",
-    ("klein", 240): "0bea0b6d69c0113d9cbfedf27d325e55f4d65d4bb9430d7f36e44d864c31752d",
-    ("klein", 480): "085382de4daf24a0311314102120fc8b77670c33a0f4c4ed6d82b8ebaa6a0060",
-    ("partners", 60): "432504558da461723ead540760c5834f85b735647517db49234ffb79938d7142",
-    ("partners", 240): "4b58cc599b1bc96371ec23ebcaee99fa8f721c657c09ef2f195e874a027a2469",
-    ("partners", 480): "e5e6da71daeb521cd809fdc177e24e21ef0c6ac7846cf36123e3040016f24382",
-    ("sqm2", 60): "502aea0b3aed786dc4c2c6abafc069f1fefdd7c6644687efbfc0641b966c64b9",
-    ("sqm2", 240): "6ade8e6b1fa179142ddad60da5e979141c5c3fdf9796252bffc9ce464a7ac82f",
-    ("sqm2", 480): "d04c1935174a74ceae654eefd573fd925ecbfe9cc9ffc5bd42ddd8c5b54aa3b1",
-    ("pssqm", 60): "0226320df9d7b3c74f349da68952baac80c036208d09abf0bbacf0865a132753",
-    ("pssqm", 240): "f2d81ba3cb66385fb8931baf6cd1c5a88518d135c7a1dde2c835f3aa87c688b9",
-    ("pssqm", 480): "199c9dbf6ed63d99440fb5bceda77bd8c9a9890385269a259c5a6e717c4594f6",
+    ("algebra", 60): "9172f8db8b5e0e71b5b5dc622eba742141a58500ea4dad1960abda77968e92d4",
+    ("algebra", 240): "ca541859cd5a2a0c439ac689cc0dc450b97dda8a1dae580296d895d01c31ed63",
+    ("algebra", 480): "d9965ee44601aa5a62ab99b0282c0291de82955acc18136def9179642f9fbecd",
+    ("klein", 60): "4c1a720e5f0c6f07aefe1b2ad254fb77c3e35db016397bc6cf0c107e49ab767f",
+    ("klein", 240): "8a83e2a9541f738a9a3d2f416cee07780fa44fb3a804fe64d59e400333977c97",
+    ("klein", 480): "1ed6ebd3f01804748d59ca9919c0672a18bf7cd0b8ceb5d7157b7a4dcce48df6",
+    ("partners", 60): "a37d422a65a04e2d0e7e3a5d5ec1a7a793f84b794a77944bd80ea477542d32e3",
+    ("partners", 240): "873640a1f2f02ef5ccbaee7e0cd77edee3009e2e5ad788220ee284f424c305ed",
+    ("partners", 480): "78e3af0ff761a7c3e3758801a2a82969065d5476a4aafe7ffad354df7cde79da",
+    ("sqm2", 60): "49419861a97745a15423300f536c8949f37ff4f0b9b05e631145cd7de8264fab",
+    ("sqm2", 240): "17a435bb7d56c7c774aea1762a35257e34c1e420a38ab4ffb730ebf0842cbc94",
+    ("sqm2", 480): "def7a6f1ece19adf03f646bd1076abcd14b334adc8e93b12ef6a85b83da69714",
+    ("pssqm", 60): "bd2965b56094866803248a59bab19cedc86075671c5c7b92354a3db057b67095",
+    ("pssqm", 240): "122240d6884da7256c3c700a630d698a8c65c9d2da6e89bca609b8d035710af5",
+    ("pssqm", 480): "7d794746c56bc3cade1390ec2153cd2e6f3f459e30b255d5efd3d2a2b7206a0a",
     ("pssqm-cubic", 60): "80fa8cfc655011b3c1eb6b0d49d2b4265290d33aca03c33159faf6d1fc389f60",
     ("pssqm-cubic", 240): "e442f0e0433d1383e4300418f2613f2d3dbecc2db7a6d2a4fb5455b500bd6655",
     ("pssqm-cubic", 480): "c0ab0f9ab8d64c3c038d62ac878d302c63b24cc6f985672e210b9d4673cebb5f",
-    ("pseudo1", 60): "4a4eaf714ab45699011d8ffc689bbeadcba4ea4eee70d307248ae5abc3ccc757",
-    ("pseudo1", 240): "822154d38a69ef3f8b223fe2a4e7912706ce646e3b458be1f408f3c1352599f5",
-    ("pseudo1", 480): "4a15fdbc7c93bd71a2b28bc9d05b5e504be72fbc91bda75b000b756a0f73da84",
-    ("pseudo2", 60): "4aa90a705f45fa95e003992e379c3a286d4e4d86243f7d4bf3c03fa70c551900",
-    ("pseudo2", 240): "a56c4ef3e7dcdb3fbc0bfd07c0d74164ee93a50a15063c26494743dd9d6fdb3d",
-    ("pseudo2", 480): "1b8d7fca37b00b5b568404e040874a55f6ea88e1e6be945dd31ca1c18509514c",
-    ("ossqm", 60): "ada43915b98337227e7eb2e3a53693c1e071970ad13204c58bb98ed1c94281cc",
-    ("ossqm", 240): "f35ddb7c43579fb4233c0a5a6a57bfa502fde51678c86b6c49c1110aaca04a90",
-    ("ossqm", 480): "8687d9778c1fde66132ce1d747150e2ff8988e1126c8fb85a529300ddda2fada",
+    ("pseudo1", 60): "7262ffa3eb651e75b86d86f828bf734bfb74d2981592b428c4a2535ca2279412",
+    ("pseudo1", 240): "59dcc0035c4ec04ea95a3853e6cd0d35349eb729060f1a725e6d5e8e3d98c927",
+    ("pseudo1", 480): "cdfb035854864c6a18a14ba4963538257327c89e19dd0bdf0086642f744433d9",
+    ("pseudo2", 60): "8a99fd9c150e8869c84752ced03c398721b1d5f92f522a0ea5413953b15e380a",
+    ("pseudo2", 240): "04c0a5bdb62a6199c13ff4f01b3a9920358945ef02de9128bd3897bd836e495b",
+    ("pseudo2", 480): "1a4148b5cca0be5cf10720c8dce550bb4987a1d2f77377efc5771c142f85ef57",
+    ("ossqm", 60): "491a432b3ca2a1e09769243d49a11ad82105c7833462a7c0b9f6a8cdada12808",
+    ("ossqm", 240): "1e1b01244100ac0f460dc8dbe3d0886ee3ffae62b5276a3997ca16119e24f68c",
+    ("ossqm", 480): "8eb69d9d8723376c5204d4bbf4ff5633475354de5f0e6d941288cb0bbf56e0e5",
 }
 
 

@@ -140,13 +140,13 @@ class TestHierarchyTable:
             for got, want in ((ladder.a, single.a), (ladder.adag, single.adag)):
                 assert got.bands.keys() == want.bands.keys()
                 for k, v in got.bands.items():
-                    assert v.dtype == want.bands[k].dtype == np.longdouble
+                    assert v.dtype == want.bands[k].dtype == np.float64
                     assert np.array_equal(v, want.bands[k])
                     assert not v.flags.writeable
         fvals = structure_values(params, dim - 1 + lam)
         for mu, hm in enumerate(h.hmats):
             assert list(hm.bands) == [0]
-            assert hm.bands[0].dtype == np.longdouble
+            assert hm.bands[0].dtype == np.float64
             assert np.array_equal(hm.bands[0], fvals[mu : mu + dim])
             assert not hm.bands[0].flags.writeable
 
