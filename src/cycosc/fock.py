@@ -96,11 +96,6 @@ class TruncatedRep:
     tmat: BandOp
 
 
-def _peak(values) -> float:
-    """The largest of values (0.0 if none), NaN if any is NaN, which max() alone may skip."""
-    return float(max(values, key=lambda x: (x != x, x), default=0.0))
-
-
 @dataclass(eq=False)
 class BandOp:
     """A square operator as a sum of weighted shifts, each stored as its diagonal.
@@ -109,7 +104,9 @@ class BandOp:
     entries, entry j at row j + max(0, -k); a band of any other shape is a
     ValueError.  Every operator of the algebra has at most two bands, so a
     product or a block maximum costs O(dim) per pair of bands instead of a
-    dense O(dim^3) matmul.
+    dense O(dim^3) matmul.  BandOp.stack gives every band a leading sector
+    axis, shape (S, dim - |k|): S operators evaluated as one, whose products,
+    sums and block maximum cover all sectors at once.
     An operator's vectors are read-only and share one type, the np.result_type
     of the vectors it was built from: np.int64 for the integer operators (N,
     P_mu, I), float64 for real ones, complex128 where a phase enters, and
@@ -145,7 +142,7 @@ class BandOp:
 
     @classmethod
     def of(cls, m: np.ndarray) -> BandOp:
-        """The nonzero diagonals of any square array, copied and promoted exactly (for injected matrices)."""
+        """The nonzero diagonals of any square array, copied (for injected matrices)."""
         rows, cols = np.nonzero(m)
         offsets = np.unique(cols - rows).tolist()
         return cls(len(m), {k: np.diagonal(m, k).copy() for k in offsets})
@@ -154,6 +151,30 @@ class BandOp:
     def diag(cls, v: np.ndarray) -> BandOp:
         """The diagonal operator with entries v."""
         return cls(len(v), {0: v})
+
+    @classmethod
+    def stack(cls, ops) -> BandOp:
+        """The operators as the sectors of one, in order, over the union of their offsets.
+
+        Band k is (len(ops), dim - |k|), with zeros where an operator has no
+        band k, in the np.result_type of all the operators' vectors; the bands
+        are in the order of their offsets.
+        """
+        dim = ops[0].dim
+        vectors = [v for op in ops for v in op.bands.values()]
+        dtype = np.result_type(*vectors) if vectors else None
+        offsets = sorted({k for op in ops for k in op.bands})
+        return cls.wrap(
+            dim,
+            {
+                k: np.stack([op.bands.get(k, np.zeros(dim - abs(k), dtype)) for op in ops]).astype(dtype, copy=False)
+                for k in offsets
+            },
+        )
+
+    def take(self, sectors) -> BandOp:
+        """The operator of the given sectors, in that order (an index array over the sector axis)."""
+        return BandOp.wrap(self.dim, {k: v[sectors] for k, v in self.bands.items()})
 
     def dense(self) -> np.ndarray:
         """The dim x dim matrix, complex128 unless a band is wider."""
@@ -174,7 +195,7 @@ class BandOp:
 
     def __matmul__(self, other: BandOp) -> BandOp:
         # (x y)[i, i + kx + ky] = x[i, i + kx] y[i + kx, i + kx + ky], and band
-        # k holds row i at entry i - max(0, -k).
+        # k holds row i at entry i - max(0, -k), in every sector.
         dim = self.dim
         out = {}
         for kx, vx in self.bands.items():
@@ -185,21 +206,22 @@ class BandOp:
                 if lo >= hi:
                     continue
                 sx, sy, s = max(0, -kx), max(0, -ky) - kx, max(0, -k)
-                term = vx[lo - sx : hi - sx] * vy[lo - sy : hi - sy]
+                term = vx[..., lo - sx : hi - sx] * vy[..., lo - sy : hi - sy]
                 # A band's first term is stored as it is where it fills the band,
-                # else put into zeros; a later term adds in place, after promoting
-                # the band if the term's type is wider.
+                # else put into zeros; a later term adds in place, after widening
+                # the band if the term has more sectors or a wider type.
                 w = out.get(k)
                 if w is None:
                     if hi - lo == dim - abs(k):
                         out[k] = term
                     else:
-                        w = out[k] = np.zeros(dim - abs(k), term.dtype)
-                        w[lo - s : hi - s] = term
+                        w = out[k] = np.zeros(term.shape[:-1] + (dim - abs(k),), term.dtype)
+                        w[..., lo - s : hi - s] = term
                     continue
-                if w.dtype != term.dtype and not np.can_cast(term.dtype, w.dtype):
-                    w = out[k] = w.astype(term.dtype)
-                w[lo - s : hi - s] += term
+                if w.ndim < term.ndim or w.dtype != term.dtype and not np.can_cast(term.dtype, w.dtype):
+                    sectors = np.broadcast_shapes(w.shape[:-1], term.shape[:-1])
+                    w = out[k] = np.broadcast_to(w, sectors + w.shape[-1:]).astype(np.result_type(w, term))
+                w[..., lo - s : hi - s] += term
         return BandOp.wrap(dim, out)
 
     def __add__(self, other: BandOp) -> BandOp:
@@ -224,7 +246,7 @@ class BandOp:
     __rmul__ = __mul__
 
     def block_max(self, top: int) -> float:
-        """Max absolute entry (i, j) with i, j < top.
+        """Max absolute entry (i, j) with i, j < top, over every sector.
 
         NaN when any of those entries is NaN, so a non-finite residual fails.
         Rounding to float64 is monotone and symmetric, so the float64 maximum
@@ -233,7 +255,7 @@ class BandOp:
         peak = 0.0
         for k, v in self.bands.items():
             if top > abs(k):
-                m = float(np.maximum.reduce(np.abs(v[: top - abs(k)])))
+                m = float(np.maximum.reduce(np.abs(v[..., : top - abs(k)]), axis=None))
                 if m != m:
                     return m
                 if m > peak:
@@ -271,8 +293,8 @@ def kept_levels(dim: int, degree: int) -> int:
 def relation_report(relations, dim: int, degree: int, tol: float) -> RelationReport:
     """Report over (name, residual[, nonzero]) tuples, in the order given.
 
-    A residual is a dim x dim BandOp or a list of them (the largest counts),
-    measured on the kept levels of its degree, or a float measured by the
+    A residual is a dim x dim BandOp, measured on the kept levels of its
+    degree in every sector (the largest counts), or a float measured by the
     caller.  nonzero=True asserts the operator is not negligible, so that
     entry passes when its residual exceeds tol.  The headroom reported is the
     number of levels dropped.
@@ -281,9 +303,7 @@ def relation_report(relations, dim: int, degree: int, tol: float) -> RelationRep
     entries = []
     for name, resid, *nonzero in relations:
         if isinstance(resid, BandOp):
-            resid = [resid]
-        if not isinstance(resid, float):
-            resid = _peak(op.block_max(top) for op in resid)
+            resid = resid.block_max(top)
         flag = bool(nonzero) and nonzero[0]
         entries.append(RelationEntry(name, resid, resid > tol if flag else resid <= tol, flag))
     return RelationReport(entries=tuple(entries), headroom=dim - top, tol=tol)
@@ -371,6 +391,12 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     dim = rep.dim
     alpha = rep.params.alpha
     a, adag, nmat, tmat, proj = rep.a, rep.adag, rep.nmat, rep.tmat, rep.proj
+    # The projectors as the sectors of one operator, so that each family of
+    # relations over mu, or over (mu, nu) in sector mu lam + nu, is one product.
+    sectors = np.arange(lam)
+    proj_mu = BandOp.stack(proj)
+    pm, pn = proj_mu.take(np.repeat(sectors, lam)), proj_mu.take(np.tile(sectors, lam))
+    delta = np.eye(lam, dtype=np.int64).reshape(-1, 1)
     eye = BandOp.diag(np.ones(dim, np.int64))
     fvals = structure_values(rep.params, dim)
     tpow = tmat
@@ -380,24 +406,14 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     a_adag, adag_a = a @ adag, adag @ a
     relations = [
         ("[N, adag] = adag", commutator(nmat, adag) - adag),
-        ("[N, P_mu] = 0", [commutator(nmat, p) for p in proj]),
+        ("[N, P_mu] = 0", commutator(nmat, proj_mu)),
         ("sum_mu P_mu = I", sum(proj) - eye),
         (
             "[a, adag] = I + sum alpha_mu P_mu",
             a_adag - adag_a - (eye + sum(alpha[mu] * proj[mu] for mu in range(lam))),
         ),
-        (
-            "adag P_mu = P_{mu+1} adag",
-            [adag @ proj[mu] - proj[(mu + 1) % lam] @ adag for mu in range(lam)],
-        ),
-        (
-            "P_mu P_nu = delta_{mu,nu} P_mu",
-            [
-                pm @ pn - pm if mu == nu else pm @ pn
-                for mu, pm in enumerate(proj)
-                for nu, pn in enumerate(proj)
-            ],
-        ),
+        ("adag P_mu = P_{mu+1} adag", adag @ proj_mu - proj_mu.take(np.roll(sectors, -1)) @ adag),
+        ("P_mu P_nu = delta_{mu,nu} P_mu", pm @ pn - delta * pm),
         ("adag a = F(N)", adag_a - BandOp.diag(fvals[:dim])),
         ("a adag = F(N+1)", a_adag - BandOp.diag(fvals[1:])),
         ("T^lam = I", tpow - eye),

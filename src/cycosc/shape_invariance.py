@@ -164,6 +164,6 @@ def sqm2_check(h: Hierarchy, mu: int, tol: float = 1e-12) -> RelationReport:
         # [H, Q] is nonzero only in Q's block.
         ("[H, Q] = 0", H1 @ A - A @ H0),
         # {Q, Qdag} = diag(Adag A, A Adag).
-        ("{Q, Qdag} = H", [Adag @ A - H0, A @ Adag - H1]),
+        ("{Q, Qdag} = H", BandOp.stack([Adag @ A - H0, A @ Adag - H1])),
     ]
     return relation_report(relations, h.dim, 2, tol)
