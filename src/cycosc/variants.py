@@ -192,8 +192,9 @@ def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationRep
     """Verify nilpotency at order p + 1 and the order-p multilinear relation.
 
     Every entry is evaluated from the bands of sol.Q and sol.H, whatever their
-    band structure, on the levels kept at degree p + 1: in np.longdouble for
-    the charge of pssqm_build, [H, Q] difference-first (fock.commutator).
+    band structure, on the levels kept at degree p + 1, in the charge's type
+    (np.longdouble for pssqm_build's); [H, Q] is taken difference-first
+    (fock.commutator).
     With the extended-precision charge of pssqm_build the order-4 relation
     stays below 1e-10 where np.longdouble is wider than float64; where it is
     float64 its floor is 1e-10 to 2e-10.
@@ -230,7 +231,7 @@ def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationRepor
     this and the multilinear relation hold is empirical data, not an assertion.
     A vanishing charge satisfies the relation trivially, so the report also
     carries a nonzero-charge entry flagging that degenerate case.  Evaluated
-    band by band in the charge's np.longdouble, as in pssqm_check.
+    band by band in the charge's type, as in pssqm_check.
     """
     if sol.kind != KIND_PSSQM:
         raise DomainError(f"expected a {KIND_PSSQM} solution, got {sol.kind}")
@@ -349,7 +350,7 @@ def pseudo_check(sol: VariantSolution, c: float, tol: float = 1e-10) -> Relation
 
     [H, Q] is taken difference-first (fock.commutator) and the last relation
     bracket first, as Q (Qdag Q - 4 c^2 H).  At dim 480 that entry sits at its
-    float64 floor, about 1e-10 to 2.4e-10 against the default 1e-10.
+    float64 floor, up to about 2.4e-10 against the default 1e-10.
     """
     if sol.kind not in (KIND_PSEUDO1, KIND_PSEUDO2):
         raise DomainError(f"expected a pseudosupersymmetric solution, got {sol.kind}")

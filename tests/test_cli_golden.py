@@ -1,9 +1,9 @@
 """Golden CLI output: the sha256 of stdout and the exit code of fixed commands.
 
 A change meant to leave the CLI's bytes alone (a refactor or a speed-up) must
-keep every digest.  Commands whose output carries relation residuals depend on
-the width of np.longdouble, so their digests are checked only where it has a
-64-bit mantissa (x86-64), where they were recorded.
+keep every digest.  Commands whose output carries relation residuals are
+checked only where np.longdouble has a 64-bit mantissa (x86-64), where they
+were recorded: the parasupersymmetric residuals depend on its width.
 
 Run as a script, this file prints (argv, exit code, sha256) for every pinned
 command, so digests are recorded by running it at the commit whose output
