@@ -101,17 +101,20 @@ class BandOp:
     """A square operator as a sum of weighted shifts, each stored as its diagonal.
 
     bands maps an offset k to the diagonal v = np.diagonal(m, k): dim - |k|
-    entries, entry j at row j + max(0, -k); a band of any other shape is a
-    ValueError.  Every operator of the algebra has at most two bands, so a
-    product or a block maximum costs O(dim) per pair of bands instead of a
-    dense O(dim^3) matmul.  BandOp.stack gives every band a leading sector
-    axis, shape (S, dim - |k|): S operators evaluated as one, whose products,
-    sums and block maximum cover all sectors at once.
+    entries, entry j at row j + max(0, -k).  Every operator of the algebra has
+    at most two bands, so a product or a block maximum costs O(dim) per pair
+    of bands instead of a dense O(dim^3) matmul.  A band may also carry a
+    leading sector axis, shape (S, dim - |k|), as BandOp.stack builds it: S
+    operators evaluated as one, whose products, sums and block maximum cover
+    all sectors at once, with a band of shape (dim - |k|,) shared by every
+    sector.  A band of any other shape, or two sector counts, is a ValueError.
     An operator's vectors are read-only and share one type, the np.result_type
     of the vectors it was built from: np.int64 for the integer operators (N,
     P_mu, I), float64 for real ones, complex128 where a phase enters, and
-    np.longdouble only for the parasupercharge, which is built in it.  Products,
-    sums and scalar multiples take numpy's promotion of their operands.
+    np.longdouble only for the parasupercharge, which is built in it.  A product
+    has one type too, numpy's promotion of its operands' types; sums and
+    scalar multiples promote band by band, so a sum may hold real and complex
+    bands side by side.
     """
 
     dim: int
@@ -122,9 +125,11 @@ class BandOp:
     def __post_init__(self):
         bands = {k: np.asarray(v) for k, v in self.bands.items()}
         dtype = np.result_type(*bands.values()) if bands else None
+        sectors = {v.shape[:-1] for v in bands.values()} - {()}
         for k, v in bands.items():
-            if v.shape != (self.dim - abs(k),):
-                raise ValueError(f"band {k} needs shape ({self.dim - abs(k)},) at dim {self.dim}, got {v.shape}")
+            n = self.dim - abs(k)
+            if v.ndim > 2 or v.shape[-1:] != (n,) or len(sectors) > 1:
+                raise ValueError(f"band {k} needs shape ({n},) or (S, {n}), one S for all bands, got {v.shape}")
             # A writable band is the caller's array: copied, so that freezing it
             # leaves the caller's array as it was.
             if v.dtype != dtype or v.flags.writeable:
@@ -160,17 +165,12 @@ class BandOp:
         band k, in the np.result_type of all the operators' vectors; the bands
         are in the order of their offsets.
         """
-        dim = ops[0].dim
-        vectors = [v for op in ops for v in op.bands.values()]
-        dtype = np.result_type(*vectors) if vectors else None
-        offsets = sorted({k for op in ops for k in op.bands})
-        return cls.wrap(
-            dim,
-            {
-                k: np.stack([op.bands.get(k, np.zeros(dim - abs(k), dtype)) for op in ops]).astype(dtype, copy=False)
-                for k in offsets
-            },
-        )
+        dim, stacked = ops[0].dim, {}
+        dtype = np.result_type(*[v for op in ops for v in op.bands.values()] or [np.int64])
+        for k in sorted({k for op in ops for k in op.bands}):
+            zero = np.zeros(dim - abs(k), dtype)
+            stacked[k] = np.stack([op.bands.get(k, zero) for op in ops]).astype(dtype, copy=False)
+        return cls.wrap(dim, stacked)
 
     def take(self, sectors) -> BandOp:
         """The operator of the given sectors, in that order (an index array over the sector axis)."""
@@ -222,6 +222,10 @@ class BandOp:
                     sectors = np.broadcast_shapes(w.shape[:-1], term.shape[:-1])
                     w = out[k] = np.broadcast_to(w, sectors + w.shape[-1:]).astype(np.result_type(w, term))
                 w[..., lo - s : hi - s] += term
+        # One type per operator, as in construction: a complex band widens them all.
+        if len({w.dtype for w in out.values()}) > 1:
+            dtype = np.result_type(*out.values())
+            out = {k: w.astype(dtype) for k, w in out.items()}
         return BandOp.wrap(dim, out)
 
     def __add__(self, other: BandOp) -> BandOp:
@@ -277,7 +281,7 @@ def commutator(x: BandOp, y: BandOp) -> BandOp:
     if d is not None:
         for k, v in y.bands.items():
             # Band k holds rows max(0, -k).. against columns max(0, k)..
-            out.bands[k] = (d[max(0, -k) : dim - max(0, k)] - d[max(0, k) : dim - max(0, -k)]) * v
+            out.bands[k] = (d[..., max(0, -k) : dim - max(0, k)] - d[..., max(0, k) : dim - max(0, -k)]) * v
     off = {k: v for k, v in x.bands.items() if k != 0}
     if off:
         off = BandOp.wrap(dim, off)

@@ -7,6 +7,7 @@ block maximum of a stacked operator must give, sector by sector, the values
 sectors in the order given.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycosc import BandOp
+from cycosc.fock import commutator
 
 EXAMPLES = settings(max_examples=40, deadline=None)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -57,6 +59,9 @@ def test_stacked_arithmetic_is_per_sector(seed, dim, count):
         assert_same_values(sector(x, s), xs[s])
         assert_same_values(sector(x @ y - 0.5 * x, s), xs[s] @ ys[s] - 0.5 * xs[s])
         assert_same_values(sector(x @ z + z @ x.dag, s), xs[s] @ z + z @ xs[s].dag)
+        assert_same_values(sector(commutator(x, z), s), commutator(xs[s], z))
+        assert_same_values(sector(commutator(z, y), s), commutator(z, ys[s]))
+        assert_same_values(sector(commutator(x, y), s), commutator(xs[s], ys[s]))
     assert (x @ y).block_max(top) == max((xs[s] @ ys[s]).block_max(top) for s in range(count))
 
 
@@ -97,3 +102,17 @@ def test_product_widens_a_band_to_the_sectors_of_a_later_term():
     assert product.bands[0].shape == (3, dim)
     for s in range(3):
         assert_same_values(sector(product, s), (z + xs[s]) @ w)
+
+
+def test_construction_accepts_a_stacked_operator():
+    rng = np.random.default_rng(3)
+    stacked = BandOp.stack([random_op(rng, 7) for _ in range(3)]) + random_op(rng, 7)
+    for op in (BandOp(7, stacked.bands), dataclasses.replace(stacked)):
+        for k, v in stacked.bands.items():
+            assert np.array_equal(op.bands[k], v)
+
+
+@pytest.mark.parametrize("shapes", [{0: (2, 6), 1: (3, 5)}, {0: (1, 2, 6)}, {1: (2, 6)}])
+def test_construction_rejects_mismatched_sectors_and_shapes(shapes):
+    with pytest.raises(ValueError, match=r"^band -?\d+ needs shape"):
+        BandOp(6, {k: np.ones(shape) for k, shape in shapes.items()})
