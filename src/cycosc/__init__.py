@@ -4,8 +4,9 @@ The package builds the ladder, number and projector operators, the partner
 Hamiltonians and the super-, para-, pseudo- and orthosupersymmetric charges as
 weighted shifts (BandOp: coefficient vectors at fixed diagonal offsets, in
 np.int64 for the integer operators, float64, or complex128 where a phase
-enters; the parasupercharge alone is built in np.longdouble), checks their
-defining relations band by band, and computes and classifies oscillator
+enters; the parasupercharge alone is built in np.longdouble, and one
+pseudosupersymmetric relation is evaluated in it), checks their defining
+relations band by band, and computes and classifies oscillator
 spectra.  Dense matrices are made only for dumps.
 
 Names are exported lazily: `cycosc.X` imports the module defining X on first

@@ -19,8 +19,9 @@ its order-p relation cancels p + 1 terms of ~2 F(n)^{p/2} (1e6 at p = 4,
 dim = 60), so one float64 rounding per entry would leave ~2e-10 however it is
 evaluated.  Where np.longdouble is float64 (not x86-64), that floor returns
 at order 4.  Each [H, Q] = 0 takes the difference of two H levels before it
-multiplies Q's entry (fock.commutator), and Q Qdag Q = 4 c^2 Q H is
-evaluated bracket first, as Q (Qdag Q - 4 c^2 H).
+multiplies Q's entry (fock.commutator).  Q Qdag Q = 4 c^2 Q H is evaluated
+in np.longdouble from the float64 charge (pseudo_check), as it sits at its
+float64 floor at dim 480.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class VariantSolution:
     Q's bands hold float64 or complex128 values, except the parasupercharge's,
     computed in np.longdouble to check its order-p relations below the float64
     floor.  H is diagonal with float64 entries, and so the relations of every
-    other charge are evaluated in float64 or complex128.
+    other charge are evaluated in float64 or complex128, except pseudo_check's
+    Q Qdag Q = 4 c^2 Q H, which promotes the charge to np.longdouble.
     """
 
     kind: str
@@ -346,19 +348,24 @@ def equal_spacing_r(params: AlgebraParams, mu: int) -> float:
 
 
 def pseudo_check(sol: VariantSolution, c: float, tol: float = 1e-10) -> RelationReport:
-    """Verify Q^2 = 0, [H, Q] = 0, and Q Qdag Q = 4 c^2 Q H, in float64 or complex128.
+    """Verify Q^2 = 0, [H, Q] = 0, and Q Qdag Q = 4 c^2 Q H.
 
-    [H, Q] is taken difference-first (fock.commutator) and the last relation
-    bracket first, as Q (Qdag Q - 4 c^2 H).  At dim 480 that entry sits at its
-    float64 floor, up to about 2.4e-10 against the default 1e-10.
+    Q^2 and [H, Q] are evaluated in the charge's type, float64 or complex128,
+    [H, Q] difference-first (fock.commutator).  The last entry is evaluated in
+    np.longdouble: at dim 480 it sits at the floor that the float64 charge
+    entries set (q^2 within a few ulp of 4 c^2 F, times |q|), 1e-10 to 2e-10
+    against the default 1e-10, and float64 arithmetic would add rounding of
+    that size and move parameters near the gate across it.
     """
     if sol.kind not in (KIND_PSEUDO1, KIND_PSEUDO2):
         raise DomainError(f"expected a pseudosupersymmetric solution, got {sol.kind}")
     Q, H = sol.Q, sol.H
+    # Promoted to extended precision: a multiple by 1 is exact.
+    qx, hx = Q * np.longdouble(1), H * np.longdouble(1)
     relations = [
         ("Q^2 = 0", Q @ Q),
         ("[H, Q] = 0", commutator(H, Q)),
-        ("Q Qdag Q = 4 c^2 Q H", Q @ (Q.dag @ Q - 4.0 * c * c * H)),
+        ("Q Qdag Q = 4 c^2 Q H", qx @ qx.dag @ qx - 4.0 * c * c * (qx @ hx)),
     ]
     return relation_report(relations, sol.dim, 3, tol)
 

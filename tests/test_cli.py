@@ -488,6 +488,8 @@ sys.exit(main(sys.argv[1:]))
 
 
 # Every suite but the parasupersymmetric ones, whose charge alone is built in np.longdouble.
+# The pseudosupersymmetric suites evaluate one entry in it, whose residual alone may move.
+EXTENDED_ENTRY = "Q Qdag Q = 4 c^2 Q H"
 FLOAT64_SUITES = [
     "algebra --lambda 5 --alpha 0.3,-0.2,0.4,0.1",
     "klein --lambda 2 --alpha 0.7",
@@ -510,8 +512,15 @@ class TestFloat64Longdouble:
             env=dict(os.environ, PYTHONPATH=src),
         )
         rc, out, _ = run(capsys, *argv)
-        assert (proc.returncode, proc.stdout) == (rc, out)
-        assert rc == 0, out
+        assert proc.returncode == rc == 0, out
+        if not suite.startswith("pseudo"):
+            assert proc.stdout == out
+        aliased, native = json.loads(proc.stdout), json.loads(out)
+        for doc in (aliased, native):
+            for r in doc["relations"]:
+                if r["name"] == EXTENDED_ENTRY:
+                    r["residual"] = None
+        assert aliased == native
 
     def test_pssqm_range_error_is_one_line(self):
         # 2 F(n) overflows float64 here, so the range check must come before Q is formed.

@@ -3,7 +3,8 @@
 A change meant to leave the CLI's bytes alone (a refactor or a speed-up) must
 keep every digest.  Commands whose output carries relation residuals are
 checked only where np.longdouble has a 64-bit mantissa (x86-64), where they
-were recorded: the parasupersymmetric residuals depend on its width.
+were recorded: the parasupersymmetric residuals and the pseudosupersymmetric
+Q Qdag Q = 4 c^2 Q H entry are evaluated in it.
 
 Run as a script, this file prints (argv, exit code, sha256) for every pinned
 command, so digests are recorded by running it at the commit whose output
@@ -80,11 +81,11 @@ WITH_RESIDUALS = [
     ),
     (
         "verify --suite pseudo1 --lambda 3 --alpha 0.5,0.1 --c 0.7 --eta 0.4 --phi 1.1 --format json",
-        0, "fa43c84301c5f07a284a5fbed1fc236e39e29fb99ddec10f7c1d597f59a44e81",
+        0, "60ee14cb71133b5291014fed1fc7fddab38001488bda33ddec47efdcd347e2a1",
     ),
     (
         "verify --suite pseudo2 --lambda 3 --alpha 0.5,0.1 --mu 1 --c -0.6 --format json",
-        0, "f130df86c3fed2d2ccb769888d715b4eace933f04cc1235de4ba6529a08df57b",
+        0, "1f40e7f15379e459229bb6e1abf8d70615eee07497906c59028b5812fc4ca1fe",
     ),
     (
         "verify --suite ossqm --lambda 3 --alpha 0.5,-1 --xi 0.8 --phi 2.0 --format json",
@@ -100,11 +101,11 @@ WITH_RESIDUALS = [
     ),
     (
         "variant --kind pseudo1 --lambda 3 --alpha 0.5,0.1 --mu 2 --c 1.3 --dim 40",
-        0, "35c5a644c70f60d4c14eec8df65e5fb8659622ade763ddbd8347dadb2e8b255e",
+        0, "28f77461db0533d50c1cfd972946e32db0083c7a162214f37f33848ea3cbb052",
     ),
     (
         "variant --kind pseudo2 --lambda 3 --alpha 0.5,0.1 --r 1.5 --dim 40",
-        0, "817b4ab3b395d5001f792acfc69e6ad60a0cac33b80f966ea8866efa51985398",
+        0, "a4dd3fcb2a189dd4160214764f7c1368c8ce48e9942e2928c3ba656a219da591",
     ),
     (
         "variant --kind ossqm --lambda 3 --alpha 0.4,0.6 --mu 1 --xi 1.2 --phi 0.5 --dim 40",
@@ -141,11 +142,11 @@ AT_DIM_480 = [
     ),
     (
         "verify --format json --suite pseudo1 --lambda 3 --alpha 0.5,0.1 --c 0.7 --eta 0.4 --phi 1.1 --dim 480",
-        0, "cdf743de23de751a51d8fcb2d7afe3d8257163f921e66935ba56064cfad85f58",
+        0, "0c2a64934b564861502c9f7582029bfab2a102ae2e79be9214568bdb97a83440",
     ),
     (
         "verify --format json --suite pseudo2 --lambda 3 --alpha 0.5,0.1 --mu 1 --c -0.6 --dim 480",
-        0, "d00d582ab915a008d4a01339f78f896b7593f1670551be2c96694844008ab446",
+        0, "6053526f506aef4ed6eeff92c05335905c2b7aadade7f42952b3bb1a39d7dabf",
     ),
     (
         "verify --format json --suite ossqm --lambda 3 --alpha 0.5,-1 --xi 0.8 --phi 2.0 --dim 480",

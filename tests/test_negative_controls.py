@@ -1,11 +1,11 @@
-"""Faults that every difference-first entry must catch.
+"""Faults that every difference-first or extended-precision entry must catch.
 
-[N, adag] = adag, [N, P_mu] = 0, every [H, Q] = 0 (fock.commutator) and
-Q Qdag Q = 4 c^2 Q H (bracket first) form the difference of their like terms
-before multiplying by the factor they share, so where the terms cancel they
-leave no rounding at all.  That must not make them unable to fail: each
-fault below, applied once to the built operators, gives its entry a residual
->= 1e-3, and the unfaulted build passes.
+[N, adag] = adag, [N, P_mu] = 0 and every [H, Q] = 0 (fock.commutator) form
+the difference of their like terms before multiplying by the factor they
+share, so where the terms cancel they leave no rounding at all, and
+Q Qdag Q = 4 c^2 Q H is evaluated in np.longdouble.  That must not make them
+unable to fail: each fault below, applied once to the built operators, gives
+its entry a residual >= 1e-3, and the unfaulted build passes.
 """
 
 import dataclasses

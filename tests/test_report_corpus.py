@@ -70,12 +70,12 @@ DIGESTS = {
     ("pssqm-cubic", 60): "80fa8cfc655011b3c1eb6b0d49d2b4265290d33aca03c33159faf6d1fc389f60",
     ("pssqm-cubic", 240): "e442f0e0433d1383e4300418f2613f2d3dbecc2db7a6d2a4fb5455b500bd6655",
     ("pssqm-cubic", 480): "c0ab0f9ab8d64c3c038d62ac878d302c63b24cc6f985672e210b9d4673cebb5f",
-    ("pseudo1", 60): "7262ffa3eb651e75b86d86f828bf734bfb74d2981592b428c4a2535ca2279412",
-    ("pseudo1", 240): "59dcc0035c4ec04ea95a3853e6cd0d35349eb729060f1a725e6d5e8e3d98c927",
-    ("pseudo1", 480): "cdfb035854864c6a18a14ba4963538257327c89e19dd0bdf0086642f744433d9",
-    ("pseudo2", 60): "8a99fd9c150e8869c84752ced03c398721b1d5f92f522a0ea5413953b15e380a",
-    ("pseudo2", 240): "04c0a5bdb62a6199c13ff4f01b3a9920358945ef02de9128bd3897bd836e495b",
-    ("pseudo2", 480): "1a4148b5cca0be5cf10720c8dce550bb4987a1d2f77377efc5771c142f85ef57",
+    ("pseudo1", 60): "537ef2ccf310646d79622893e87739760ec9005d1afcaaaee5814292b5a730f6",
+    ("pseudo1", 240): "24c722abbb5c3f5abfd4b02d094b073d97b0500e301d99f6990d734aee5391df",
+    ("pseudo1", 480): "a2baf6bccca75d1e7e93d0bd14f24e80937e0c2984ffdc9b067ecc6b06fee0b4",
+    ("pseudo2", 60): "4aa90a705f45fa95e003992e379c3a286d4e4d86243f7d4bf3c03fa70c551900",
+    ("pseudo2", 240): "0082e6d34cf94149cc4d015486d7cfc13190a50eff54ffcfc2ed1d067baebc5e",
+    ("pseudo2", 480): "6ad5c53d9764e83e68ce933a81fd8e8ddf4db27cc62b53cc095563d7a6489890",
     ("ossqm", 60): "491a432b3ca2a1e09769243d49a11ad82105c7833462a7c0b9f6a8cdada12808",
     ("ossqm", 240): "1e1b01244100ac0f460dc8dbe3d0886ee3ffae62b5276a3997ca16119e24f68c",
     ("ossqm", 480): "8eb69d9d8723376c5204d4bbf4ff5633475354de5f0e6d941288cb0bbf56e0e5",
