@@ -24,7 +24,7 @@ _EXPORTS = {
         "validate_fock",
     ),
     "fock": (
-        "BandOp", "Ladder", "RelationEntry", "RelationReport", "TruncatedRep",
+        "BandOp", "RelationEntry", "RelationReport", "TruncatedRep",
         "build_rep", "check_relations", "h0", "klein_reduction_check", "rep_to_dict",
     ),
     "shape_invariance": (

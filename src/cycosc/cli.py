@@ -287,25 +287,25 @@ def cmd_hierarchy(args) -> int:
     params = _resolve_params(args)
     _require_levels(args)
     h = cycosc.shape_invariance.build_hierarchy(params, args.dim)
+    energies = h.hmats.real_diagonal()[:, : args.nmax + 1]
     if args.format == "json":
         obj = {
             "params": params_to_dict(params),
             "sectors": [
                 {
                     "sector": mu,
-                    "energies": [float(e) for e in h.hmats[mu].real_diagonal()[: args.nmax + 1]],
+                    "energies": row.tolist(),
                 }
-                for mu in range(h.params.lam + 1)
+                for mu, row in enumerate(energies)
             ],
         }
         _write_json(obj, args.output)
     else:
         with _open_output(args.output) as fh:
             print("sector,n,energy", file=fh)
-            for mu in range(h.params.lam + 1):
-                diag = h.hmats[mu].real_diagonal()
-                for n in range(args.nmax + 1):
-                    print(f"{mu},{n},{_fmt(diag[n])}", file=fh)
+            for mu, row in enumerate(energies):
+                for n, e in enumerate(row):
+                    print(f"{mu},{n},{_fmt(e)}", file=fh)
     return 0
 
 

@@ -76,14 +76,6 @@ class RelationReport:
 
 
 @dataclass(frozen=True)
-class Ladder:
-    """The ladder operators a and adag of one algebra, as weighted shifts."""
-
-    a: BandOp
-    adag: BandOp
-
-
-@dataclass(frozen=True)
 class TruncatedRep:
     """a, adag, N, T and P_mu at truncation dimension dim, as weighted shifts."""
 
@@ -105,9 +97,10 @@ class BandOp:
     at most two bands, so a product or a block maximum costs O(dim) per pair
     of bands instead of a dense O(dim^3) matmul.  A band may also carry a
     leading sector axis, shape (S, dim - |k|), as BandOp.stack builds it: S
-    operators evaluated as one, whose products, sums and block maximum cover
-    all sectors at once, with a band of shape (dim - |k|,) shared by every
-    sector.  A band of any other shape, or two sector counts, is a ValueError.
+    operators evaluated as one, whose products, sums and block maxima cover
+    all sectors at once (sector_max gives one maximum per sector), with a band
+    of shape (dim - |k|,) shared by every sector.  A band of any other shape,
+    or two sector counts, is a ValueError.
     An operator's vectors are read-only and share one type, the np.result_type
     of the vectors it was built from: np.int64 for the integer operators (N,
     P_mu, I), float64 for real ones, complex128 where a phase enters, and
@@ -173,7 +166,8 @@ class BandOp:
         return cls.wrap(dim, stacked)
 
     def take(self, sectors) -> BandOp:
-        """The operator of the given sectors, in that order (an index array over the sector axis)."""
+        """The operator of the given sectors: an index array (in that order) or a slice over
+        the sector axis, or one index, which gives that sector as an unstacked operator."""
         return BandOp.wrap(self.dim, {k: v[sectors] for k, v in self.bands.items()})
 
     def dense(self) -> np.ndarray:
@@ -249,22 +243,26 @@ class BandOp:
 
     __rmul__ = __mul__
 
-    def block_max(self, top: int) -> float:
-        """Max absolute entry (i, j) with i, j < top, over every sector.
+    def sector_max(self, top: int):
+        """Max absolute entry (i, j) with i, j < top of each sector.
 
-        NaN when any of those entries is NaN, so a non-finite residual fails.
-        Rounding to float64 is monotone and symmetric, so the float64 maximum
-        of the rounded moduli is the rounded maximum of the moduli.
+        An array of S maxima for a stacked operator, one scalar for an unstacked
+        one, 0.0 when no band reaches the block.  NaN in a sector when any of
+        its entries there is NaN, so a non-finite residual fails.  Rounding to
+        float64 is monotone and symmetric, so the float64 maximum of the rounded
+        moduli is the rounded maximum of the moduli.
         """
-        peak = 0.0
+        peak = None
         for k, v in self.bands.items():
             if top > abs(k):
-                m = float(np.maximum.reduce(np.abs(v[..., : top - abs(k)]), axis=None))
-                if m != m:
-                    return m
-                if m > peak:
-                    peak = m
-        return peak
+                m = np.maximum.reduce(np.abs(v[..., : top - abs(k)]), axis=-1)
+                peak = m if peak is None else np.maximum(peak, m)
+        return 0.0 if peak is None else peak
+
+    def block_max(self, top: int) -> float:
+        """Max absolute entry (i, j) with i, j < top over every sector: the largest sector_max, NaN if any is."""
+        peak = self.sector_max(top)
+        return float(np.maximum.reduce(peak) if isinstance(peak, np.ndarray) else peak)
 
 
 def commutator(x: BandOp, y: BandOp) -> BandOp:
@@ -325,40 +323,26 @@ def require_dim(lam: int, dim: int) -> None:
         raise DomainError(f"dimension must be >= {2 * lam}, got {dim}")
 
 
-def ladders_from_table(roots: np.ndarray, dim: int) -> tuple[Ladder, ...]:
-    """The ladders read from the rows of a read-only float64 table, one per algebra.
-
-    A row holds sqrt(F(0)), sqrt(F(1)), ...; its entries for n = 1..dim-1 are
-    the one diagonal that a's band +1 and adag's band -1 share.  So a has
-    sqrt(F(n)) at (n-1, n) and adag is its conjugate transpose.
-    """
-    return tuple(Ladder(a=BandOp.wrap(dim, {1: d}), adag=BandOp.wrap(dim, {-1: d})) for d in roots[:, 1:dim])
-
-
-def build_ladder(params: AlgebraParams, dim: int) -> Ladder:
-    """The ladder operators of a valid algebra (see ladders_from_table)."""
-    require_rep(params, dim)
-    roots = np.sqrt(structure_values(params, dim - 1))[None]
-    roots.setflags(write=False)
-    return ladders_from_table(roots, dim)[0]
-
-
 def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
     """Build the truncated representation of a valid algebra.
 
-    a and adag are build_ladder's, N is diagonal, P_mu projects onto levels
-    n = mu mod lam, and T = exp(2i pi N / lam) is built from the phases at
-    n mod lam, so it is exactly lam-periodic.  N and the P_mu are np.int64.
+    a has sqrt(F(n)) at (n-1, n) and adag is its conjugate transpose: a's band
+    +1 and adag's band -1 are one read-only float64 diagonal, sqrt(F(1..dim-1)).
+    N is diagonal, P_mu projects onto levels n = mu mod lam, and
+    T = exp(2i pi N / lam) is built from the phases at n mod lam, so it is
+    exactly lam-periodic.  N and the P_mu are np.int64.
     """
-    ladder = build_ladder(params, dim)
+    require_rep(params, dim)
+    roots = np.sqrt(structure_values(params, dim - 1)[1:])
+    roots.setflags(write=False)
     lam = params.lam
     levels = np.arange(dim)
     classes = levels % lam
     return TruncatedRep(
         params=params,
         dim=dim,
-        a=ladder.a,
-        adag=ladder.adag,
+        a=BandOp.wrap(dim, {1: roots}),
+        adag=BandOp.wrap(dim, {-1: roots}),
         nmat=BandOp.diag(levels),
         proj=tuple(map(BandOp.diag, np.eye(lam, dtype=np.int64)[:, classes])),
         tmat=BandOp.diag(np.exp(2j * np.pi * np.arange(lam) / lam)[classes]),
@@ -401,7 +385,8 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     proj_mu = BandOp.stack(proj)
     pm, pn = proj_mu.take(np.repeat(sectors, lam)), proj_mu.take(np.tile(sectors, lam))
     delta = np.eye(lam, dtype=np.int64).reshape(-1, 1)
-    eye = BandOp.diag(np.ones(dim, np.int64))
+    # Fresh vectors, wrapped as they are.
+    eye = BandOp.wrap(dim, {0: np.ones(dim, np.int64)})
     fvals = structure_values(rep.params, dim)
     tpow = tmat
     for _ in range(lam - 1):
@@ -418,8 +403,8 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
         ),
         ("adag P_mu = P_{mu+1} adag", adag @ proj_mu - proj_mu.take(np.roll(sectors, -1)) @ adag),
         ("P_mu P_nu = delta_{mu,nu} P_mu", pm @ pn - delta * pm),
-        ("adag a = F(N)", adag_a - BandOp.diag(fvals[:dim])),
-        ("a adag = F(N+1)", a_adag - BandOp.diag(fvals[1:])),
+        ("adag a = F(N)", adag_a - BandOp.wrap(dim, {0: fvals[:dim]})),
+        ("a adag = F(N+1)", a_adag - BandOp.wrap(dim, {0: fvals[1:]})),
         ("T^lam = I", tpow - eye),
         ("adag T = exp(-2i pi/lam) T adag", adag @ tmat - w * (tmat @ adag)),
         ("a T = exp(2i pi/lam) T a", a @ tmat - np.conj(w) * (tmat @ a)),

@@ -3,7 +3,10 @@
 The hierarchy realizes H^(mu) = F(N + mu) through the mu-shifted algebras:
 A_mu and Adag_mu are the ladder operators of the algebra with parameters
 rotated by mu, the level spacings are omega_mu = 1 + alpha_mu, and the ground
-energies are the prefix sums E0^(mu) = sum(omega_nu for nu < mu).
+energies are the prefix sums E0^(mu) = sum(omega_nu for nu < mu).  The family
+is held as three stacked operators (fock.BandOp's sector axis): A and Adag
+with sector mu = 0..p-1, and the Hamiltonians with sector mu = 0..p, so each
+factorization is one product over every sector.
 """
 
 from __future__ import annotations
@@ -22,10 +25,8 @@ from .algebra import (
 )
 from .fock import (
     BandOp,
-    Ladder,
     RelationReport,
     kept_levels,
-    ladders_from_table,
     relation_report,
     require_dim,
 )
@@ -33,14 +34,20 @@ from .fock import (
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """Partner chain of period p = params.lam over one truncated Fock tower."""
+    """Partner chain of period p = params.lam over one truncated Fock tower.
+
+    a and adag hold A_mu and Adag_mu as sectors mu = 0..p-1 of one operator
+    each, and hmats holds H^(0)..H^(p) as sectors 0..p of one diagonal
+    operator; take(mu) gives one of them.
+    """
 
     params: AlgebraParams
     dim: int
-    ladders: tuple[Ladder, ...]
+    a: BandOp
+    adag: BandOp
     e0: tuple[float, ...]
     omega: tuple[float, ...]
-    hmats: tuple[BandOp, ...]
+    hmats: BandOp
 
 
 def window_violations(params: AlgebraParams) -> tuple[str, ...]:
@@ -70,9 +77,11 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     F of every shifted algebra comes from one float64 table: row mu is
     n + beta^(mu)_{n mod p}, with beta^(mu) the prefix sums of alpha rotated
     by mu, taken left to right as derived_constants takes them.  The ladders
-    and Hamiltonians are read-only rows of a second float64 table: rows
-    0..p-1 hold the square roots of F of each shifted algebra, and row p holds
-    F itself, from which H^(mu) = F(N + mu) reads dim levels from level mu.
+    and Hamiltonians are views of a second, read-only float64 table: rows
+    0..p-1 hold the square roots of F of each shifted algebra, whose entries
+    for n = 1..dim-1 are the one band that A (offset +1) and Adag (offset -1)
+    share, and row p holds F itself, whose p + 1 windows of dim levels from
+    level mu are H^(mu) = F(N + mu).
     Each shifted algebra's Fock condition F(k) > 0, k = 1..p-1, is read off
     that table, in shift order, before any square root.
     """
@@ -98,48 +107,47 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     table[:p] = np.sqrt(fvals[:, : dim + p])
     table[p] = fvals[0, : dim + p]
     table.setflags(write=False)
+    roots, f = table[:p, 1:dim], table[p]
+    # H^(mu) is the window of dim levels of F from level mu: p + 1 overlapping views.
+    windows = np.lib.stride_tricks.as_strided(f, (p + 1, dim), f.strides * 2, writeable=False)
     return Hierarchy(
         params=params,
         dim=dim,
-        ladders=ladders_from_table(table[:p], dim),
+        a=BandOp.wrap(dim, {1: roots}),
+        adag=BandOp.wrap(dim, {-1: roots}),
         e0=(0.0, *itertools.accumulate(const.omega)),
         omega=const.omega,
-        hmats=tuple(BandOp.wrap(dim, {0: table[p, mu : mu + dim]}) for mu in range(p + 1)),
+        hmats=BandOp.wrap(dim, {0: windows}),
     )
 
 
 def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
-    """Verify both factorizations of every H^(mu) and the cyclic spacings."""
+    """Verify both factorizations of every H^(mu) and the cyclic spacings.
+
+    H^(mu) = Adag_mu A_mu + E0^(mu) for mu = 0..p (A_p = A_0, E0^(0) = 0) and
+    H^(mu) = A_{mu-1} Adag_{mu-1} + E0^(mu-1) for mu = 1..p are one product
+    each over every sector, with E0 subtracted as a column, and each entry is
+    its sector's maximum on the levels kept at degree 2.
+    """
     dim = h.dim
     p = h.params.lam
     H = h.hmats
-    # Adag_0 A_0 enters twice (sectors 0 and p), so every product is formed once.
-    adag_a = [ld.adag @ ld.a for ld in h.ladders]
-    a_adag = [ld.a @ ld.adag for ld in h.ladders]
-    ground = [BandOp.diag(np.full(dim, e)) for e in h.e0]
-    relations = [("H^(0) = Adag_0 A_0", H[0] - adag_a[0])]
+    top = kept_levels(dim, 2)
+    sectors = np.arange(p + 1)
+    ground = np.array(h.e0)[:, None] * BandOp.wrap(dim, {0: np.ones(dim)})
+    # Adag_0 A_0 enters twice (sectors 0 and p), so each product is formed once.
+    down = (H - (h.adag @ h.a).take(sectors % p) - ground).sector_max(top).tolist()
+    up = (H.take(sectors[1:]) - h.a @ h.adag - ground.take(sectors[:-1])).sector_max(top).tolist()
+    relations = [("H^(0) = Adag_0 A_0", down[0])]
     for mu in range(1, p + 1):
-        prev = mu - 1
-        relations.append(
-            (
-                f"H^({mu}) = A_{prev} Adag_{prev} + E0^({prev})",
-                H[mu] - a_adag[prev] - ground[prev],
-            )
-        )
-        relations.append(
-            (
-                f"H^({mu}) = Adag_{mu} A_{mu} + E0^({mu})",
-                H[mu] - adag_a[mu % p] - ground[mu],
-            )
-        )
+        relations.append((f"H^({mu}) = A_{mu - 1} Adag_{mu - 1} + E0^({mu - 1})", up[mu - 1]))
+        relations.append((f"H^({mu}) = Adag_{mu} A_{mu} + E0^({mu})", down[mu]))
 
     # Spacing claim: consecutive diagonal entries of H^(mu) differ by omega cyclically,
     # over the (p + 1, kept levels) table of energies in one pass; 0.0 when the
     # kept block holds one level and so no spacing.
-    top = kept_levels(dim, 2)
-    energies = np.array([hm.real_diagonal()[:top] for hm in H])
-    sectors, levels = np.ogrid[: p + 1, : top - 1]
-    target = np.array(h.omega)[(levels + sectors) % p]
+    energies = H.real_diagonal()[:, :top]
+    target = np.array(h.omega)[(np.arange(top - 1) + sectors[:, None]) % p]
     worst = float(np.abs(np.diff(energies) - target).max(initial=0.0))
     relations.append(("H^(mu) spacings realize omega cyclically", worst))
     return relation_report(relations, dim, 2, tol)
@@ -155,8 +163,10 @@ def sqm2_check(h: Hierarchy, mu: int, tol: float = 1e-12) -> RelationReport:
     """
     if not 0 <= mu < h.params.lam:
         raise DomainError(f"sector must satisfy 0 <= mu < {h.params.lam}, got {mu}")
-    A, Adag = h.ladders[mu].a, h.ladders[mu].adag
-    H0, H1 = (BandOp.diag(h.hmats[nu].real_diagonal() - h.e0[mu]) for nu in (mu, mu + 1))
+    A, Adag = h.a.take(mu), h.adag.take(mu)
+    # Both partners less E0^(mu), as fresh vectors.
+    shifted = h.hmats.take(slice(mu, mu + 2)).real_diagonal() - h.e0[mu]
+    H0, H1 = (BandOp.wrap(h.dim, {0: d}) for d in shifted)
     relations = [
         # Q's one nonzero block maps sector mu into mu + 1 and no block of Q
         # leaves mu + 1, so Q^2 has no block to form.

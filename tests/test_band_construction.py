@@ -72,13 +72,13 @@ def test_hierarchy(lam, dim, seed):
     fvals = structure_values(params, dim - 1 + lam)
     hmats = [np.diag(fvals[mu : mu + dim]) for mu in range(lam + 1)]
     for mu in range(lam + 1):
-        assert np.array_equal(h.hmats[mu].dense(), hmats[mu])
-    # The hierarchy keeps only the ladders of each shifted algebra.
+        assert np.array_equal(h.hmats.take(mu).dense(), hmats[mu])
+    # The hierarchy keeps only the ladders of each shifted algebra, sector mu for algebra mu.
     reps = [dense_rep(cyclic_shift(params, mu), dim) for mu in range(lam)]
-    assert len(h.ladders) == lam
-    for ladder, ref in zip(h.ladders, reps):
-        assert np.array_equal(ladder.a.dense(), ref["a"])
-        assert np.array_equal(ladder.adag.dense(), ref["adag"])
+    assert h.a.bands[1].shape[0] == h.adag.bands[-1].shape[0] == lam
+    for mu, ref in enumerate(reps):
+        assert np.array_equal(h.a.take(mu).dense(), ref["a"])
+        assert np.array_equal(h.adag.take(mu).dense(), ref["adag"])
 
 
 @EXAMPLES
@@ -158,6 +158,6 @@ def test_band_vectors_are_read_only_float64_unless_phased():
 
 def test_hamiltonian_energies_read_back_exactly():
     params = new_params(3, [1.0, -0.5])
-    energies = build_hierarchy(params, 16).hmats[1].real_diagonal()
+    energies = build_hierarchy(params, 16).hmats.take(1).real_diagonal()
     assert energies.dtype == np.float64
     assert np.array_equal(energies, structure_values(params, 16)[1:17])

@@ -16,7 +16,6 @@ import pytest
 
 from cycosc import (
     BandOp,
-    Ladder,
     build_hierarchy,
     build_rep,
     check_relations,
@@ -114,12 +113,13 @@ def test_klein_reduction_check():
 def random_hierarchy(rng, lam):
     """A hierarchy with random full matrices injected, and those matrices."""
     h = build_hierarchy(new_params(lam, [0.4] * (lam - 1)), DIM)
-    ladders = [(random_matrix(rng), random_matrix(rng)) for _ in h.ladders]
-    hmats = [random_matrix(rng) for _ in h.hmats]
+    ladders = [(random_matrix(rng), random_matrix(rng)) for _ in range(lam)]
+    hmats = [random_matrix(rng) for _ in range(lam + 1)]
     h = dataclasses.replace(
         h,
-        ladders=tuple(Ladder(BandOp.of(a), BandOp.of(ad)) for a, ad in ladders),
-        hmats=tuple(BandOp.of(m) for m in hmats),
+        a=BandOp.stack([BandOp.of(a) for a, _ in ladders]),
+        adag=BandOp.stack([BandOp.of(ad) for _, ad in ladders]),
+        hmats=BandOp.stack([BandOp.of(m) for m in hmats]),
     )
     return h, ladders, hmats
 

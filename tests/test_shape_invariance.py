@@ -11,7 +11,6 @@ from cycosc import (
     BandOp,
     DomainError,
     InvalidParamsError,
-    Ladder,
     build_hierarchy,
     build_rep,
     cyclic_shift,
@@ -22,7 +21,6 @@ from cycosc import (
     validate_fock,
     window_violations,
 )
-from cycosc.fock import build_ladder
 from conftest import window_valid_params
 
 
@@ -64,25 +62,25 @@ class TestBuildHierarchy:
         assert h.omega == (1.5, 0.5)
         assert h.e0 == (0.0, 1.5, 2.0)
         assert h.params.lam == 2
-        assert len(h.ladders) == 2
-        assert len(h.hmats) == 3
+        assert h.a.bands[1].shape == h.adag.bands[-1].shape == (2, 15)
+        assert h.hmats.bands[0].shape == (3, 16)
 
     def test_hamiltonians_are_shifted_structure_functions(self):
         params = new_params(3, [0.5, 0.1])
         h = build_hierarchy(params, 12)
         fvals = structure_values(params, 12 + 2)
         for mu in range(4):
-            assert np.array_equal(h.hmats[mu].real_diagonal(), fvals[mu : mu + 12])
+            assert np.array_equal(h.hmats.take(mu).real_diagonal(), fvals[mu : mu + 12])
 
     def test_shifted_reps_carry_rotated_parameters(self):
         # Ladder mu is that of the representation with alpha rotated by mu.
         params = new_params(3, [0.5, 0.1])
         h = build_hierarchy(params, 12)
         assert cyclic_shift(params, 1).alpha == (0.1, -0.6, 0.5)
-        for mu, ladder in enumerate(h.ladders):
+        for mu in range(3):
             rep = build_rep(cyclic_shift(params, mu), 12)
-            assert np.array_equal(ladder.a.dense(), rep.a.dense())
-            assert np.array_equal(ladder.adag.dense(), rep.adag.dense())
+            assert np.array_equal(h.a.take(mu).dense(), rep.a.dense())
+            assert np.array_equal(h.adag.take(mu).dense(), rep.adag.dense())
 
     def test_window_violation_rejected_with_inequality(self):
         with pytest.raises(DomainError, match="alpha_0"):
@@ -133,22 +131,26 @@ class TestHierarchyTable:
         params = window_valid_params(np.random.default_rng(seed), lam)
         dim = data.draw(st.integers(min_value=2 * lam, max_value=120))
         h = build_hierarchy(params, dim)
-        assert len(h.ladders) == lam and len(h.hmats) == lam + 1
-        for mu, ladder in enumerate(h.ladders):
-            single = build_ladder(cyclic_shift(params, mu), dim)
-            assert ladder.a.bands[1] is ladder.adag.bands[-1]
-            for got, want in ((ladder.a, single.a), (ladder.adag, single.adag)):
+        # A and Adag share one band, a view of the table: lam sectors, read-only.
+        assert h.a.bands[1] is h.adag.bands[-1]
+        assert h.a.bands[1].shape == (lam, dim - 1)
+        for mu in range(lam):
+            single = build_rep(cyclic_shift(params, mu), dim)
+            for got, want in ((h.a.take(mu), single.a), (h.adag.take(mu), single.adag)):
                 assert got.bands.keys() == want.bands.keys()
                 for k, v in got.bands.items():
                     assert v.dtype == want.bands[k].dtype == np.float64
                     assert np.array_equal(v, want.bands[k])
                     assert not v.flags.writeable
         fvals = structure_values(params, dim - 1 + lam)
-        for mu, hm in enumerate(h.hmats):
-            assert list(hm.bands) == [0]
-            assert hm.bands[0].dtype == np.float64
-            assert np.array_equal(hm.bands[0], fvals[mu : mu + dim])
-            assert not hm.bands[0].flags.writeable
+        assert list(h.hmats.bands) == [0]
+        assert h.hmats.bands[0].shape == (lam + 1, dim)
+        assert h.hmats.bands[0].dtype == np.float64
+        assert not h.hmats.bands[0].flags.writeable
+        for mu in range(lam + 1):
+            assert np.array_equal(h.hmats.bands[0][mu], fvals[mu : mu + dim])
+        # Every band is a view of the one table: nothing is copied.
+        assert not h.a.bands[1].flags.owndata and not h.hmats.bands[0].flags.owndata
 
 
 class TestPartnerCheck:
@@ -185,7 +187,7 @@ class TestSqm2:
         # Q = [[0, 0], [A_mu, 0]] squares to the zero matrix, which the check reports as 0.0.
         h = build_hierarchy(new_params(3, [0.5, 0.1]), 16)
         zero = np.zeros((16, 16))
-        Q = np.block([[zero, zero], [h.ladders[0].a.dense(), zero]])
+        Q = np.block([[zero, zero], [h.a.take(0).dense(), zero]])
         assert np.abs(Q @ Q).max() == 0.0
         assert sqm2_check(h, 0).residual("Q^2 = 0") == 0.0
 
@@ -221,17 +223,14 @@ class TestSqm2:
         # mirrored into Adag_mu or not, fails the sector.
         h = build_hierarchy(new_params(3, [0.5, 0.1]), 20)
         for mu in range(3):
-            a = h.ladders[mu].a.bands[1].copy()
-            a[level] = fault
-            for ladder in (
-                Ladder(a=BandOp(20, {1: a}), adag=h.ladders[mu].adag),
-                # Adag_mu's band -1 is the same diagonal as A_mu's band 1.
-                Ladder(a=BandOp(20, {1: a}), adag=BandOp(20, {-1: a})),
-            ):
-                ladders = h.ladders[:mu] + (ladder,) + h.ladders[mu + 1 :]
+            a = np.array(h.a.bands[1])
+            a[mu, level] = fault
+            # Adag_mu's band -1 is the same diagonal as A_mu's band 1.
+            for adag in (h.adag, BandOp(20, {-1: a})):
+                faulted = dataclasses.replace(h, a=BandOp(20, {1: a}), adag=adag)
                 # inf - inf and 0 * inf leave NaN residuals, which must fail rather than vanish.
                 with np.errstate(invalid="ignore"):
-                    report = sqm2_check(dataclasses.replace(h, ladders=ladders), mu, 1e-12)
+                    report = sqm2_check(faulted, mu, 1e-12)
                 assert not report.ok
 
     def test_anticommutator_fault_detected(self):
