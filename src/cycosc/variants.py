@@ -37,7 +37,7 @@ from .algebra import (
     derived_constants,
     structure_values,
 )
-from .fock import BandOp, RelationReport, commutator, relation_report, require_rep
+from .fock import BandOp, RelationReport, commutator, kept_levels, relation_report, require_rep
 
 KIND_PSSQM = "pssqm"
 KIND_PSEUDO1 = "pseudo-family1"
@@ -118,6 +118,18 @@ def _require_check_range(c: float, *ladders: np.ndarray):
         raise DomainError(f"c = {c!r} takes pseudo_check's terms beyond float64 range", name="c")
 
 
+def _exact_rows(Q: BandOp, dim: int, degree: int) -> int:
+    """Rows on which truncation leaves every power of Q exact.
+
+    All dim rows when Q is triangular (its offsets share a sign): a product of
+    such factors passes only through levels between its row and its column.
+    Otherwise the levels kept at degree.
+    """
+    if min(Q.bands, default=0) >= 0 or max(Q.bands, default=0) <= 0:
+        return dim
+    return kept_levels(dim, degree)
+
+
 def _order2_shift(gamma_m2: float, r_m2: float, p: int) -> float:
     """Common constant (2 gamma + r - 2p + 3) / 2 of the variant Hamiltonians.
 
@@ -196,7 +208,8 @@ def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationRep
     Every entry is evaluated from the bands of sol.Q and sol.H, whatever their
     band structure, on the levels kept at degree p + 1, in the charge's type
     (np.longdouble for pssqm_build's); [H, Q] is taken difference-first
-    (fock.commutator).
+    (fock.commutator).  Q^p != 0 is read on every row when Q is triangular,
+    as pssqm_build's is: truncation leaves every row of its powers exact.
     With the extended-precision charge of pssqm_build the order-4 relation
     stays below 1e-10 where np.longdouble is wider than float64; where it is
     float64 its floor is 1e-10 to 2e-10.
@@ -216,7 +229,9 @@ def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationRep
     multilinear = sum([powers[p] @ qdag, *inner, qdag @ powers[p]])
     relations = [
         (f"Q^{p + 1} = 0", powers[p + 1]),
-        (f"Q^{p} != 0", powers[p], True),
+        # Read on every row of a triangular Q, as the kept block may hold no
+        # nonzero entry of Q^p at the smallest dims.
+        (f"Q^{p} != 0", powers[p].block_max(_exact_rows(Q, sol.dim, p + 1)), True),
         ("[H, Q] = 0", commutator(H, Q)),
         (
             "sum_j Q^{p-j} Qdag Q^j = 2p Q^{p-1} H",
@@ -232,8 +247,9 @@ def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationRepor
     Whether it passes depends on the algebra parameters: the locus where both
     this and the multilinear relation hold is empirical data, not an assertion.
     A vanishing charge satisfies the relation trivially, so the report also
-    carries a nonzero-charge entry flagging that degenerate case.  Evaluated
-    band by band in the charge's type, as in pssqm_check.
+    carries a nonzero-charge entry flagging that degenerate case, read on
+    every row when Q is triangular, as in pssqm_check.  Evaluated band by band
+    in the charge's type, as in pssqm_check.
     """
     if sol.kind != KIND_PSSQM:
         raise DomainError(f"expected a {KIND_PSSQM} solution, got {sol.kind}")
@@ -244,7 +260,7 @@ def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationRepor
     inner = qdag @ Q - Q @ qdag
     relations = [
         ("[Q, [Qdag, Q]] = 2 Q H", Q @ inner - inner @ Q - 2.0 * (Q @ H)),
-        ("Q != 0", Q, True),
+        ("Q != 0", Q.block_max(_exact_rows(Q, sol.dim, 3)), True),
     ]
     return relation_report(relations, sol.dim, 3, tol)
 

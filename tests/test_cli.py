@@ -330,6 +330,20 @@ class TestSmallestDims:
         assert out.splitlines()[-1].startswith(f"suite {suite}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify --suite pssqm --lambda 3 --alpha 0.25,0 --dim 6",
+            "verify --suite pssqm-cubic --lambda 3 --alpha 0.25,0 --dim 6",
+            "verify --suite pssqm --lambda 5 --alpha 0.3,-0.2,0.1,0.25 --dim 11",
+        ],
+    )
+    def test_nonzero_entries_pass_where_the_kept_block_holds_none(self, argv):
+        # The kept block holds no nonzero entry of Q^p (or Q) here; the whole
+        # matrix does, and truncation leaves every row of it exact.
+        rc, out, err = call(argv.split())
+        assert rc == 0, (out, err)
+
 
 class TestSweep:
     def test_grid_rows_and_flagged_invalid(self, capsys):

@@ -73,11 +73,11 @@ WITH_RESIDUALS = [
     ),
     (
         "verify --suite pssqm --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --mu 1 --format json",
-        0, "75d95c8ced954dd11a2bda004baedbb1f133152410a49046b335b495d3b0f50d",
+        0, "a14e2c061cd02464bbb1df1ceb0d38d4f02c8226d1a2e464747e492ac5d70dde",
     ),
     (
         "verify --suite pssqm-cubic --lambda 3 --alpha 0.5,0.1 --format json",
-        1, "220e72d8ab72bc46c689d66e81aa8e02f5b1e7cb8843da790223a2f76c1bebee",
+        1, "6b481345024c1d512506eb39bacfeb40eff15bc6c4b4e77576f88fec1e5b3c51",
     ),
     (
         "verify --suite pseudo1 --lambda 3 --alpha 0.5,0.1 --c 0.7 --eta 0.4 --phi 1.1 --format json",
@@ -93,11 +93,11 @@ WITH_RESIDUALS = [
     ),
     (
         "variant --kind pssqm --lambda 4 --alpha 0.3,-0.2,0.4 --mu 2 --dim 40",
-        0, "f91787d99b0e2e2521e332fa438e17554de2e7503204ea0d18f2a9e5a33fa890",
+        0, "b0bb7366d193e9a20fcb39922dc70f1fb3d7fcbbc3a12339b1b7b3335e2dfa7f",
     ),
     (
         "variant --kind pssqm-cubic --lambda 3 --alpha 0.5,0.1 --mu 1 --dim 40",
-        1, "402b5ec2555f6c787adfb910432569be65bfe39b90f7b5a80d3a3ae7ecd2a87c",
+        1, "8eef62a857f8bf2efa1f0e7395e0be4a29b6b368c37a937a3c17cc006eaaf0fc",
     ),
     (
         "variant --kind pseudo1 --lambda 3 --alpha 0.5,0.1 --mu 2 --c 1.3 --dim 40",
@@ -134,11 +134,11 @@ AT_DIM_480 = [
     (
         # Exit 1: the order-4 multilinear entry is above its gate at this dim.
         "verify --format json --suite pssqm --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --mu 1 --dim 480",
-        1, "67f99c23ff3ea19599ba0df30297aa845efd1c001766e71249a40ae8012bd5ef",
+        1, "d5727ef0230feb4b358506ab2a603389d967a0ae4f0d0d335cf1e18bbdd4cf5a",
     ),
     (
         "verify --format json --suite pssqm-cubic --lambda 3 --alpha 0.5,0.1 --dim 480",
-        1, "3a829556d4f6ad0ea29eac9dc9044b829366b3fb9d99e64e38e98992e4c6bc03",
+        1, "92ee5465dff0aee84519b2a996ea128c870a1bcb4e02e04b53c1abc2d614f226",
     ),
     (
         "verify --format json --suite pseudo1 --lambda 3 --alpha 0.5,0.1 --c 0.7 --eta 0.4 --phi 1.1 --dim 480",
@@ -206,9 +206,9 @@ SMALLEST_DIMS = [
         0, "bf623ec00401043722ff60d306f70a42fd0df93bb5dec5668d001e35f9852f57",
     ),
     (
-        # Exit 1: Q^4 != 0 fails, as the kept block is too small to hold a nonzero entry.
+        # Exit 0: Q^4 != 0 is read on every row, as truncation leaves Q^4 exact there.
         "verify --format json --suite pssqm --lambda 5 --alpha 0.3,-0.2,0.1,0.25 --dim 11",
-        1, "d76dce69688e764ae70de197890cbabf4590ca593d58703812926cd0fb0c0d5f",
+        0, "de82e5b352325f75c605694736c16fca37db7be9bc96c0d597d8f96edc025c41",
     ),
     (
         "verify --format json --suite pseudo1 --lambda 3 --alpha 0.25,0 --dim 6 --phi 1.0",

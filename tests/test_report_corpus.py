@@ -64,12 +64,12 @@ DIGESTS = {
     ("sqm2", 60): "49419861a97745a15423300f536c8949f37ff4f0b9b05e631145cd7de8264fab",
     ("sqm2", 240): "17a435bb7d56c7c774aea1762a35257e34c1e420a38ab4ffb730ebf0842cbc94",
     ("sqm2", 480): "def7a6f1ece19adf03f646bd1076abcd14b334adc8e93b12ef6a85b83da69714",
-    ("pssqm", 60): "bd2965b56094866803248a59bab19cedc86075671c5c7b92354a3db057b67095",
-    ("pssqm", 240): "122240d6884da7256c3c700a630d698a8c65c9d2da6e89bca609b8d035710af5",
-    ("pssqm", 480): "7d794746c56bc3cade1390ec2153cd2e6f3f459e30b255d5efd3d2a2b7206a0a",
-    ("pssqm-cubic", 60): "80fa8cfc655011b3c1eb6b0d49d2b4265290d33aca03c33159faf6d1fc389f60",
-    ("pssqm-cubic", 240): "e442f0e0433d1383e4300418f2613f2d3dbecc2db7a6d2a4fb5455b500bd6655",
-    ("pssqm-cubic", 480): "c0ab0f9ab8d64c3c038d62ac878d302c63b24cc6f985672e210b9d4673cebb5f",
+    ("pssqm", 60): "0d2b067bed9f39abb1438b3c00cdcaa544215e69b1479a6207f7d1978c6f56a2",
+    ("pssqm", 240): "5293919d8a0c095214ac9bca8e4d56dbdc05a0ef6a16e7b3526f515ed5040670",
+    ("pssqm", 480): "2c2ea00ad86b57e8302e4097a3a10566862cba512ceb15f5dda4c927c04e2d54",
+    ("pssqm-cubic", 60): "0ed1fb3e498a6de7cd97c1e3a92d40e0369f0590450abc476732b410d461d6ee",
+    ("pssqm-cubic", 240): "553a13586505043f7f1a584424c6735870a9b8d5dbfebb23572cd4c845140c2b",
+    ("pssqm-cubic", 480): "ac4c2520753e414f5f188d861181574838f9e9b22fbbe8766fc38b272689e775",
     ("pseudo1", 60): "537ef2ccf310646d79622893e87739760ec9005d1afcaaaee5814292b5a730f6",
     ("pseudo1", 240): "24c722abbb5c3f5abfd4b02d094b073d97b0500e301d99f6990d734aee5391df",
     ("pseudo1", 480): "a2baf6bccca75d1e7e93d0bd14f24e80937e0c2984ffdc9b067ecc6b06fee0b4",

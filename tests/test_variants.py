@@ -136,6 +136,36 @@ class TestPssqmCheck:
         report = pssqm_check(sol, 3, tol=1e-9)
         assert report.residual("Q^3 != 0") > 1.0
 
+    @pytest.mark.parametrize("lam, dim", [(3, 6), (3, 40), (5, 11), (5, 40)])
+    def test_nonzero_entries_read_every_row_of_a_triangular_charge(self, lam, dim):
+        # Q has one band at offset -1, so Q^p is exact on every row: the
+        # entries are the largest moduli of the whole matrices.
+        sol = pssqm_build(new_params(lam, [0.3, -0.2, 0.1, 0.25][: lam - 1]), 0, dim=dim)
+        q = sol.Q.dense()
+        p = lam - 1
+        report = pssqm_check(sol, p)
+        assert report.residual(f"Q^{p} != 0") == float(np.abs(np.linalg.matrix_power(q, p)).max())
+        assert report.ok
+        if lam == 3:
+            cubic = pssqm_cubic_check(sol)
+            assert cubic.residual("Q != 0") == float(np.abs(q).max())
+
+    @pytest.mark.parametrize("lam, dim", [(3, 6), (3, 40), (5, 11), (5, 40)])
+    def test_vanishing_power_fails_the_nonzero_entry(self, lam, dim):
+        # The built charge with its band also zeroed on every p-th level: no p
+        # consecutive steps are left, so Q^p vanishes on every row.
+        p = lam - 1
+        sol = pssqm_build(new_params(lam, [0.3, -0.2, 0.1, 0.25][: lam - 1]), 0, dim=dim)
+        band = np.array(sol.Q.bands[-1])
+        band[::p] = 0.0
+        report = pssqm_check(dataclasses.replace(sol, Q=BandOp(dim, {-1: band})), p)
+        assert f"Q^{p} != 0" in [e.name for e in report.failures()]
+        assert report.residual(f"Q^{p} != 0") == 0.0
+        if lam == 3:
+            zero = dataclasses.replace(sol, Q=BandOp(dim, {-1: np.zeros(dim - 1)}))
+            cubic = pssqm_cubic_check(zero)
+            assert "Q != 0" in [e.name for e in cubic.failures()]
+
     def test_unmasked_ladder_fails_multilinear(self):
         params = new_params(3, [1.0, -0.5])
         sol = pssqm_build(params, 0, dim=30)
