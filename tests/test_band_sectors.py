@@ -116,3 +116,29 @@ def test_construction_accepts_a_stacked_operator():
 def test_construction_rejects_mismatched_sectors_and_shapes(shapes):
     with pytest.raises(ValueError, match=r"^band -?\d+ needs shape"):
         BandOp(6, {k: np.ones(shape) for k, shape in shapes.items()})
+
+
+@EXAMPLES
+@given(SEEDS, DIMS, st.integers(min_value=1, max_value=5))
+def test_sector_max_is_each_sectors_block_max(seed, dim, count):
+    rng = np.random.default_rng(seed)
+    xs = [random_op(rng, dim, complex_=bool(rng.integers(2))) for _ in range(count)]
+    # A shared, unstacked band beside the stacked ones counts in every sector.
+    x = BandOp.stack(xs) + random_op(rng, dim)
+    top = dim - int(rng.integers(0, 4))
+    peaks = x.sector_max(top)
+    assert peaks.shape == (count,)
+    assert peaks.tolist() == [sector(x, s).block_max(top) for s in range(count)]
+    assert x.block_max(top) == max(peaks.tolist())
+
+
+@pytest.mark.parametrize("s", [0, 2])
+def test_nan_in_one_sector_is_only_that_sectors_max(s):
+    # Band 1's NaN sits at row 1, inside the block of 4 levels.
+    v = np.ones(5)
+    v[1] = np.nan
+    ops = [BandOp(6, {0: np.full(6, 2.0), 1: v if t == s else np.ones(5)}) for t in range(3)]
+    peaks = BandOp.stack(ops).sector_max(4)
+    assert [math.isnan(m) for m in peaks] == [t == s for t in range(3)]
+    assert [m for t, m in enumerate(peaks) if t != s] == [2.0, 2.0]
+    assert math.isnan(BandOp.stack(ops).block_max(4))

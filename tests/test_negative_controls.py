@@ -1,4 +1,4 @@
-"""Faults that every difference-first or extended-precision entry must catch.
+"""Faults that every difference-first, extended-precision or stacked entry must catch.
 
 [N, adag] = adag, [N, P_mu] = 0 and every [H, Q] = 0 (fock.commutator) form
 the difference of their like terms before multiplying by the factor they
@@ -6,6 +6,11 @@ share, so where the terms cancel they leave no rounding at all, and
 Q Qdag Q = 4 c^2 Q H is evaluated in np.longdouble.  That must not make them
 unable to fail: each fault below, applied once to the built operators, gives
 its entry a residual >= 1e-3, and the unfaulted build passes.
+
+partner_check and sqm2_check read every sector of the hierarchy's stacked
+operators at once, so a fault in one sector must fail exactly the entries
+that read that sector, and no other.  sqm2's Q^2 = 0 is structural (0.0
+for every input), so no fault fails it.
 """
 
 import dataclasses
@@ -15,6 +20,7 @@ import pytest
 
 from cycosc import (
     BandOp,
+    build_hierarchy,
     build_rep,
     check_relations,
     new_params,
@@ -23,8 +29,10 @@ from cycosc import (
     pseudo_check,
     pseudo_family1_build,
     pseudo_family2_build,
+    partner_check,
     pssqm_build,
     pssqm_check,
+    sqm2_check,
 )
 
 DIM = 60
@@ -132,3 +140,86 @@ def test_scaled_ladder_entry_fails_the_pseudo_relation(build):
     k, j = largest_entry(sol.Q)
     faulted = dataclasses.replace(sol, Q=scaled_entry(sol.Q, k, j, 1.5))
     assert fails(pseudo_check(faulted, C), "Q Qdag Q = 4 c^2 Q H")
+
+
+# The hierarchy's faults: E0^(mu) shifted, one entry of the ladder pair A_mu,
+# Adag_mu scaled, one level of H^(mu) moved; each in the lower half of the
+# levels, well inside the kept block.
+LEVEL = DIM // 2
+SPACING = "H^(mu) spacings realize omega cyclically"
+ANTICOMMUTATOR, COMMUTATOR = "{Q, Qdag} = H", "[H, Q] = 0"
+
+
+def down(m):
+    return "H^(0) = Adag_0 A_0" if m == 0 else f"H^({m}) = Adag_{m} A_{m} + E0^({m})"
+
+
+def up(m):
+    return f"H^({m}) = A_{m - 1} Adag_{m - 1} + E0^({m - 1})"
+
+
+def shifted_e0(h, mu):
+    e0 = list(h.e0)
+    e0[mu] += FAULT
+    return dataclasses.replace(h, e0=tuple(e0))
+
+
+def scaled_ladder_entry(h, mu):
+    # A_mu and Adag_mu share their band, so both see the scaled entry.
+    a = np.array(h.a.bands[1])
+    a[mu, LEVEL] *= 1.5
+    return dataclasses.replace(h, a=BandOp(DIM, {1: a}), adag=BandOp(DIM, {-1: a}))
+
+
+def moved_h_level(h, mu):
+    # A copy: the sectors of h.hmats are overlapping windows of one row.
+    energies = np.array(h.hmats.bands[0])
+    energies[mu, LEVEL] += FAULT
+    return dataclasses.replace(h, hmats=BandOp(DIM, {0: energies}))
+
+
+def expected_failures(fault, p, mu):
+    """(partner entry names, {sqm2 sector: entry names}) that the fault must fail."""
+    if fault == "E0 shifted":
+        partner = {down(mu), *([up(mu + 1)] if mu < p else [])}
+        return partner, ({mu: {ANTICOMMUTATOR}} if mu < p else {})
+    if fault == "ladder entry scaled":
+        # A_p is A_0: H^(p) factorizes through sector 0 again.
+        partner = {down(mu), up(mu + 1), *([down(p)] if mu == 0 else [])}
+        return partner, {mu: {ANTICOMMUTATOR}}
+    # H^(mu) is the upper block of sqm2 sector mu and the lower block of sector mu - 1.
+    partner = {down(mu), SPACING, *([up(mu)] if mu > 0 else [])}
+    return partner, {nu: {COMMUTATOR, ANTICOMMUTATOR} for nu in (mu - 1, mu) if 0 <= nu < p}
+
+
+HIERARCHY_FAULTS = {
+    "E0 shifted": (shifted_e0, lambda lam: range(lam + 1)),
+    "ladder entry scaled": (scaled_ladder_entry, lambda lam: range(lam)),
+    "H level moved": (moved_h_level, lambda lam: range(lam + 1)),
+}
+HIERARCHY_CASES = [
+    (fault, lam, mu) for fault, (_, sectors) in HIERARCHY_FAULTS.items() for lam in (2, 3, 4, 5) for mu in sectors(lam)
+]
+
+
+def failed(report):
+    """Names of the failing entries, each required to fail by the fault.
+
+    A level moved by 1e-3 is rounded to float64 (~1e-15 at these levels), so
+    a residual may read 1e-3 less that rounding: 1e-12 is the margin allowed.
+    """
+    assert all(e.residual >= FAULT - 1e-12 for e in report.failures()), report.failures()
+    return {e.name for e in report.failures()}
+
+
+@pytest.mark.parametrize("fault, lam, mu", HIERARCHY_CASES, ids=[f"{f}-lam{lam}-mu{mu}" for f, lam, mu in HIERARCHY_CASES])
+def test_hierarchy_fault_fails_exactly_its_entries(fault, lam, mu):
+    h = build_hierarchy(params_of(lam), DIM)
+    assert partner_check(h).ok
+    assert all(sqm2_check(h, nu).ok for nu in range(lam))
+    apply, _ = HIERARCHY_FAULTS[fault]
+    partner, sqm2 = expected_failures(fault, lam, mu)
+    bad = apply(h, mu)
+    assert failed(partner_check(bad)) == partner
+    for nu in range(lam):
+        assert failed(sqm2_check(bad, nu)) == sqm2.get(nu, set()), nu
