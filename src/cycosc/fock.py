@@ -385,7 +385,7 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     proj_mu = BandOp.stack(proj)
     pm, pn = proj_mu.take(np.repeat(sectors, lam)), proj_mu.take(np.tile(sectors, lam))
     delta = np.eye(lam, dtype=np.int64).reshape(-1, 1)
-    # Fresh vectors, wrapped as they are.
+    # Fresh vectors: wrapped, not copied as BandOp.diag would.
     eye = BandOp.wrap(dim, {0: np.ones(dim, np.int64)})
     fvals = structure_values(rep.params, dim)
     tpow = tmat

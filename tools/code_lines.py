@@ -2,12 +2,10 @@
 
 Blank lines, comment lines and docstrings (the leading string literal of a
 module, class or function body, as ast finds it) do not count; a line that
-holds any other token does.  Usage:
+holds any other token does.  Prints the total over its arguments, files or
+directories (searched for *.py, recursively):
 
-    python tools/code_lines.py src/cycosc            # the total
-    python tools/code_lines.py --per-file src/cycosc # one count per file, then the total
-
-Arguments are files or directories (searched for *.py, recursively).
+    python tools/code_lines.py src/cycosc
 """
 
 from __future__ import annotations
@@ -62,15 +60,8 @@ def python_files(paths: list[str]) -> list[Path]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="+", help="Python files or directories")
-    parser.add_argument("--per-file", action="store_true", help="print each file's count before the total")
     args = parser.parse_args(argv)
-    total = 0
-    for path in python_files(args.paths):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        if args.per_file:
-            print(f"{count}\t{path}")
-    print(total)
+    print(sum(code_lines(path.read_text(encoding="utf-8")) for path in python_files(args.paths)))
     return 0
 
 
