@@ -20,8 +20,8 @@ _EXPORTS = {
         "AlgebraParams", "DerivedConstants", "DomainError", "FockValidation",
         "InvalidParamsError", "KappaParams", "SymmetryError", "alpha_from_kappa",
         "cyclic_shift", "derived_constants", "kappa_from_alpha", "new_params",
-        "params_from_dict", "params_to_dict", "structure_function", "structure_values",
-        "validate_fock",
+        "params_from_dict", "params_to_dict", "structure_function", "structure_table",
+        "structure_values", "validate_fock",
     ),
     "fock": (
         "BandOp", "RelationEntry", "RelationReport", "TruncatedRep",

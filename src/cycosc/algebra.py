@@ -183,15 +183,32 @@ def structure_function(params: AlgebraParams, n: int) -> float:
     return n + beta[n % params.lam]
 
 
+def structure_table(alpha: np.ndarray, size: int) -> np.ndarray:
+    """F(0..size-1) of the algebra of each row of alpha (a vector or rows), in alpha's type.
+
+    F(n) = n + beta_{n mod lam}, with beta the prefix sums of the row taken
+    left to right by np.cumsum, as derived_constants takes them; so the
+    precision of F is the precision of the alpha passed in.
+    """
+    import numpy as np
+
+    lam = alpha.shape[-1]
+    beta = np.zeros_like(alpha)
+    np.cumsum(alpha[..., :-1], axis=-1, out=beta[..., 1:])
+    # Beta repeated over the periods that cover size levels, then n added.
+    periods = -(-size // lam)
+    f = np.repeat(beta[..., None, :], periods, axis=-2).reshape(alpha.shape[:-1] + (-1,))[..., :size]
+    f += np.arange(size, dtype=alpha.dtype)
+    return f
+
+
 def structure_values(params: AlgebraParams, n_max: int) -> np.ndarray:
-    """Vector of F(0), F(1), ..., F(n_max)."""
+    """Vector of F(0), F(1), ..., F(n_max), in float64."""
     if n_max < 0:
         raise DomainError(f"level index must be >= 0, got {n_max}")
     import numpy as np
 
-    beta = np.array(derived_constants(params).beta)
-    n = np.arange(n_max + 1)
-    return n + beta[n % params.lam]
+    return structure_table(np.array(params.alpha), n_max + 1)
 
 
 def cyclic_shift(params: AlgebraParams, mu: int) -> AlgebraParams:

@@ -22,6 +22,7 @@ from .algebra import (
     InvalidParamsError,
     derived_constants,
     require_fock,
+    structure_table,
 )
 from .fock import (
     BandOp,
@@ -74,9 +75,8 @@ def window_violations(params: AlgebraParams) -> tuple[str, ...]:
 def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     """Build the ladders of the p = lam shifted algebras and the partner Hamiltonians.
 
-    F of every shifted algebra comes from one float64 table: row mu is
-    n + beta^(mu)_{n mod p}, with beta^(mu) the prefix sums of alpha rotated
-    by mu, taken left to right as derived_constants takes them.  The ladders
+    F of every shifted algebra comes from algebra.structure_table, as one
+    float64 table whose row mu is F of alpha rotated by mu.  The ladders
     and Hamiltonians are views of a second, read-only float64 table: rows
     0..p-1 hold the square roots of F of each shifted algebra, whose entries
     for n = 1..dim-1 are the one band that A (offset +1) and Adag (offset -1)
@@ -93,19 +93,14 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     require_dim(p, dim)
     alpha = params.alpha
     const = derived_constants(params)
-    betas = [const.beta]
-    for mu in range(1, p):
-        betas.append((0.0, *itertools.accumulate((alpha[mu:] + alpha[:mu])[:-1])))
-    # F of algebra mu at level n = m p + k is n + beta^(mu)_k, for n < dim + p.
-    periods = -(-dim // p) + 1
-    fvals = np.repeat(np.array(betas)[:, None, :], periods, axis=1).reshape(p, -1)
-    fvals += np.arange(periods * p, dtype=float)
+    # F of algebra mu (alpha rotated by mu) at levels n < dim + p.
+    fvals = structure_table(np.array([alpha[mu:] + alpha[:mu] for mu in range(p)]), dim + p)
     for row in ~(fvals[1:, 1:p] > 0.0):
         if row.any():
             raise InvalidParamsError(tuple((np.flatnonzero(row) + 1).tolist()))
     table = np.empty((p + 1, dim + p))
-    table[:p] = np.sqrt(fvals[:, : dim + p])
-    table[p] = fvals[0, : dim + p]
+    table[:p] = np.sqrt(fvals)
+    table[p] = fvals[0]
     table.setflags(write=False)
     roots, f = table[:p, 1:dim], table[p]
     # H^(mu) is the window of dim levels of F from level mu: p + 1 overlapping views.

@@ -13,15 +13,18 @@ Hamiltonians goes through one helper so the two coincide bitwise.
 
 Every charge and Hamiltonian is a fock.BandOp whose coefficient vectors are
 float64, or complex128 where a phase enters (xi and the orthosupercharge
-phases), and every relation is evaluated in the type of its operands.  The
-one exception is the parasupercharge, computed from alpha in np.longdouble:
-its order-p relation cancels p + 1 terms of ~2 F(n)^{p/2} (1e6 at p = 4,
-dim = 60), so one float64 rounding per entry would leave ~2e-10 however it is
-evaluated.  Where np.longdouble is float64 (not x86-64), that floor returns
+phases), and every relation is evaluated in the type of its operands.  Each
+builder takes F from algebra.structure_table, whose precision is that of the
+alpha passed in.  The one exception to float64 is the parasupercharge, whose
+F pssqm_build takes from alpha as np.longdouble: its order-p relation cancels
+p + 1 terms of ~2 F(n)^{p/2} (1e6 at p = 4, dim = 60), so one float64
+rounding per entry would leave ~2e-10 however it is evaluated.  Where np.longdouble is float64 (not x86-64), that floor returns
 at order 4.  Each [H, Q] = 0 takes the difference of two H levels before it
 multiplies Q's entry (fock.commutator).  Q Qdag Q = 4 c^2 Q H is evaluated
 in np.longdouble from the float64 charge (pseudo_check), as it sits at its
-float64 floor at dim 480.
+float64 floor at dim 480.  The lam = 3 families (both pseudosupercharges and
+equal_spacing_r) check their order and mu and take alpha, gamma and the
+classes mu + 1, mu + 2 in one prelude.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .algebra import (
     AlgebraParams,
     DomainError,
     derived_constants,
+    structure_table,
     structure_values,
 )
 from .fock import BandOp, RelationReport, commutator, kept_levels, relation_report, require_rep
@@ -144,14 +148,28 @@ def _check_lam(params: AlgebraParams, lam: int, what: str):
         raise DomainError(f"{what} requires order {lam}, got {params.lam}")
 
 
+def _lam3_family(params: AlgebraParams, mu: int, what: str):
+    """alpha, gamma and the classes mu + 1, mu + 2 of a lam = 3 family.
+
+    Raises DomainError, naming the family as what, unless the order is 3 and
+    0 <= mu < 3.
+    """
+    _check_lam(params, 3, what)
+    if not 0 <= mu < 3:
+        raise DomainError(f"family index must satisfy 0 <= mu < 3, got {mu}")
+    return params.alpha, derived_constants(params).gamma, (mu + 1) % 3, (mu + 2) % 3
+
+
 def pssqm_r_constant(params: AlgebraParams, mu: int) -> float:
     """The r constant of the order-p parasupersymmetric solution family.
 
     r_{mu+2} = [(p-2) alpha_{mu+2} + 2 sum_{nu=3..p} (p-nu+1) alpha_{mu+nu}
-    + p(p-2)] / p with p = lam - 1.  Identically zero at p = 2.
+    + p(p-2)] / p with p = lam - 1, for mu = 0..p.  Identically zero at p = 2.
     """
     lam = params.lam
     p = lam - 1
+    if not 0 <= mu <= p:
+        raise DomainError(f"family index must satisfy 0 <= mu <= {p}, got {mu}")
     alpha = params.alpha
     m2 = (mu + 2) % lam
     tail = 0
@@ -164,24 +182,23 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
     """Order-p parasupercharge Q = sqrt(2) sum_{nu=1..p} adag P_{mu+nu} and its H.
 
     Q has sqrt(2 F(n + 1)) at (n + 1, n) for every level n not in the mu
-    class, computed from alpha in np.longdouble, on the band at offset -1.
+    class, on the band at offset -1, in np.longdouble: F is
+    algebra.structure_table of alpha passed in that type.
     """
+    # Rejects a mu outside 0..p before any other check.
+    r = pssqm_r_constant(params, mu)
     lam = params.lam
     p = lam - 1
-    if not 0 <= mu <= p:
-        raise DomainError(f"family index must satisfy 0 <= mu <= {p}, got {mu}")
     require_rep(params, dim)
     gamma = derived_constants(params).gamma
     m2 = (mu + 2) % lam
 
-    # F(n) = n + beta_{n mod lam}, with beta the prefix sums of alpha, all in
-    # extended precision; band -1 holds Q[n, n - 1] at entry n - 1, n = 1..dim-1.
-    beta = np.concatenate(([0], np.cumsum(np.array(params.alpha, dtype=np.longdouble))[:-1]))
+    # F(n) from alpha in extended precision; band -1 holds Q[n, n - 1] at entry
+    # n - 1, n = 1..dim-1: F(n) on the levels Q leaves, 0 on those it maps to zero.
     n = np.arange(1, dim)
-    # F(n) on the levels Q leaves, and 0 on those it maps to zero.
-    fvals = np.where((n - 1) % lam != mu, n + beta[n % lam], 0)
+    f = structure_table(np.array(params.alpha, np.longdouble), dim)
+    fvals = np.where((n - 1) % lam != mu, f[1:], 0)
 
-    r = pssqm_r_constant(params, mu)
     weights = {(mu + nu) % lam: p + 1 - nu for nu in range(1, p + 1)}
     H = _h_diagonal(lam, dim, _order2_shift(gamma[m2], r, p), weights)
     # The check terms stay below 4p t^(p + 1), t^2 = max(2 F, |H|) and |Q| = sqrt(2 F):
@@ -278,9 +295,7 @@ def pseudo_family1_build(
     At eta = sqrt(2)|c|, phi = 0 the r constant vanishes and the Hamiltonian
     coincides bitwise with the order-2 parasupersymmetric one.
     """
-    _check_lam(params, 3, "family-1 pseudosupersymmetry")
-    if not 0 <= mu < 3:
-        raise DomainError(f"family index must satisfy 0 <= mu < 3, got {mu}")
+    alpha, gamma, m1, m2 = _lam3_family(params, mu, "family-1 pseudosupersymmetry")
     _require_finite(c=c, eta=eta, phi=phi)
     if c == 0.0:
         raise DomainError("c must be nonzero")
@@ -290,9 +305,6 @@ def pseudo_family1_build(
         raise DomainError(f"eta must lie in (0, 2|c|) = (0, {2.0 * abs(c)}), got {eta}")
     if not 0.0 <= phi < 2.0 * math.pi:
         raise DomainError(f"phi must lie in [0, 2 pi), got {phi}")
-    alpha = params.alpha
-    gamma = derived_constants(params).gamma
-    m1, m2 = (mu + 1) % 3, (mu + 2) % 3
     lower, upper = _masked_ladders(params, dim, m2, m2)
     _require_check_range(c, lower, upper)
 
@@ -325,16 +337,10 @@ def pseudo_family2_build(
     dim: int = 60,
 ) -> VariantSolution:
     """One-parameter pseudosupercharge 2|c| a P_{mu+2} with spectrum knob r_mu."""
-    _check_lam(params, 3, "family-2 pseudosupersymmetry")
-    if not 0 <= mu < 3:
-        raise DomainError(f"family index must satisfy 0 <= mu < 3, got {mu}")
+    alpha, gamma, m1, m2 = _lam3_family(params, mu, "family-2 pseudosupersymmetry")
     _require_finite(c=c, r_mu=r_mu)
     if c == 0.0:
         raise DomainError("c must be nonzero")
-    alpha = params.alpha
-    gamma = derived_constants(params).gamma
-    m1, m2 = (mu + 1) % 3, (mu + 2) % 3
-
     lower = _masked_ladders(params, dim, m2, m2)[0]
     _require_check_range(c, lower)
     Q = BandOp(dim, {1: 2.0 * abs(c) * lower})
@@ -355,11 +361,10 @@ def pseudo_family2_build(
 def equal_spacing_r(params: AlgebraParams, mu: int) -> float:
     """The r_mu value giving an equally spaced family-2 spectrum.
 
-    (alpha_{mu+1} - alpha_{mu+2} + 3) mod 6, as the representative in [0, 6).
+    (alpha_{mu+1} - alpha_{mu+2} + 3) mod 6, as the representative in [0, 6),
+    for mu = 0..2.
     """
-    _check_lam(params, 3, "family-2 pseudosupersymmetry")
-    alpha = params.alpha
-    m1, m2 = (mu + 1) % 3, (mu + 2) % 3
+    alpha, _, m1, m2 = _lam3_family(params, mu, "family-2 pseudosupersymmetry")
     return (alpha[m1] - alpha[m2] + 3.0) % 6.0
 
 

@@ -23,6 +23,7 @@ from cycosc import (
     params_from_dict,
     params_to_dict,
     structure_function,
+    structure_table,
     structure_values,
     validate_fock,
 )
@@ -176,6 +177,37 @@ class TestStructureFunction:
         steps = np.diff(values)
         expected = 1.0 + np.array(params.alpha)[np.arange(3 * params.lam) % params.lam]
         assert np.abs(steps - expected).max() <= 1e-12
+
+
+def head_of(data, lam):
+    return data.draw(st.lists(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False), min_size=lam - 1, max_size=lam - 1))
+
+
+class TestStructureTable:
+    """structure_table, the one F of every builder: one row per algebra, in alpha's type."""
+
+    @settings(max_examples=60)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=40), st.data())
+    def test_rows_are_the_shifted_algebras(self, lam, size, data):
+        params = new_params(lam, head_of(data, lam))
+        shifts = [cyclic_shift(params, mu) for mu in range(lam)]
+        table = structure_table(np.array([s.alpha for s in shifts]), size)
+        assert table.shape == (lam, size) and table.dtype == np.float64
+        for row, shifted in zip(table, shifts):
+            assert row.tobytes() == structure_values(shifted, size - 1).tobytes()
+            assert row.tolist() == [structure_function(shifted, n) for n in range(size)]
+
+    @settings(max_examples=60)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=40), st.data())
+    def test_longdouble_alpha_gives_longdouble_f(self, lam, size, data):
+        # The reference of test_band_construction.py::test_parasupercharge.
+        alpha = np.array(new_params(lam, head_of(data, lam)).alpha, dtype=np.longdouble)
+        beta = np.concatenate(([0], np.cumsum(alpha)[:-1]))
+        n = np.arange(size)
+        f = structure_table(alpha, size)
+        assert f.dtype == np.longdouble
+        # Compared by value: tobytes would also compare the padding of np.longdouble.
+        assert np.array_equal(f, n + beta[n % lam])
 
 
 class TestCyclicShift:

@@ -44,6 +44,12 @@ class TestPssqmBuild:
             for mu in range(3):
                 assert pssqm_r_constant(params, mu) == 0.0
 
+    @pytest.mark.parametrize("mu", [-1, 4, 5])
+    def test_r_constant_rejects_an_out_of_range_family_index(self, mu):
+        # mu = 4 at lam 4 used to wrap round to the mu = 0 value, 0.8999999999999999.
+        with pytest.raises(DomainError, match=f"0 <= mu <= 3, got {mu}"):
+            pssqm_r_constant(new_params(4, [0.1, 0.2, -0.3]), mu)
+
     def test_r_constant_order_three_free_oscillator(self):
         params = new_params(4, [0.0, 0.0, 0.0])
         assert pssqm_r_constant(params, 0) == 1.0
@@ -325,6 +331,12 @@ class TestPseudoFamily2:
     def test_equal_spacing_representative(self):
         params = new_params(3, [0.0, 0.0])
         assert equal_spacing_r(params, 0) == 3.0
+
+    @pytest.mark.parametrize("mu", [-1, 3, 4])
+    def test_equal_spacing_rejects_an_out_of_range_family_index(self, mu):
+        # mu = 3 used to wrap round to the mu = 0 value, 3.5.
+        with pytest.raises(DomainError, match=f"0 <= mu < 3, got {mu}"):
+            equal_spacing_r(new_params(3, [0.1, 0.2]), mu)
 
     def test_equal_spacing_holds_only_at_representative(self):
         rng = np.random.default_rng(57)
