@@ -1,4 +1,4 @@
-"""Faults that every difference-first, extended-precision or stacked entry must catch.
+"""Faults that every relation entry must catch: each entry of every suite at lam 2-5.
 
 [N, adag] = adag, [N, P_mu] = 0 and every [H, Q] = 0 (fock.commutator) form
 the difference of their like terms before multiplying by the factor they
@@ -6,6 +6,14 @@ share, so where the terms cancel they leave no rounding at all, and
 Q Qdag Q = 4 c^2 Q H is evaluated in np.longdouble.  That must not make them
 unable to fail: each fault below, applied once to the built operators, gives
 its entry a residual >= 1e-3, and the unfaulted build passes.
+
+Every other entry of check_relations, klein, pssqm, pssqm-cubic, pseudo1,
+pseudo2 and ossqm is failed the same way by one paper-level fault: alpha
+perturbed in one operator's build (so that its F is not the algebra's), a T
+phase moved off the lam-th roots of unity, a projector on the wrong class,
+a masked charge level filled, one charge entry scaled, or Q2's phase
+flipped.  A nonzero entry (Q^p != 0, Q != 0) fails by reading zero: its
+fault drops the charge's projectors until no p consecutive steps are left.
 
 partner_check and sqm2_check read every sector of the hierarchy's stacked
 operators at once, so a fault in one sector must fail exactly the entries
@@ -23,6 +31,7 @@ from cycosc import (
     build_hierarchy,
     build_rep,
     check_relations,
+    klein_reduction_check,
     new_params,
     ossqm_build,
     ossqm_check,
@@ -32,21 +41,32 @@ from cycosc import (
     partner_check,
     pssqm_build,
     pssqm_check,
+    pssqm_cubic_check,
     sqm2_check,
 )
 
 DIM = 60
 FAULT = 1e-3
 C = 0.7
+# A level in the lower half of the levels, well inside every kept block.
+LEVEL = DIM // 2
 
 
 def params_of(lam):
     return new_params(lam, [0.3, -0.2, 0.4, 0.1][: lam - 1])
 
 
+def perturbed(params):
+    """params with alpha_0 moved by 10 FAULT, and so alpha_{lam-1} by minus that."""
+    head = list(params.alpha[:-1])
+    head[0] += 10 * FAULT
+    return new_params(params.lam, head)
+
+
 def fails(report, name):
+    # A nonzero entry fails by reading (near) zero, any other by a residual >= FAULT.
     e = next(e for e in report.entries if e.name == name)
-    return not e.passed and e.residual >= FAULT
+    return not e.passed and (e.nonzero or e.residual >= FAULT)
 
 
 def largest_entry(op):
@@ -71,26 +91,64 @@ def scaled_entry(op, k, j, factor):
     return BandOp(op.dim, {**op.bands, k: v})
 
 
+def ladders_of_perturbed_alpha(rep):
+    other = build_rep(perturbed(rep.params), DIM)
+    return dataclasses.replace(rep, a=other.a, adag=other.adag)
+
+
+def t_phase_off_the_roots(rep):
+    # The phase of class 0 turned by 10 FAULT radians.
+    t = np.array(rep.tmat.bands[0])
+    t[:: rep.params.lam] *= np.exp(10j * FAULT)
+    return dataclasses.replace(rep, tmat=BandOp.diag(t))
+
+
+# Fault -> (the entries it must fail, the fault).
 ALGEBRA_FAULTS = {
-    "N scaled by 2": ("[N, adag] = adag", lambda rep: dataclasses.replace(rep, nmat=2 * rep.nmat)),
+    "N scaled by 2": (["[N, adag] = adag"], lambda rep: dataclasses.replace(rep, nmat=2 * rep.nmat)),
     "adag on the wrong offset": (
-        "[N, adag] = adag",
+        ["[N, adag] = adag"],
         lambda rep: dataclasses.replace(rep, adag=BandOp(DIM, {1: rep.adag.bands[-1]})),
     ),
     "P_0 mixed with adag": (
-        "[N, P_mu] = 0",
+        ["[N, P_mu] = 0"],
         lambda rep: dataclasses.replace(rep, proj=(rep.proj[0] + rep.adag, *rep.proj[1:])),
     ),
+    "ladders of perturbed alpha": (
+        ["[a, adag] = I + sum alpha_mu P_mu", "adag a = F(N)", "a adag = F(N+1)"],
+        ladders_of_perturbed_alpha,
+    ),
+    "T phase off the roots": (
+        ["T^lam = I", "adag T = exp(-2i pi/lam) T adag", "a T = exp(2i pi/lam) T a"],
+        t_phase_off_the_roots,
+    ),
+    "P_0 on class 1": (
+        ["sum_mu P_mu = I", "adag P_mu = P_{mu+1} adag", "P_mu P_nu = delta_{mu,nu} P_mu"],
+        lambda rep: dataclasses.replace(rep, proj=(rep.proj[1], *rep.proj[1:])),
+    ),
+}
+KLEIN_FAULTS = {
+    "ladders of perturbed alpha": ("[a, adag] = I + kappa (-1)^N", ladders_of_perturbed_alpha),
+    "T phase off the roots": ("T = (-1)^N", t_phase_off_the_roots),
 }
 
 
 @pytest.mark.parametrize("lam", [2, 3, 4, 5])
 @pytest.mark.parametrize("fault", list(ALGEBRA_FAULTS))
 def test_algebra_fault(lam, fault):
-    name, apply = ALGEBRA_FAULTS[fault]
+    names, apply = ALGEBRA_FAULTS[fault]
     rep = build_rep(params_of(lam), DIM)
     assert check_relations(rep).ok
-    assert fails(check_relations(apply(rep)), name)
+    report = check_relations(apply(rep))
+    assert all(fails(report, name) for name in names), report.failures()
+
+
+@pytest.mark.parametrize("fault", list(KLEIN_FAULTS))
+def test_klein_fault(fault):
+    name, apply = KLEIN_FAULTS[fault]
+    rep = build_rep(params_of(2), DIM)
+    assert klein_reduction_check(rep).ok
+    assert fails(klein_reduction_check(apply(rep)), name)
 
 
 def pseudo1():
@@ -110,7 +168,7 @@ COMMUTATORS = [
     *[
         (f"pssqm{lam}", lambda lam=lam: pssqm_build(params_of(lam), 1, DIM),
          lambda sol: pssqm_check(sol, sol.params.lam - 1), "Q", "[H, Q] = 0")
-        for lam in (3, 4, 5)
+        for lam in (2, 3, 4, 5)
     ],
     ("pseudo1", pseudo1, lambda sol: pseudo_check(sol, C), "Q", "[H, Q] = 0"),
     ("pseudo2", pseudo2, lambda sol: pseudo_check(sol, C), "Q", "[H, Q] = 0"),
@@ -142,10 +200,107 @@ def test_scaled_ladder_entry_fails_the_pseudo_relation(build):
     assert fails(pseudo_check(faulted, C), "Q Qdag Q = 4 c^2 Q H")
 
 
+def filled_level(op, k, params):
+    """op with the first masked entry of band k from the middle level on filled.
+
+    The entry gets the ladder root of its level times the coefficient the
+    band's unmasked entries carry, as if the charge's projector let it through.
+    """
+    roots = build_rep(params, DIM).a.bands[1]
+    v = np.array(op.bands[k])
+    i = np.flatnonzero(v)[0]
+    j = LEVEL + np.flatnonzero(v[LEVEL:] == 0)[0]
+    v[j] = v[i] / roots[i] * roots[j]
+    return BandOp(DIM, {**op.bands, k: v})
+
+
+def dropped_projectors(sol, classes):
+    """The parasupercharge with its projectors onto classes mu + nu, nu in classes, dropped."""
+    lam = sol.params.lam
+    v = np.array(sol.Q.bands[-1])
+    v[np.isin(np.arange(DIM - 1) % lam, [(sol.mu + nu) % lam for nu in classes])] = 0
+    return dataclasses.replace(sol, Q=BandOp(DIM, {-1: v}))
+
+
+def charge_of_perturbed_alpha(sol):
+    return dataclasses.replace(sol, Q=pssqm_build(perturbed(sol.params), sol.mu, DIM).Q)
+
+
+def with_charge(sol, charge, op):
+    return dataclasses.replace(sol, **{charge: op})
+
+
+def cubic():
+    # On the locus alpha_2 = -1, mu = 0, where the cubic relation holds.
+    return pssqm_build(new_params(3, [0.5, 0.5]), 0, DIM)
+
+
+def pssqm_of(lam):
+    return lambda: pssqm_build(params_of(lam), 1, DIM)
+
+
+def pssqm_report(sol):
+    return pssqm_check(sol, sol.params.lam - 1)
+
+
+def scaled_q1_entry(sol):
+    k, j = largest_entry(sol.Q)
+    return with_charge(sol, "Q", scaled_entry(sol.Q, k, j, 1.5))
+
+
+def flipped_q2_phase(sol):
+    # Q2's a P_{mu+2} band is -conj(e^{i phi}) w: its sign flipped.
+    return with_charge(sol, "Q2", BandOp(DIM, {-1: sol.Q2.bands[-1], 1: -sol.Q2.bands[1]}))
+
+
+OSSQM_SUMS = [
+    "Q1 Qdag1 + sum_t Qdag_t Q_t = 2 H",
+    "Q2 Qdag2 + sum_t Qdag_t Q_t = 2 H",
+    "corollary: Q1 Qdag1 + Qdag1 Q1 + Qdag2 Q2 = 2 H",
+]
+# (case, build, check, fault, the entries it must fail)
+VARIANT_FAULTS = [
+    *[
+        case
+        for lam in (2, 3, 4, 5)
+        for case in [
+            (f"pssqm{lam}-charge of perturbed alpha", pssqm_of(lam), pssqm_report, charge_of_perturbed_alpha,
+             ["sum_j Q^{p-j} Qdag Q^j = 2p Q^{p-1} H"]),
+            (f"pssqm{lam}-masked level filled", pssqm_of(lam), pssqm_report,
+             lambda sol: with_charge(sol, "Q", filled_level(sol.Q, -1, sol.params)), [f"Q^{lam} = 0"]),
+            # No p consecutive steps are left (at lam 2 the charge vanishes).
+            (f"pssqm{lam}-P_mu+1 dropped", pssqm_of(lam), pssqm_report,
+             lambda sol: dropped_projectors(sol, [1]), [f"Q^{lam - 1} != 0"]),
+        ]
+    ],
+    ("cubic-charge of perturbed alpha", cubic, pssqm_cubic_check, charge_of_perturbed_alpha,
+     ["[Q, [Qdag, Q]] = 2 Q H"]),
+    ("cubic-every projector dropped", cubic, pssqm_cubic_check, lambda sol: dropped_projectors(sol, [1, 2]),
+     ["Q != 0"]),
+    *[
+        (f"{name}-masked level filled", build, lambda sol: pseudo_check(sol, C),
+         lambda sol: with_charge(sol, "Q", filled_level(sol.Q, 1, sol.params)), ["Q^2 = 0"])
+        for name, build in (("pseudo1", pseudo1), ("pseudo2", pseudo2))
+    ],
+    ("ossqm-Q1 masked level filled", ossqm, ossqm_check,
+     lambda sol: with_charge(sol, "Q", filled_level(sol.Q, -1, sol.params)), ["Q1 Q1 = 0", "Q1 Q2 = 0", "Q2 Q1 = 0"]),
+    ("ossqm-Q2 masked level filled", ossqm, ossqm_check,
+     lambda sol: with_charge(sol, "Q2", filled_level(sol.Q2, 1, sol.params)), ["Q2 Q2 = 0"]),
+    ("ossqm-Q2 phase flipped", ossqm, ossqm_check, flipped_q2_phase, ["Q1 Qdag2 = 0"]),
+    ("ossqm-Q1 entry scaled", ossqm, ossqm_check, scaled_q1_entry, OSSQM_SUMS),
+]
+
+
+@pytest.mark.parametrize("case, build, check, fault, names", VARIANT_FAULTS, ids=[c[0] for c in VARIANT_FAULTS])
+def test_variant_fault(case, build, check, fault, names):
+    sol = build()
+    assert check(sol).ok
+    report = check(fault(sol))
+    assert all(fails(report, name) for name in names), report.failures()
+
+
 # The hierarchy's faults: E0^(mu) shifted, one entry of the ladder pair A_mu,
-# Adag_mu scaled, one level of H^(mu) moved; each in the lower half of the
-# levels, well inside the kept block.
-LEVEL = DIM // 2
+# Adag_mu scaled, one level of H^(mu) moved; each at LEVEL.
 SPACING = "H^(mu) spacings realize omega cyclically"
 ANTICOMMUTATOR, COMMUTATOR = "{Q, Qdag} = H", "[H, Q] = 0"
 
