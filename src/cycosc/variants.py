@@ -18,9 +18,10 @@ builder takes F from algebra.structure_table, whose precision is that of the
 alpha passed in.  The one exception to float64 is the parasupercharge, whose
 F pssqm_build takes from alpha as np.longdouble: its order-p relation cancels
 p + 1 terms of ~2 F(n)^{p/2} (1e6 at p = 4, dim = 60), so one float64
-rounding per entry would leave ~2e-10 however it is evaluated.  Where np.longdouble is float64 (not x86-64), that floor returns
-at order 4.  Each [H, Q] = 0 takes the difference of two H levels before it
-multiplies Q's entry (fock.commutator).  Q Qdag Q = 4 c^2 Q H is evaluated
+rounding per entry would leave ~2e-10 however it is evaluated.  Where
+np.longdouble is float64 (not x86-64), that floor returns at order 4.  Each
+[H, Q] = 0 takes the difference of two H levels before it multiplies Q's
+entry (fock.commutator).  Q Qdag Q = 4 c^2 Q H is evaluated
 in np.longdouble from the float64 charge (pseudo_check), as it sits at its
 float64 floor at dim 480.  The lam = 3 families (both pseudosupercharges and
 equal_spacing_r) check their order and mu and take alpha, gamma and the

@@ -180,7 +180,9 @@ class TestStructureFunction:
 
 
 def head_of(data, lam):
-    return data.draw(st.lists(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False), min_size=lam - 1, max_size=lam - 1))
+    """A head of lam - 1 entries, each drawn as heads draws them."""
+    entry = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+    return data.draw(st.lists(entry, min_size=lam - 1, max_size=lam - 1))
 
 
 class TestStructureTable:

@@ -200,39 +200,45 @@ def test_scaled_ladder_entry_fails_the_pseudo_relation(build):
     assert fails(pseudo_check(faulted, C), "Q Qdag Q = 4 c^2 Q H")
 
 
-def filled_level(op, k, params):
-    """op with the first masked entry of band k from the middle level on filled.
+def filled_level(charge, k):
+    """The fault that fills the first masked entry of the charge's band k from LEVEL on.
 
     The entry gets the ladder root of its level times the coefficient the
     band's unmasked entries carry, as if the charge's projector let it through.
     """
-    roots = build_rep(params, DIM).a.bands[1]
-    v = np.array(op.bands[k])
-    i = np.flatnonzero(v)[0]
-    j = LEVEL + np.flatnonzero(v[LEVEL:] == 0)[0]
-    v[j] = v[i] / roots[i] * roots[j]
-    return BandOp(DIM, {**op.bands, k: v})
+    def fault(sol):
+        roots = build_rep(sol.params, DIM).a.bands[1]
+        op = getattr(sol, charge)
+        v = np.array(op.bands[k])
+        i = np.flatnonzero(v)[0]
+        j = LEVEL + np.flatnonzero(v[LEVEL:] == 0)[0]
+        v[j] = v[i] / roots[i] * roots[j]
+        return dataclasses.replace(sol, **{charge: BandOp(DIM, {**op.bands, k: v})})
+    return fault
 
 
-def dropped_projectors(sol, classes):
-    """The parasupercharge with its projectors onto classes mu + nu, nu in classes, dropped."""
-    lam = sol.params.lam
-    v = np.array(sol.Q.bands[-1])
-    v[np.isin(np.arange(DIM - 1) % lam, [(sol.mu + nu) % lam for nu in classes])] = 0
-    return dataclasses.replace(sol, Q=BandOp(DIM, {-1: v}))
+def dropped_projectors(*classes):
+    """The fault that drops the parasupercharge's projectors onto classes mu + nu, nu in classes."""
+    def fault(sol):
+        lam = sol.params.lam
+        v = np.array(sol.Q.bands[-1])
+        v[np.isin(np.arange(DIM - 1) % lam, [(sol.mu + nu) % lam for nu in classes])] = 0
+        return dataclasses.replace(sol, Q=BandOp(DIM, {-1: v}))
+    return fault
 
 
 def charge_of_perturbed_alpha(sol):
     return dataclasses.replace(sol, Q=pssqm_build(perturbed(sol.params), sol.mu, DIM).Q)
 
 
-def with_charge(sol, charge, op):
-    return dataclasses.replace(sol, **{charge: op})
+def scaled_q1_entry(sol):
+    k, j = largest_entry(sol.Q)
+    return dataclasses.replace(sol, Q=scaled_entry(sol.Q, k, j, 1.5))
 
 
-def cubic():
-    # On the locus alpha_2 = -1, mu = 0, where the cubic relation holds.
-    return pssqm_build(new_params(3, [0.5, 0.5]), 0, DIM)
+def flipped_q2_phase(sol):
+    # Q2's a P_{mu+2} band is -conj(e^{i phi}) w: its sign flipped.
+    return dataclasses.replace(sol, Q2=BandOp(DIM, {-1: sol.Q2.bands[-1], 1: -sol.Q2.bands[1]}))
 
 
 def pssqm_of(lam):
@@ -243,21 +249,15 @@ def pssqm_report(sol):
     return pssqm_check(sol, sol.params.lam - 1)
 
 
-def scaled_q1_entry(sol):
-    k, j = largest_entry(sol.Q)
-    return with_charge(sol, "Q", scaled_entry(sol.Q, k, j, 1.5))
+def pseudo_report(sol):
+    return pseudo_check(sol, C)
 
 
-def flipped_q2_phase(sol):
-    # Q2's a P_{mu+2} band is -conj(e^{i phi}) w: its sign flipped.
-    return with_charge(sol, "Q2", BandOp(DIM, {-1: sol.Q2.bands[-1], 1: -sol.Q2.bands[1]}))
+def cubic():
+    # On the locus alpha_2 = -1, mu = 0, where the cubic relation holds.
+    return pssqm_build(new_params(3, [0.5, 0.5]), 0, DIM)
 
 
-OSSQM_SUMS = [
-    "Q1 Qdag1 + sum_t Qdag_t Q_t = 2 H",
-    "Q2 Qdag2 + sum_t Qdag_t Q_t = 2 H",
-    "corollary: Q1 Qdag1 + Qdag1 Q1 + Qdag2 Q2 = 2 H",
-]
 # (case, build, check, fault, the entries it must fail)
 VARIANT_FAULTS = [
     *[
@@ -266,28 +266,27 @@ VARIANT_FAULTS = [
         for case in [
             (f"pssqm{lam}-charge of perturbed alpha", pssqm_of(lam), pssqm_report, charge_of_perturbed_alpha,
              ["sum_j Q^{p-j} Qdag Q^j = 2p Q^{p-1} H"]),
-            (f"pssqm{lam}-masked level filled", pssqm_of(lam), pssqm_report,
-             lambda sol: with_charge(sol, "Q", filled_level(sol.Q, -1, sol.params)), [f"Q^{lam} = 0"]),
+            (f"pssqm{lam}-masked level filled", pssqm_of(lam), pssqm_report, filled_level("Q", -1),
+             [f"Q^{lam} = 0"]),
             # No p consecutive steps are left (at lam 2 the charge vanishes).
-            (f"pssqm{lam}-P_mu+1 dropped", pssqm_of(lam), pssqm_report,
-             lambda sol: dropped_projectors(sol, [1]), [f"Q^{lam - 1} != 0"]),
+            (f"pssqm{lam}-P_mu+1 dropped", pssqm_of(lam), pssqm_report, dropped_projectors(1),
+             [f"Q^{lam - 1} != 0"]),
         ]
     ],
     ("cubic-charge of perturbed alpha", cubic, pssqm_cubic_check, charge_of_perturbed_alpha,
      ["[Q, [Qdag, Q]] = 2 Q H"]),
-    ("cubic-every projector dropped", cubic, pssqm_cubic_check, lambda sol: dropped_projectors(sol, [1, 2]),
-     ["Q != 0"]),
-    *[
-        (f"{name}-masked level filled", build, lambda sol: pseudo_check(sol, C),
-         lambda sol: with_charge(sol, "Q", filled_level(sol.Q, 1, sol.params)), ["Q^2 = 0"])
-        for name, build in (("pseudo1", pseudo1), ("pseudo2", pseudo2))
-    ],
-    ("ossqm-Q1 masked level filled", ossqm, ossqm_check,
-     lambda sol: with_charge(sol, "Q", filled_level(sol.Q, -1, sol.params)), ["Q1 Q1 = 0", "Q1 Q2 = 0", "Q2 Q1 = 0"]),
-    ("ossqm-Q2 masked level filled", ossqm, ossqm_check,
-     lambda sol: with_charge(sol, "Q2", filled_level(sol.Q2, 1, sol.params)), ["Q2 Q2 = 0"]),
+    ("cubic-every projector dropped", cubic, pssqm_cubic_check, dropped_projectors(1, 2), ["Q != 0"]),
+    ("pseudo1-masked level filled", pseudo1, pseudo_report, filled_level("Q", 1), ["Q^2 = 0"]),
+    ("pseudo2-masked level filled", pseudo2, pseudo_report, filled_level("Q", 1), ["Q^2 = 0"]),
+    ("ossqm-Q1 masked level filled", ossqm, ossqm_check, filled_level("Q", -1),
+     ["Q1 Q1 = 0", "Q1 Q2 = 0", "Q2 Q1 = 0"]),
+    ("ossqm-Q2 masked level filled", ossqm, ossqm_check, filled_level("Q2", 1), ["Q2 Q2 = 0"]),
     ("ossqm-Q2 phase flipped", ossqm, ossqm_check, flipped_q2_phase, ["Q1 Qdag2 = 0"]),
-    ("ossqm-Q1 entry scaled", ossqm, ossqm_check, scaled_q1_entry, OSSQM_SUMS),
+    ("ossqm-Q1 entry scaled", ossqm, ossqm_check, scaled_q1_entry, [
+        "Q1 Qdag1 + sum_t Qdag_t Q_t = 2 H",
+        "Q2 Qdag2 + sum_t Qdag_t Q_t = 2 H",
+        "corollary: Q1 Qdag1 + Qdag1 Q1 + Qdag2 Q2 = 2 H",
+    ]),
 ]
 
 
