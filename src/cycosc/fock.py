@@ -8,6 +8,11 @@ float64 for real ones, complex128 where a phase enters.  Every relation check
 evaluates its identity band by band on those diagonals; a commutator with a
 diagonal operator takes the difference of its two diagonal entries before
 multiplying (commutator), so [N, adag] = adag holds exactly.
+build_rep derives F(0..dim) once and keeps it on the representation, beside
+the ladder roots taken from it, and holds the lam projectors P_mu as the
+sectors of one stacked operator, so that check_relations evaluates each
+projector family as one product and each sum over mu as one contraction
+(BandOp.contract).
 Truncation corrupts only the top of the tower, so every identity is verified
 on the rows and columns that kept_levels leaves for its degree.  Dense arrays
 are made only for the JSON dump (BandOp.dense).
@@ -77,14 +82,20 @@ class RelationReport:
 
 @dataclass(frozen=True)
 class TruncatedRep:
-    """a, adag, N, T and P_mu at truncation dimension dim, as weighted shifts."""
+    """a, adag, N, T and P_mu at truncation dimension dim, as weighted shifts.
+
+    fvals is F(0..dim), read-only float64, the values whose square roots
+    sqrt(F(1..dim-1)) are the ladders' band.  proj holds the lam projectors as
+    the sectors of one read-only int64 operator: P_mu is proj.take(mu).
+    """
 
     params: AlgebraParams
     dim: int
     a: BandOp
     adag: BandOp
+    fvals: np.ndarray
     nmat: BandOp
-    proj: tuple[BandOp, ...]
+    proj: BandOp
     tmat: BandOp
 
 
@@ -98,9 +109,10 @@ class BandOp:
     of bands instead of a dense O(dim^3) matmul.  A band may also carry a
     leading sector axis, shape (S, dim - |k|), as BandOp.stack builds it: S
     operators evaluated as one, whose products, sums and block maxima cover
-    all sectors at once (sector_max gives one maximum per sector), with a band
-    of shape (dim - |k|,) shared by every sector.  A band of any other shape,
-    or two sector counts, is a ValueError.
+    all sectors at once (sector_max gives one maximum per sector; contract
+    sums them with weights), with a band of shape (dim - |k|,) shared by
+    every sector.  A band of any other shape, or two sector counts, is a
+    ValueError.
     An operator's vectors are read-only and share one type, the np.result_type
     of the vectors it was built from: np.int64 for the integer operators (N,
     P_mu, I), float64 for real ones, complex128 where a phase enters, and
@@ -169,6 +181,12 @@ class BandOp:
         """The operator of the given sectors: an index array (in that order) or a slice over
         the sector axis, or one index, which gives that sector as an unstacked operator."""
         return BandOp.wrap(self.dim, {k: v[sectors] for k, v in self.bands.items()})
+
+    def contract(self, weights: np.ndarray) -> BandOp:
+        """The unstacked operator sum_s weights[s] x sector s, band by band, in the
+        np.result_type of weights and the bands; a shared band counts once per sector."""
+        bands = {k: weights @ v if v.ndim > 1 else weights.sum() * v for k, v in self.bands.items()}
+        return BandOp.wrap(self.dim, bands)
 
     def dense(self) -> np.ndarray:
         """The dim x dim matrix, complex128 unless a band is wider."""
@@ -326,26 +344,32 @@ def require_dim(lam: int, dim: int) -> None:
 def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
     """Build the truncated representation of a valid algebra.
 
-    a has sqrt(F(n)) at (n-1, n) and adag is its conjugate transpose: a's band
-    +1 and adag's band -1 are one read-only float64 diagonal, sqrt(F(1..dim-1)).
-    N is diagonal, P_mu projects onto levels n = mu mod lam, and
+    F(0..dim) is derived once and kept as fvals.  a has sqrt(F(n)) at (n-1, n)
+    and adag is its conjugate transpose: a's band +1 and adag's band -1 are one
+    read-only float64 diagonal, sqrt(F(1..dim-1)).  N is diagonal, P_mu projects
+    onto levels n = mu mod lam, all lam of them one (lam, dim) band, and
     T = exp(2i pi N / lam) is built from the phases at n mod lam, so it is
     exactly lam-periodic.  N and the P_mu are np.int64.
     """
     require_rep(params, dim)
-    roots = np.sqrt(structure_values(params, dim - 1)[1:])
-    roots.setflags(write=False)
-    lam = params.lam
+    fvals = structure_values(params, dim)
+    roots = np.sqrt(fvals[1:dim])
     levels = np.arange(dim)
-    classes = levels % lam
+    classes = levels % params.lam
+    sectors = np.arange(params.lam)
+    proj = (classes == sectors[:, None]).astype(np.int64)
+    tphase = np.exp(2j * np.pi * sectors / params.lam)[classes]
+    for v in (fvals, roots, levels, proj, tphase):
+        v.setflags(write=False)
     return TruncatedRep(
         params=params,
         dim=dim,
         a=BandOp.wrap(dim, {1: roots}),
         adag=BandOp.wrap(dim, {-1: roots}),
-        nmat=BandOp.diag(levels),
-        proj=tuple(map(BandOp.diag, np.eye(lam, dtype=np.int64)[:, classes])),
-        tmat=BandOp.diag(np.exp(2j * np.pi * np.arange(lam) / lam)[classes]),
+        fvals=fvals,
+        nmat=BandOp.wrap(dim, {0: levels}),
+        proj=BandOp.wrap(dim, {0: proj}),
+        tmat=BandOp.wrap(dim, {0: tphase}),
     )
 
 
@@ -360,10 +384,8 @@ def h0(rep: TruncatedRep) -> BandOp:
     diag = m.bands.get(0, np.zeros(rep.dim))
     if (m - BandOp.diag(diag)).block_max(top) != 0.0:
         raise DomainError("h0 must be diagonal away from the truncation edge")
-    gamma = derived_constants(rep.params).gamma
-    levels = np.arange(rep.dim)
     energies = diag.real.astype(float)
-    formula = levels + 0.5 + np.array(gamma)[levels % rep.params.lam]
+    formula = rep.nmat.bands[0] + 0.5 + rep.proj.contract(np.array(derived_constants(rep.params).gamma)).bands[0]
     if np.abs(energies[:top] - formula[:top]).max() > 1e-12:
         raise DomainError("h0 diagonal must match N + 1/2 + sum gamma_mu P_mu")
     return BandOp.diag(energies)
@@ -373,21 +395,16 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     """Verify the defining relations and structure-function identities.
 
     All relations are degree <= 2 in the generators, checked band by band on
-    the levels kept at degree 2.
+    the levels kept at degree 2.  Each projector family over mu, or over
+    (mu, nu) in sector mu lam + nu, is one product of the stacked projectors,
+    and sum_mu P_mu and sum_mu alpha_mu P_mu are one contraction each.
     """
-    lam = rep.params.lam
-    dim = rep.dim
-    alpha = rep.params.alpha
-    a, adag, nmat, tmat, proj = rep.a, rep.adag, rep.nmat, rep.tmat, rep.proj
-    # The projectors as the sectors of one operator, so that each family of
-    # relations over mu, or over (mu, nu) in sector mu lam + nu, is one product.
-    sectors = np.arange(lam)
-    proj_mu = BandOp.stack(proj)
-    pm, pn = proj_mu.take(np.repeat(sectors, lam)), proj_mu.take(np.tile(sectors, lam))
-    delta = np.eye(lam, dtype=np.int64).reshape(-1, 1)
+    lam, dim, alpha = rep.params.lam, rep.dim, np.array(rep.params.alpha)
+    a, adag, nmat, tmat, proj, fvals = rep.a, rep.adag, rep.nmat, rep.tmat, rep.proj, rep.fvals
+    mu, nu = np.divmod(np.arange(lam * lam), lam)
+    pm = proj.take(mu)
     # Fresh vectors: wrapped, not copied as BandOp.diag would.
     eye = BandOp.wrap(dim, {0: np.ones(dim, np.int64)})
-    fvals = structure_values(rep.params, dim)
     tpow = tmat
     for _ in range(lam - 1):
         tpow = tpow @ tmat
@@ -395,14 +412,11 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     a_adag, adag_a = a @ adag, adag @ a
     relations = [
         ("[N, adag] = adag", commutator(nmat, adag) - adag),
-        ("[N, P_mu] = 0", commutator(nmat, proj_mu)),
-        ("sum_mu P_mu = I", sum(proj) - eye),
-        (
-            "[a, adag] = I + sum alpha_mu P_mu",
-            a_adag - adag_a - (eye + sum(alpha[mu] * proj[mu] for mu in range(lam))),
-        ),
-        ("adag P_mu = P_{mu+1} adag", adag @ proj_mu - proj_mu.take(np.roll(sectors, -1)) @ adag),
-        ("P_mu P_nu = delta_{mu,nu} P_mu", pm @ pn - delta * pm),
+        ("[N, P_mu] = 0", commutator(nmat, proj)),
+        ("sum_mu P_mu = I", proj.contract(np.ones(lam, np.int64)) - eye),
+        ("[a, adag] = I + sum alpha_mu P_mu", a_adag - adag_a - (eye + proj.contract(alpha))),
+        ("adag P_mu = P_{mu+1} adag", adag @ proj - proj.take(np.arange(1, lam + 1) % lam) @ adag),
+        ("P_mu P_nu = delta_{mu,nu} P_mu", pm @ proj.take(nu) - (mu == nu)[:, None] * pm),
         ("adag a = F(N)", adag_a - BandOp.wrap(dim, {0: fvals[:dim]})),
         ("a adag = F(N+1)", a_adag - BandOp.wrap(dim, {0: fvals[1:]})),
         ("T^lam = I", tpow - eye),
@@ -422,12 +436,12 @@ def klein_reduction_check(rep: TruncatedRep, tol: float = 1e-12) -> RelationRepo
         raise DomainError(f"reduction requires order 2, got {rep.params.lam}")
     dim = rep.dim
     kappa = rep.params.alpha[0]
-    a, adag = rep.a, rep.adag
-    klein = BandOp.diag((-1) ** np.arange(dim))
-    eye = BandOp.diag(np.ones(dim, np.int64))
+    # Fresh vectors: wrapped, not copied as BandOp.diag would.
+    klein = BandOp.wrap(dim, {0: (-1) ** np.arange(dim)})
+    eye = BandOp.wrap(dim, {0: np.ones(dim, np.int64)})
     relations = [
         ("T = (-1)^N", (rep.tmat - klein).block_max(dim)),
-        ("[a, adag] = I + kappa (-1)^N", a @ adag - adag @ a - (eye + kappa * klein)),
+        ("[a, adag] = I + kappa (-1)^N", rep.a @ rep.adag - rep.adag @ rep.a - (eye + kappa * klein)),
     ]
     return relation_report(relations, dim, 2, tol)
 
@@ -446,9 +460,8 @@ def rep_to_dict(rep: TruncatedRep) -> dict:
         "adag": _matrix_to_pairs(a.conj().T),
         "n": _matrix_to_pairs(rep.nmat.dense()),
         "t": _matrix_to_pairs(rep.tmat.dense()),
+        **{f"p{mu}": _matrix_to_pairs(rep.proj.take(mu).dense()) for mu in range(rep.params.lam)},
     }
-    for mu, p in enumerate(rep.proj):
-        matrices[f"p{mu}"] = _matrix_to_pairs(p.dense())
     return {
         "lambda": rep.params.lam,
         "alpha": list(rep.params.alpha),

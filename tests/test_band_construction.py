@@ -52,9 +52,9 @@ def dense_rep(params, dim):
 def assert_rep_equal(rep, ref):
     for name in ("a", "adag", "nmat", "tmat"):
         assert np.array_equal(getattr(rep, name).dense(), ref[name]), name
-    assert len(rep.proj) == len(ref["proj"])
-    for p, expected in zip(rep.proj, ref["proj"]):
-        assert np.array_equal(p.dense(), expected)
+    assert rep.proj.bands[0].shape[0] == len(ref["proj"])
+    for mu, expected in enumerate(ref["proj"]):
+        assert np.array_equal(rep.proj.take(mu).dense(), expected)
 
 
 @EXAMPLES
@@ -138,8 +138,9 @@ def test_orthosupercharge_pair(dim, seed, mu, maximal):
 def test_band_vectors_are_read_only_float64_unless_phased():
     # Real operators keep real bands; only T carries a phase; N and P_mu are exact integers.
     rep = build_rep(new_params(3, [0.5, 0.1]), 12)
-    integer = (rep.nmat, *rep.proj)
-    for op in (rep.a, rep.adag, rep.nmat, rep.tmat, *rep.proj):
+    proj = [rep.proj.take(mu) for mu in range(3)]
+    integer = (rep.nmat, rep.proj, *proj)
+    for op in (rep.a, rep.adag, rep.nmat, rep.tmat, rep.proj, *proj):
         for v in op.bands.values():
             if op is rep.tmat:
                 assert v.dtype == np.complex128

@@ -3,8 +3,9 @@
 Every check evaluates its identities band by band, so operators with every
 diagonal filled must give the residuals of the dense masked products.  Full
 random complex matrices are wrapped with BandOp.of and injected into the
-representation, hierarchy or solution, and each entry is compared with the
-dense evaluation.  sqm2_check reads only the real diagonal of each partner
+representation, hierarchy or solution (the projectors as the sectors of one
+stacked operator, and a random F on the representation), and each entry is
+compared with the dense evaluation.  sqm2_check reads only the real diagonal of each partner
 Hamiltonian, so its dense 2 dim x 2 dim reference is built from those
 diagonals and the injected ladder.
 """
@@ -27,7 +28,6 @@ from cycosc import (
     pseudo_check,
     pseudo_family2_build,
     sqm2_check,
-    structure_values,
 )
 
 DIM = 16
@@ -59,16 +59,19 @@ def test_check_relations(lam):
     params = new_params(lam, [0.3] * (lam - 2) + [0.1])
     a, ad, n, t = (random_matrix(rng) for _ in range(4))
     P = [random_matrix(rng) for _ in range(lam)]
+    # F(0..DIM) is read from the representation, not derived again: a random F
+    # large enough that its diagonal sets the residuals that read it.
+    f = 100.0 * rng.normal(size=DIM + 1)
     rep = dataclasses.replace(
         build_rep(params, DIM),
         a=BandOp.of(a),
         adag=BandOp.of(ad),
+        fvals=f,
         nmat=BandOp.of(n),
         tmat=BandOp.of(t),
-        proj=tuple(BandOp.of(p) for p in P),
+        proj=BandOp.stack([BandOp.of(p) for p in P]),
     )
     eye = np.eye(DIM)
-    f = structure_values(params, DIM)
     w = np.exp(-2j * np.pi / lam)
     dense = {
         "[N, adag] = adag": [n @ ad - ad @ n - ad],

@@ -14,8 +14,10 @@ from cycosc import (
     InvalidParamsError,
     RelationEntry,
     RelationReport,
+    algebra,
     build_rep,
     check_relations,
+    fock,
     klein_reduction_check,
     new_params,
     rep_to_dict,
@@ -51,8 +53,8 @@ class TestBuildRep:
         e0[0] = 1.0
         assert np.all(rep.a.dense() @ e0 == 0.0)
         assert np.all(rep.nmat.dense() @ e0 == 0.0)
-        assert np.array_equal(rep.proj[0].dense() @ e0, e0 + 0j)
-        assert np.all(rep.proj[1].dense() @ e0 == 0.0)
+        assert np.array_equal(rep.proj.take(0).dense() @ e0, e0 + 0j)
+        assert np.all(rep.proj.take(1).dense() @ e0 == 0.0)
 
     def test_number_operator_diagonal(self):
         rep = build_rep(new_params(2, [0.0]), 5)
@@ -60,10 +62,10 @@ class TestBuildRep:
 
     def test_projectors_partition_basis(self):
         rep = build_rep(new_params(3, [0.2, 0.1]), 9)
-        total = sum(p.dense() for p in rep.proj)
+        total = sum(rep.proj.take(mu).dense() for mu in range(3))
         assert np.array_equal(total, np.eye(9, dtype=complex))
         for mu in range(3):
-            diag = np.diag(rep.proj[mu].dense()).real
+            diag = np.diag(rep.proj.take(mu).dense()).real
             assert all(diag[n] == (1.0 if n % 3 == mu else 0.0) for n in range(9))
 
     def test_t_matrix_phases(self):
@@ -92,6 +94,32 @@ class TestBuildRep:
         rep = build_rep(new_params(2, [0.1]), 6)
         with pytest.raises(ValueError):
             rep.a.bands[1][0] = 9.0
+
+    def test_projectors_are_one_stacked_operator(self):
+        for lam in (2, 3, 5):
+            rep = build_rep(new_params(lam, [0.3, -0.2, 0.4, 0.1][: lam - 1]), 13)
+            (offset, band), = rep.proj.bands.items()
+            assert offset == 0 and band.shape == (lam, 13)
+            assert band.dtype == np.int64 and not band.flags.writeable
+            for mu in range(lam):
+                expected = (np.arange(13) % lam == mu).astype(np.int64)
+                assert np.array_equal(rep.proj.take(mu).bands[0], expected)
+
+    def test_structure_function_is_derived_once_per_build(self, monkeypatch):
+        # check_relations and klein_reduction_check read F from the representation.
+        reps = [build_rep(new_params(lam, [0.3, -0.2, 0.4, 0.1][: lam - 1]), 30) for lam in (2, 3, 5)]
+        expected = [check_relations(rep) for rep in reps] + [klein_reduction_check(reps[0])]
+        assert np.array_equal(reps[1].fvals, structure_values(reps[1].params, 30))
+        assert not reps[1].fvals.flags.writeable
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("F derived again")
+
+        for module in (algebra, fock):
+            for name in ("structure_values", "structure_table"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert [check_relations(rep) for rep in reps] + [klein_reduction_check(reps[0])] == expected
 
     def test_ladders_share_one_diagonal(self):
         rep = build_rep(new_params(3, [0.4, -0.2]), 9)
@@ -180,7 +208,7 @@ class TestCheckRelations:
 
     def test_grading_creation_raises_grade(self):
         rep = build_rep(new_params(3, [0.5, 0.1]), 12)
-        adag, proj = rep.adag.dense(), [p.dense() for p in rep.proj]
+        adag, proj = rep.adag.dense(), [rep.proj.take(mu).dense() for mu in range(3)]
         for mu in range(3):
             lhs = proj[(mu + 1) % 3] @ adag @ proj[mu]
             rhs = adag @ proj[mu]

@@ -96,6 +96,13 @@ def ladders_of_perturbed_alpha(rep):
     return dataclasses.replace(rep, a=other.a, adag=other.adag)
 
 
+def with_p0(rep, p0):
+    """rep with sector 0 of its stacked projectors replaced by the operator p0."""
+    return dataclasses.replace(
+        rep, proj=BandOp.stack([p0, *(rep.proj.take(mu) for mu in range(1, rep.params.lam))])
+    )
+
+
 def t_phase_off_the_roots(rep):
     # The phase of class 0 turned by 10 FAULT radians.
     t = np.array(rep.tmat.bands[0])
@@ -112,7 +119,7 @@ ALGEBRA_FAULTS = {
     ),
     "P_0 mixed with adag": (
         ["[N, P_mu] = 0"],
-        lambda rep: dataclasses.replace(rep, proj=(rep.proj[0] + rep.adag, *rep.proj[1:])),
+        lambda rep: with_p0(rep, rep.proj.take(0) + rep.adag),
     ),
     "ladders of perturbed alpha": (
         ["[a, adag] = I + sum alpha_mu P_mu", "adag a = F(N)", "a adag = F(N+1)"],
@@ -124,7 +131,7 @@ ALGEBRA_FAULTS = {
     ),
     "P_0 on class 1": (
         ["sum_mu P_mu = I", "adag P_mu = P_{mu+1} adag", "P_mu P_nu = delta_{mu,nu} P_mu"],
-        lambda rep: dataclasses.replace(rep, proj=(rep.proj[1], *rep.proj[1:])),
+        lambda rep: with_p0(rep, rep.proj.take(1)),
     ),
 }
 KLEIN_FAULTS = {

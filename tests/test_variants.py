@@ -103,7 +103,7 @@ class TestPssqmBuild:
                 sol = pssqm_build(params, mu, dim=42)
                 assert list(sol.Q.bands) == [-1]
                 q = sol.Q.dense()
-                mask = sum(rep.proj[(mu + nu) % lam].dense() for nu in range(1, p + 1))
+                mask = sum(rep.proj.take((mu + nu) % lam).dense() for nu in range(1, p + 1))
                 expected = math.sqrt(2.0) * (adag @ mask.astype(complex))
                 np.testing.assert_allclose(
                     q.astype(complex), expected,
@@ -363,7 +363,7 @@ class TestPseudoFamily2:
         params = new_params(3, [1.0, -0.5])
         sol = pseudo_family2_build(params, 0, 0.5, 1.0, dim=24)
         rep = build_rep(params, 24)
-        expected = 1.0 * (rep.a.dense().astype(complex) @ rep.proj[2].dense().astype(complex))
+        expected = 1.0 * (rep.a.dense().astype(complex) @ rep.proj.take(2).dense().astype(complex))
         assert np.array_equal(sol.Q.dense(), expected)
 
 
@@ -374,7 +374,7 @@ class TestPseudoCheck:
         rep = build_rep(params, 30)
         # eta pushed outside (0, 2|c|), partner coefficient left as-is: the
         # grading survives, the product relation cannot.
-        bad_q = (2.5 * rep.adag + math.sqrt(3.0) * rep.a) @ rep.proj[2]
+        bad_q = (2.5 * rep.adag + math.sqrt(3.0) * rep.a) @ rep.proj.take(2)
         bad = dataclasses.replace(sol, Q=bad_q)
         report = pseudo_check(bad, 1.0, tol=1e-10)
         assert report.residual("Q^2 = 0") <= 1e-10
@@ -461,7 +461,7 @@ class TestOssqmBuild:
         sol = ossqm_build(params, 0, xi=root2, phi=0.3, dim=24)
         rep = build_rep(params, 24)
         a, adag = rep.a.dense().astype(complex), rep.adag.dense().astype(complex)
-        proj = [p.dense().astype(complex) for p in rep.proj]
+        proj = [rep.proj.take(mu).dense().astype(complex) for mu in range(3)]
         assert np.array_equal(sol.Q.dense(), root2 * (a @ proj[2]))
         assert np.array_equal(sol.Q2.dense(), root2 * (adag @ proj[0]))
 
@@ -503,7 +503,7 @@ class TestOssqmCheck:
         sol = ossqm_build(params, 0, xi=1.0, phi=0.0, dim=30)
         rep = build_rep(params, 30)
         # Lowering coefficient scaled without compensating the raising one.
-        bad_q1 = 1.2 * (rep.a @ rep.proj[2]) + 1.0 * (rep.adag @ rep.proj[0])
+        bad_q1 = 1.2 * (rep.a @ rep.proj.take(2)) + 1.0 * (rep.adag @ rep.proj.take(0))
         bad = dataclasses.replace(sol, Q=bad_q1)
         report = ossqm_check(bad, tol=1e-10)
         assert not report.ok
