@@ -1,8 +1,8 @@
 """Command-line front-end: spectra, relation suites, sweeps, and dumps.
 
 Exit codes: 0 success, 1 a relation check failed, 2 bad input or parameters
-(a --dim or --nmax too large for memory included, and an operator subcommand
-run without numpy), 3 I/O failure.  Numbers are printed with round-trip-exact
+(a size over MAX_ENTRIES included, and an operator subcommand run without
+numpy), 3 I/O failure.  Numbers are printed with round-trip-exact
 formatting (repr), so CSV and JSON output of the same run carry identical
 values.
 """
@@ -36,6 +36,16 @@ from .spectrum import _CLUSTER_TOL, analytic_spectrum, classify_degeneracy, swee
 # measured ~0.3-0.5 ms per point; the largest documented grid has 6084 points.
 MAX_GRID_POINTS = 1_000_000
 
+# The memory budget: the most levels (--dim, --nmax), or entries of the largest
+# array a command forms (the algebra suite's lam^2 dim stacked P_mu P_nu band,
+# dump's (lam + 4) dim^2 dense entries), that a command may ask for.  It is
+# checked before anything is built, since Linux overcommit lets numpy's
+# allocations succeed and the process is then killed without a message.
+# Measured peaks (x86-64, numpy 2) stay under about 1 GiB at the budget: at
+# most ~850 B per --dim level (ossqm; the algebra suite ~170 B per level plus
+# ~37 B per band entry), ~560 B per spectrum level, ~155 B per dumped entry.
+MAX_ENTRIES = 1 << 20
+
 
 def _fmt(value) -> str:
     """Round-trip-exact text for a scalar; empty for None, lowercase booleans."""
@@ -66,6 +76,22 @@ def _resolve_params(args) -> AlgebraParams:
     except ValueError as exc:
         raise DomainError(f"could not parse --alpha value {args.alpha!r}: {exc}") from None
     return new_params(args.lam, head)
+
+
+def _require_sizes(args) -> None:
+    """Raise DomainError for a size flag out of range: over MAX_ENTRIES, naming
+    the flag, or levels 0..--nmax outside the truncation --dim."""
+    lam = args.params.lam if hasattr(args, "params") else args.lam
+    sizes = [("dim", getattr(args, "dim", 0), "levels"), ("nmax", getattr(args, "nmax", 0), "levels")]
+    if args.command == "dump":
+        sizes.append(("dim", (lam + 4) * args.dim**2, "dense entries, (lambda + 4) dim^2"))
+    elif getattr(args, "suite", None) == "algebra":
+        sizes.append(("dim", lam * lam * args.dim, "band entries, lambda^2 dim"))
+    for flag, size, what in sizes:
+        if size > MAX_ENTRIES:
+            raise DomainError(f"{size} {what}, more than {MAX_ENTRIES}", name=flag)
+    if args.command in ("hierarchy", "variant") and args.nmax >= args.dim:
+        raise DomainError(f"--nmax must be below --dim, got {args.nmax} >= {args.dim}")
 
 
 _AXIS_RE = re.compile(r"a(\d+)=(-?[0-9.eE+-]+):(-?[0-9.eE+-]+):(-?[0-9.eE+-]+)\Z")
@@ -145,12 +171,11 @@ def _print_report(report: cycosc.fock.RelationReport, suite: str, fh) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    params = _resolve_params(args)
-    lines = analytic_spectrum(params, args.nmax)
-    report = classify_degeneracy(params, args.nmax, args.tol)
+    lines = analytic_spectrum(args.params, args.nmax)
+    report = classify_degeneracy(args.params, args.nmax, args.tol)
     if args.format == "json":
         obj = {
-            "params": params_to_dict(params),
+            "params": params_to_dict(args.params),
             "levels": [
                 {"n": l.n, "k": l.k, "mu": l.mu, "energy": l.energy}
                 for l in lines
@@ -241,9 +266,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    params = _resolve_params(args)
     run, _ = SUITES[args.suite]
-    _, report = run(args, params)
+    _, report = run(args, args.params)
     if args.format == "json":
         obj = {
             "suite": args.suite,
@@ -277,20 +301,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _require_levels(args) -> None:
-    """Levels 0..--nmax must lie inside the truncation --dim."""
-    if args.nmax >= args.dim:
-        raise DomainError(f"--nmax must be below --dim, got {args.nmax} >= {args.dim}")
-
-
 def cmd_hierarchy(args) -> int:
-    params = _resolve_params(args)
-    _require_levels(args)
-    h = cycosc.shape_invariance.build_hierarchy(params, args.dim)
+    h = cycosc.shape_invariance.build_hierarchy(args.params, args.dim)
     energies = h.hmats.real_diagonal()[:, : args.nmax + 1]
     if args.format == "json":
         obj = {
-            "params": params_to_dict(params),
+            "params": params_to_dict(args.params),
             "sectors": [
                 {
                     "sector": mu,
@@ -310,17 +326,14 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_variant(args) -> int:
-    params = _resolve_params(args)
-    _require_levels(args)
     run, _ = SUITES[args.kind]
-    sol, report = run(args, params)
+    sol, report = run(args, args.params)
     _write_json(cycosc.variants.variant_to_dict(sol, report, n_levels=args.nmax + 1), args.output)
     return 0 if report.ok else 1
 
 
 def cmd_dump(args) -> int:
-    params = _resolve_params(args)
-    _write_json(cycosc.fock.rep_to_dict(cycosc.fock.build_rep(params, args.dim)), args.output)
+    _write_json(cycosc.fock.rep_to_dict(cycosc.fock.build_rep(args.params, args.dim)), args.output)
     return 0
 
 
@@ -432,6 +445,10 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None and not math.isfinite(value):
             parser.error(f"argument --{flag}: must be finite, got {value}")
     try:
+        # Parameters first, then sizes, which may depend on their lam: both before any build.
+        if hasattr(args, "params_file"):
+            args.params = _resolve_params(args)
+        _require_sizes(args)
         return args.func(args)
     except InvalidParamsError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)

@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import cycosc
-from cycosc import fock
-from cycosc.cli import SUITES, build_parser, main
+from cycosc import DomainError, cli, fock
+from cycosc.cli import MAX_ENTRIES, SUITES, build_parser, main
 
 
 def run(capsys, *argv):
@@ -473,7 +473,15 @@ class TestWithoutNumpy:
 
 
 class TestOperatorCommandsNeedNumpy:
-    def test_verify_without_numpy_exits_2_in_one_line(self):
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ([], "error: verify needs numpy, which is not installed\n"),
+            # The budget is checked before dispatch, so no numpy is needed to refuse.
+            (["--dim", "100000000"], f"error: argument --dim: 100000000 levels, more than {MAX_ENTRIES}\n"),
+        ],
+    )
+    def test_verify_without_numpy_exits_2_in_one_line(self, extra, message):
         # -S leaves site-packages, where numpy is installed, off the path.
         probe = subprocess.run([sys.executable, "-S", "-c", "import numpy"], capture_output=True)
         if probe.returncode == 0:
@@ -481,13 +489,76 @@ class TestOperatorCommandsNeedNumpy:
         src = os.path.dirname(os.path.dirname(cycosc.__file__))
         proc = subprocess.run(
             [sys.executable, "-S", "-m", "cycosc.cli", "verify", "--suite", "algebra",
-             "--lambda", "3", "--alpha", "0.5,0.25"],
+             "--lambda", "3", "--alpha", "0.5,0.25", *extra],
             capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == "error: verify needs numpy, which is not installed\n"
+        assert proc.stderr == message
+
+
+# Sizes just over MAX_ENTRIES (1 << 20), and the flag each is refused on.
+OVER_BUDGET = [
+    ("verify --suite algebra --lambda 2 --alpha 0.5 --dim 100000000", "--dim"),
+    ("verify --suite ossqm --lambda 3 --alpha 0.5,-1 --dim 1048577", "--dim"),
+    ("spectrum --lambda 3 --alpha 0.5,0.2 --nmax 100000000", "--nmax"),
+    ("sweep --lambda 3 --grid a0=0:1:1,a1=0:1:1 --nmax 1048577", "--nmax"),
+    ("hierarchy --lambda 2 --alpha 0.5 --nmax 1048577", "--nmax"),
+    ("variant --kind pssqm --lambda 3 --alpha 0.5,0.25 --nmax 1048577", "--nmax"),
+    # lam^2 dim = 25 x 41944 = 1048600 entries of the stacked P_mu P_nu band.
+    ("verify --suite algebra --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --dim 41944", "--dim"),
+    # (lam + 4) dim^2 = 6 x 419^2 = 1053366 dense entries.
+    ("dump --lambda 2 --alpha 0.5 --dim 419", "--dim"),
+]
+
+
+class TestMemoryBudget:
+    @pytest.fixture(autouse=True)
+    def refuse_to_build(self, monkeypatch):
+        # A size that passed the budget would fail here, before allocating.
+        def refuse(*args, **kwargs):
+            raise AssertionError("built past the budget")
+
+        for module, name in [
+            (fock, "build_rep"),
+            (cycosc.shape_invariance, "build_hierarchy"),
+            (cycosc.variants, "pssqm_build"),
+            (cycosc.variants, "ossqm_build"),
+            (cli, "analytic_spectrum"),
+            (cli, "sweep"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+
+    @pytest.mark.parametrize("argv, flag", OVER_BUDGET)
+    def test_over_budget_exits_2_in_one_line(self, argv, flag):
+        rc, out, err = call(argv.split())
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1, err
+
+    def test_params_file_lambda_counts(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"lambda": 5, "alpha": [0.3, -0.2, 0.4, 0.1, -0.6]}))
+        for command in (["verify", "--suite", "algebra", "--dim", "41944"], ["dump", "--dim", "419"]):
+            rc, out, err = call([*command, "--params", str(path)])
+            assert (rc, out) == (2, ""), err
+            assert "more than 1048576" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, suite, lam, dim",
+        [
+            ("verify", "ossqm", 3, MAX_ENTRIES),
+            ("verify", "algebra", 2, MAX_ENTRIES // 4),
+            ("verify", "algebra", 5, MAX_ENTRIES // 25),
+            ("dump", None, 4, 362),
+        ],
+    )
+    def test_budget_edge(self, command, suite, lam, dim):
+        args = argparse.Namespace(command=command, suite=suite, lam=lam, dim=dim, nmax=MAX_ENTRIES)
+        cli._require_sizes(args)
+        args.dim = dim + 1
+        with pytest.raises(DomainError, match="more than"):
+            cli._require_sizes(args)
 
 
 # Run with np.longdouble and np.clongdouble aliased to float64 and complex128,
