@@ -31,7 +31,7 @@ _EXPORTS = {
         "Hierarchy", "build_hierarchy", "partner_check", "sqm2_check", "window_violations",
     ),
     "spectrum": (
-        "Cluster", "DegeneracyReport", "SpectrumLine", "SweepRecord",
+        "DegeneracyReport", "SpectrumLine", "SweepRecord",
         "analytic_spectrum", "classify_degeneracy", "sweep",
     ),
     "variants": (

@@ -3,11 +3,13 @@
 An algebra of order lam is specified by lam real parameters alpha_0..alpha_{lam-1}
 summing to zero.  Everything else used downstream (beta, gamma, omega, the
 structure function F, the kappa coordinates) is a closed-form function of alpha
-and lives here.
+and lives here.  All of it runs on Python values; numpy is imported only by
+structure_table and structure_values, which tabulate F.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -73,14 +75,15 @@ class KappaParams:
     kappa: tuple[complex, ...]
 
     def __post_init__(self):
-        import numpy as np
-
-        kappa = np.asarray(self.kappa, dtype=complex)
-        if kappa.ndim != 1 or kappa.size < 1:
+        try:
+            kappa = () if isinstance(self.kappa, str) else tuple(map(complex, self.kappa))
+        except (TypeError, ValueError):
+            kappa = ()
+        if not kappa:
             raise DomainError("kappa must be a nonempty vector")
-        if not np.all(np.isfinite(kappa)):
+        if not all(map(cmath.isfinite, kappa)):
             raise DomainError("kappa entries must be finite")
-        object.__setattr__(self, "kappa", tuple(map(complex, kappa)))
+        object.__setattr__(self, "kappa", kappa)
 
     @property
     def lam(self) -> int:
@@ -127,6 +130,16 @@ def _finite_floats(values, what: str, size: int) -> tuple[float, ...]:
     if not all(map(math.isfinite, floats)):
         raise DomainError(f"{what} entries must be finite")
     return floats
+
+
+def _require_zero_sum(alpha: tuple[float, ...]) -> None:
+    """Raise DomainError unless the exact sum of alpha (math.fsum) is within REAL_TOL of 0."""
+    try:
+        total = math.fsum(alpha)
+    except OverflowError:
+        raise DomainError("the sum of alpha leaves float64 range") from None
+    if abs(total) > REAL_TOL:
+        raise DomainError("alpha must sum to zero")
 
 
 def new_params(lam: int, alpha_head: Iterable[float]) -> AlgebraParams:
@@ -228,16 +241,12 @@ def kappa_from_alpha(params: AlgebraParams) -> KappaParams:
     kappa_nu = (1/lam) sum_mu exp(-2i pi mu nu / lam) alpha_mu.  The zero-sum
     constraint on alpha plays the role of the absent nu = 0 coefficient.
     """
-    import numpy as np
-
-    lam = params.lam
-    if abs(float(np.sum(params.alpha))) > REAL_TOL:
-        raise DomainError("alpha must sum to zero")
-    mu = np.arange(lam)
-    nu = np.arange(1, lam)
-    phases = np.exp(-2j * np.pi * np.outer(mu, nu) / lam)
-    kappa = phases.T @ np.array(params.alpha, dtype=complex) / lam
-    return KappaParams(kappa=kappa)
+    lam, alpha = params.lam, params.alpha
+    _require_zero_sum(alpha)
+    return KappaParams(kappa=tuple(
+        sum(cmath.exp(-2j * cmath.pi * mu * nu / lam) * a for mu, a in enumerate(alpha)) / lam
+        for nu in range(1, lam)
+    ))
 
 
 def alpha_from_kappa(kappa_params: KappaParams) -> AlgebraParams:
@@ -247,23 +256,18 @@ def alpha_from_kappa(kappa_params: KappaParams) -> AlgebraParams:
     conjugation symmetry kappa_nu* = kappa_{lam-nu}, which makes the result
     real; imaginary parts below 1e-12 are dropped.
     """
-    import numpy as np
-
-    kappa = kappa_params.kappa
-    lam = kappa_params.lam
+    kappa, lam = kappa_params.kappa, kappa_params.lam
     for nu in range(1, lam):
         if abs(kappa[nu - 1].conjugate() - kappa[lam - nu - 1]) > REAL_TOL:
-            raise SymmetryError(
-                f"kappa_{nu}* != kappa_{lam - nu}: conjugation symmetry violated"
-            )
-    mu = np.arange(lam)
-    nu = np.arange(1, lam)
-    phases = np.exp(2j * np.pi * np.outer(mu, nu) / lam)
-    alpha = phases @ np.array(kappa)
-    if np.abs(alpha.imag).max() > REAL_TOL:
+            raise SymmetryError(f"kappa_{nu}* != kappa_{lam - nu}: conjugation symmetry violated")
+    alpha = [
+        sum(cmath.exp(2j * cmath.pi * mu * nu / lam) * k for nu, k in enumerate(kappa, 1))
+        for mu in range(lam)
+    ]
+    if max(abs(a.imag) for a in alpha) > REAL_TOL:
         raise SymmetryError("transform produced non-real alpha")
     # Rebuild through new_params to restore the exact zero-sum invariant.
-    return new_params(lam, alpha.real[: lam - 1])
+    return new_params(lam, [a.real for a in alpha[: lam - 1]])
 
 
 def params_to_dict(params: AlgebraParams) -> dict:
@@ -287,12 +291,7 @@ def params_from_dict(obj: dict) -> AlgebraParams:
         raise DomainError("malformed params object: alpha must be a list of numbers")
     alpha = _finite_floats(alpha, "alpha", len(alpha))
     if len(alpha) == lam:
-        try:
-            total = math.fsum(alpha)
-        except OverflowError:
-            raise DomainError("the sum of alpha leaves float64 range") from None
-        if abs(total) > REAL_TOL:
-            raise DomainError("alpha must sum to zero")
+        _require_zero_sum(alpha)
         return new_params(lam, alpha[: lam - 1])
     if len(alpha) == lam - 1:
         return new_params(lam, alpha)

@@ -37,13 +37,16 @@ from .spectrum import _CLUSTER_TOL, analytic_spectrum, classify_degeneracy, swee
 MAX_GRID_POINTS = 1_000_000
 
 # The memory budget: the most levels (--dim, --nmax), or entries of the largest
-# array a command forms (the algebra suite's lam^2 dim stacked P_mu P_nu band,
-# dump's (lam + 4) dim^2 dense entries), that a command may ask for.  It is
-# checked before anything is built, since Linux overcommit lets numpy's
-# allocations succeed and the process is then killed without a message.
-# Measured peaks (x86-64, numpy 2) stay under about 1 GiB at the budget: at
-# most ~850 B per --dim level (ossqm; the algebra suite ~170 B per level plus
-# ~37 B per band entry), ~560 B per spectrum level, ~155 B per dumped entry.
+# arrays a command may form, that a command may ask for: lam^2 dim band entries
+# for every verify, variant and hierarchy command (the algebra suite's stacked
+# P_mu P_nu band; the hierarchy and the parasupercharge suites form lam dim),
+# and dump's (lam + 4) dim^2 dense entries.  It is checked before anything is
+# built, since Linux overcommit lets numpy's allocations succeed and the
+# process is then killed without a message.  Measured peaks (x86-64, numpy 2)
+# stay under about 1 GiB at the budget: at most ~850 B per --dim level (ossqm;
+# the algebra suite ~170 B per level plus ~37 B per band entry; partners ~59 B
+# and pssqm ~34 B per lam dim entry), ~560 B per spectrum level, ~155 B per
+# dumped entry.
 MAX_ENTRIES = 1 << 20
 
 
@@ -85,7 +88,7 @@ def _require_sizes(args) -> None:
     sizes = [("dim", getattr(args, "dim", 0), "levels"), ("nmax", getattr(args, "nmax", 0), "levels")]
     if args.command == "dump":
         sizes.append(("dim", (lam + 4) * args.dim**2, "dense entries, (lambda + 4) dim^2"))
-    elif getattr(args, "suite", None) == "algebra":
+    elif hasattr(args, "dim"):
         sizes.append(("dim", lam * lam * args.dim, "band entries, lambda^2 dim"))
     for flag, size, what in sizes:
         if size > MAX_ENTRIES:

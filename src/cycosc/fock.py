@@ -402,7 +402,6 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     lam, dim, alpha = rep.params.lam, rep.dim, np.array(rep.params.alpha)
     a, adag, nmat, tmat, proj, fvals = rep.a, rep.adag, rep.nmat, rep.tmat, rep.proj, rep.fvals
     mu, nu = np.divmod(np.arange(lam * lam), lam)
-    pm = proj.take(mu)
     # Fresh vectors: wrapped, not copied as BandOp.diag would.
     eye = BandOp.wrap(dim, {0: np.ones(dim, np.int64)})
     tpow = tmat
@@ -410,13 +409,17 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
         tpow = tpow @ tmat
     w = np.exp(-2j * np.pi / lam)
     a_adag, adag_a = a @ adag, adag @ a
+    # delta_{mu,nu} P_mu: each band of P_mu written into sectors mu (lam + 1) of zeros.
+    delta = BandOp.wrap(dim, {k: np.zeros((lam * lam, v.shape[-1]), v.dtype) for k, v in proj.bands.items()})
+    for k, v in proj.bands.items():
+        delta.bands[k][:: lam + 1] = v
     relations = [
         ("[N, adag] = adag", commutator(nmat, adag) - adag),
         ("[N, P_mu] = 0", commutator(nmat, proj)),
         ("sum_mu P_mu = I", proj.contract(np.ones(lam, np.int64)) - eye),
         ("[a, adag] = I + sum alpha_mu P_mu", a_adag - adag_a - (eye + proj.contract(alpha))),
         ("adag P_mu = P_{mu+1} adag", adag @ proj - proj.take(np.arange(1, lam + 1) % lam) @ adag),
-        ("P_mu P_nu = delta_{mu,nu} P_mu", pm @ proj.take(nu) - (mu == nu)[:, None] * pm),
+        ("P_mu P_nu = delta_{mu,nu} P_mu", proj.take(mu) @ proj.take(nu) - delta),
         ("adag a = F(N)", adag_a - BandOp.wrap(dim, {0: fvals[:dim]})),
         ("a adag = F(N+1)", a_adag - BandOp.wrap(dim, {0: fvals[1:]})),
         ("T^lam = I", tpow - eye),

@@ -43,7 +43,6 @@ class Hierarchy:
     """
 
     params: AlgebraParams
-    dim: int
     a: BandOp
     adag: BandOp
     e0: tuple[float, ...]
@@ -107,7 +106,6 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     windows = np.lib.stride_tricks.as_strided(f, (p + 1, dim), f.strides * 2, writeable=False)
     return Hierarchy(
         params=params,
-        dim=dim,
         a=BandOp.wrap(dim, {1: roots}),
         adag=BandOp.wrap(dim, {-1: roots}),
         e0=(0.0, *itertools.accumulate(const.omega)),
@@ -124,7 +122,7 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
     each over every sector, with E0 subtracted as a column, and each entry is
     its sector's maximum on the levels kept at degree 2.
     """
-    dim = h.dim
+    dim = h.hmats.dim
     p = h.params.lam
     H = h.hmats
     top = kept_levels(dim, 2)
@@ -161,7 +159,7 @@ def sqm2_check(h: Hierarchy, mu: int, tol: float = 1e-12) -> RelationReport:
     A, Adag = h.a.take(mu), h.adag.take(mu)
     # Both partners less E0^(mu), as fresh vectors.
     shifted = h.hmats.take(slice(mu, mu + 2)).real_diagonal() - h.e0[mu]
-    H0, H1 = (BandOp.wrap(h.dim, {0: d}) for d in shifted)
+    H0, H1 = (BandOp.wrap(h.hmats.dim, {0: d}) for d in shifted)
     relations = [
         # Q's one nonzero block maps sector mu into mu + 1 and no block of Q
         # leaves mu + 1, so Q^2 has no block to form.
@@ -171,4 +169,4 @@ def sqm2_check(h: Hierarchy, mu: int, tol: float = 1e-12) -> RelationReport:
         # {Q, Qdag} = diag(Adag A, A Adag).
         ("{Q, Qdag} = H", BandOp.stack([Adag @ A - H0, A @ Adag - H1])),
     ]
-    return relation_report(relations, h.dim, 2, tol)
+    return relation_report(relations, h.hmats.dim, 2, tol)

@@ -58,12 +58,12 @@ class DegeneracyReport:
     recurring per period; threshold_energy is the lowest energy where that
     multiplicity first occurs.  stabilized records whether the last two fully
     resolved periods agree.  uniform_spacing is the common gap between distinct
-    levels when one exists, else None.
+    levels when one exists, else None.  The clusters these are read from are
+    not kept.
     """
 
     pattern: str
     threshold_energy: float | None
-    clusters: tuple[Cluster, ...]
     stabilized: bool
     uniform_spacing: float | None
 
@@ -188,7 +188,6 @@ def classify_degeneracy(
     return DegeneracyReport(
         pattern=pattern,
         threshold_energy=threshold,
-        clusters=clusters,
         stabilized=stabilized,
         uniform_spacing=spacing,
     )

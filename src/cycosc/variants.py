@@ -68,7 +68,6 @@ class VariantSolution:
     Q: BandOp
     H: BandOp
     params: AlgebraParams
-    dim: int
     Q2: BandOp | None = None
 
 
@@ -123,16 +122,16 @@ def _require_check_range(c: float, *ladders: np.ndarray):
         raise DomainError(f"c = {c!r} takes pseudo_check's terms beyond float64 range", name="c")
 
 
-def _exact_rows(Q: BandOp, dim: int, degree: int) -> int:
+def _exact_rows(Q: BandOp, degree: int) -> int:
     """Rows on which truncation leaves every power of Q exact.
 
-    All dim rows when Q is triangular (its offsets share a sign): a product of
+    All Q.dim rows when Q is triangular (its offsets share a sign): a product of
     such factors passes only through levels between its row and its column.
     Otherwise the levels kept at degree.
     """
     if min(Q.bands, default=0) >= 0 or max(Q.bands, default=0) <= 0:
-        return dim
-    return kept_levels(dim, degree)
+        return Q.dim
+    return kept_levels(Q.dim, degree)
 
 
 def _order2_shift(gamma_m2: float, r_m2: float, p: int) -> float:
@@ -216,7 +215,6 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
         Q=Q,
         H=H,
         params=params,
-        dim=dim,
     )
 
 
@@ -249,14 +247,14 @@ def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationRep
         (f"Q^{p + 1} = 0", powers[p + 1]),
         # Read on every row of a triangular Q, as the kept block may hold no
         # nonzero entry of Q^p at the smallest dims.
-        (f"Q^{p} != 0", powers[p].block_max(_exact_rows(Q, sol.dim, p + 1)), True),
+        (f"Q^{p} != 0", powers[p].block_max(_exact_rows(Q, p + 1)), True),
         ("[H, Q] = 0", commutator(H, Q)),
         (
             "sum_j Q^{p-j} Qdag Q^j = 2p Q^{p-1} H",
             multilinear - 2.0 * p * (powers[p - 1] @ H if p > 1 else H),
         ),
     ]
-    return relation_report(relations, sol.dim, p + 1, tol)
+    return relation_report(relations, Q.dim, p + 1, tol)
 
 
 def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
@@ -278,9 +276,9 @@ def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationRepor
     inner = qdag @ Q - Q @ qdag
     relations = [
         ("[Q, [Qdag, Q]] = 2 Q H", Q @ inner - inner @ Q - 2.0 * (Q @ H)),
-        ("Q != 0", Q.block_max(_exact_rows(Q, sol.dim, 3)), True),
+        ("Q != 0", Q.block_max(_exact_rows(Q, 3)), True),
     ]
-    return relation_report(relations, sol.dim, 3, tol)
+    return relation_report(relations, Q.dim, 3, tol)
 
 
 def pseudo_family1_build(
@@ -326,7 +324,6 @@ def pseudo_family1_build(
         Q=Q,
         H=H,
         params=params,
-        dim=dim,
     )
 
 
@@ -355,7 +352,6 @@ def pseudo_family2_build(
         Q=Q,
         H=H,
         params=params,
-        dim=dim,
     )
 
 
@@ -389,7 +385,7 @@ def pseudo_check(sol: VariantSolution, c: float, tol: float = 1e-10) -> Relation
         ("[H, Q] = 0", commutator(H, Q)),
         ("Q Qdag Q = 4 c^2 Q H", qx @ qx.dag @ qx - 4.0 * c * c * (qx @ hx)),
     ]
-    return relation_report(relations, sol.dim, 3, tol)
+    return relation_report(relations, Q.dim, 3, tol)
 
 
 def ossqm_build(
@@ -441,7 +437,6 @@ def ossqm_build(
         Q=Q1,
         H=H,
         params=params,
-        dim=dim,
         Q2=Q2,
     )
 
@@ -475,7 +470,7 @@ def ossqm_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
             q1_qdag1 + qdag_q[0] + qdag_q[1] - two_h,
         ),
     ]
-    return relation_report(relations, sol.dim, 2, tol)
+    return relation_report(relations, sol.Q.dim, 2, tol)
 
 
 def ground_state_analysis(sol: VariantSolution) -> GroundState:

@@ -448,6 +448,15 @@ assert params == cycosc.AlgebraParams(lam=3, alpha=(0.5, 0.25, -0.75))
 print(json.dumps({"runs": runs, "params": repr(params)}))
 """
 
+# The kappa chart's round trip in such an interpreter; prints the parameters it returns.
+KAPPA_NO_NUMPY_SCRIPT = """
+import sys
+sys.modules["numpy"] = None
+import cycosc
+params = cycosc.new_params(4, [0.3, -0.2, 0.4])
+print(repr(cycosc.alpha_from_kappa(cycosc.kappa_from_alpha(params))))
+"""
+
 
 class TestWithoutNumpy:
     ARGVS = [
@@ -470,6 +479,19 @@ class TestWithoutNumpy:
             assert rc == expected_rc == 0, argv
             assert out == expected_out, argv
         assert got["params"] == repr(cycosc.new_params(3, [0.5, 0.25]))
+
+    def test_kappa_round_trip_runs_without_numpy(self):
+        src = os.path.dirname(os.path.dirname(cycosc.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", KAPPA_NO_NUMPY_SCRIPT],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        params = cycosc.new_params(4, [0.3, -0.2, 0.4])
+        back = cycosc.alpha_from_kappa(cycosc.kappa_from_alpha(params))
+        assert proc.stdout == repr(back) + "\n"
+        assert max(abs(x - y) for x, y in zip(back.alpha, params.alpha)) <= 1e-12
 
 
 class TestOperatorCommandsNeedNumpy:
@@ -498,6 +520,9 @@ class TestOperatorCommandsNeedNumpy:
         assert proc.stderr == message
 
 
+# Sixty-three zeros: the head of a lam = 64 alpha.
+ZEROS_63 = ",".join(["0"] * 63)
+
 # Sizes just over MAX_ENTRIES (1 << 20), and the flag each is refused on.
 OVER_BUDGET = [
     ("verify --suite algebra --lambda 2 --alpha 0.5 --dim 100000000", "--dim"),
@@ -508,6 +533,14 @@ OVER_BUDGET = [
     ("variant --kind pssqm --lambda 3 --alpha 0.5,0.25 --nmax 1048577", "--nmax"),
     # lam^2 dim = 25 x 41944 = 1048600 entries of the stacked P_mu P_nu band.
     ("verify --suite algebra --lambda 5 --alpha 0.3,-0.2,0.4,0.1 --dim 41944", "--dim"),
+    # lam^2 dim = 4096 x 257 = 1052672 entries, for every verify, variant and
+    # hierarchy command (the hierarchy and the parasupercharge form lam dim).
+    (f"verify --suite partners --lambda 64 --alpha {ZEROS_63} --dim 257", "--dim"),
+    (f"verify --suite pssqm --lambda 64 --alpha {ZEROS_63} --dim 257", "--dim"),
+    (f"variant --kind pssqm --lambda 64 --alpha {ZEROS_63} --dim 257", "--dim"),
+    (f"hierarchy --lambda 64 --alpha {ZEROS_63} --dim 257", "--dim"),
+    # 9 x 116509 = 1048581 entries.
+    ("verify --suite ossqm --lambda 3 --alpha 0.5,-1 --dim 116509", "--dim"),
     # (lam + 4) dim^2 = 6 x 419^2 = 1053366 dense entries.
     ("dump --lambda 2 --alpha 0.5 --dim 419", "--dim"),
 ]
@@ -547,9 +580,11 @@ class TestMemoryBudget:
     @pytest.mark.parametrize(
         "command, suite, lam, dim",
         [
-            ("verify", "ossqm", 3, MAX_ENTRIES),
+            ("verify", "ossqm", 3, MAX_ENTRIES // 9),
             ("verify", "algebra", 2, MAX_ENTRIES // 4),
             ("verify", "algebra", 5, MAX_ENTRIES // 25),
+            ("verify", "partners", 64, MAX_ENTRIES // 4096),
+            ("verify", "pssqm", 5, MAX_ENTRIES // 25),
             ("dump", None, 4, 362),
         ],
     )
