@@ -79,6 +79,8 @@ class KappaParams:
             kappa = () if isinstance(self.kappa, str) else tuple(map(complex, self.kappa))
         except (TypeError, ValueError):
             kappa = ()
+        except OverflowError:
+            raise DomainError("kappa entries must be finite") from None
         if not kappa:
             raise DomainError("kappa must be a nonempty vector")
         if not all(map(cmath.isfinite, kappa)):

@@ -82,7 +82,7 @@ class RelationReport:
 
 @dataclass(frozen=True)
 class TruncatedRep:
-    """a, adag, N, T and P_mu at truncation dimension dim, as weighted shifts.
+    """a, adag, N, T and P_mu at truncation dimension a.dim, as weighted shifts.
 
     fvals is F(0..dim), read-only float64, the values whose square roots
     sqrt(F(1..dim-1)) are the ladders' band.  proj holds the lam projectors as
@@ -90,7 +90,6 @@ class TruncatedRep:
     """
 
     params: AlgebraParams
-    dim: int
     a: BandOp
     adag: BandOp
     fvals: np.ndarray
@@ -219,21 +218,13 @@ class BandOp:
                     continue
                 sx, sy, s = max(0, -kx), max(0, -ky) - kx, max(0, -k)
                 term = vx[..., lo - sx : hi - sx] * vy[..., lo - sy : hi - sy]
-                # A band's first term is stored as it is where it fills the band,
-                # else put into zeros; a later term adds in place, after widening
-                # the band if the term has more sectors or a wider type.
-                w = out.get(k)
-                if w is None:
-                    if hi - lo == dim - abs(k):
-                        out[k] = term
-                    else:
-                        w = out[k] = np.zeros(term.shape[:-1] + (dim - abs(k),), term.dtype)
-                        w[..., lo - s : hi - s] = term
-                    continue
-                if w.ndim < term.ndim or w.dtype != term.dtype and not np.can_cast(term.dtype, w.dtype):
-                    sectors = np.broadcast_shapes(w.shape[:-1], term.shape[:-1])
-                    w = out[k] = np.broadcast_to(w, sectors + w.shape[-1:]).astype(np.result_type(w, term))
-                w[..., lo - s : hi - s] += term
+                # A partial term is padded into zeros of its band's length; terms
+                # add in order, and numpy's broadcasting and promotion widen the
+                # band to the sectors and type of its terms.
+                if hi - lo < dim - abs(k):
+                    term, part = np.zeros(term.shape[:-1] + (dim - abs(k),), term.dtype), term
+                    term[..., lo - s : hi - s] = part
+                out[k] = out[k] + term if k in out else term
         # One type per operator, as in construction: a complex band widens them all.
         if len({w.dtype for w in out.values()}) > 1:
             dtype = np.result_type(*out.values())
@@ -363,7 +354,6 @@ def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
         v.setflags(write=False)
     return TruncatedRep(
         params=params,
-        dim=dim,
         a=BandOp.wrap(dim, {1: roots}),
         adag=BandOp.wrap(dim, {-1: roots}),
         fvals=fvals,
@@ -380,8 +370,8 @@ def h0(rep: TruncatedRep) -> BandOp:
     diagonal and its diagonal matches N + 1/2 + sum gamma_mu P_mu within 1e-12.
     """
     m = 0.5 * (rep.a @ rep.adag + rep.adag @ rep.a)
-    top = kept_levels(rep.dim, 2)
-    diag = m.bands.get(0, np.zeros(rep.dim))
+    top = kept_levels(m.dim, 2)
+    diag = m.bands.get(0, np.zeros(m.dim))
     if (m - BandOp.diag(diag)).block_max(top) != 0.0:
         raise DomainError("h0 must be diagonal away from the truncation edge")
     energies = diag.real.astype(float)
@@ -399,7 +389,7 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     (mu, nu) in sector mu lam + nu, is one product of the stacked projectors,
     and sum_mu P_mu and sum_mu alpha_mu P_mu are one contraction each.
     """
-    lam, dim, alpha = rep.params.lam, rep.dim, np.array(rep.params.alpha)
+    lam, dim, alpha = rep.params.lam, rep.a.dim, np.array(rep.params.alpha)
     a, adag, nmat, tmat, proj, fvals = rep.a, rep.adag, rep.nmat, rep.tmat, rep.proj, rep.fvals
     mu, nu = np.divmod(np.arange(lam * lam), lam)
     # Fresh vectors: wrapped, not copied as BandOp.diag would.
@@ -437,7 +427,7 @@ def klein_reduction_check(rep: TruncatedRep, tol: float = 1e-12) -> RelationRepo
     """
     if rep.params.lam != 2:
         raise DomainError(f"reduction requires order 2, got {rep.params.lam}")
-    dim = rep.dim
+    dim = rep.a.dim
     kappa = rep.params.alpha[0]
     # Fresh vectors: wrapped, not copied as BandOp.diag would.
     klein = BandOp.wrap(dim, {0: (-1) ** np.arange(dim)})
@@ -468,6 +458,6 @@ def rep_to_dict(rep: TruncatedRep) -> dict:
     return {
         "lambda": rep.params.lam,
         "alpha": list(rep.params.alpha),
-        "dim": rep.dim,
+        "dim": rep.a.dim,
         "matrices": matrices,
     }

@@ -75,12 +75,11 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     """Build the ladders of the p = lam shifted algebras and the partner Hamiltonians.
 
     F of every shifted algebra comes from algebra.structure_table, as one
-    float64 table whose row mu is F of alpha rotated by mu.  The ladders
-    and Hamiltonians are views of a second, read-only float64 table: rows
-    0..p-1 hold the square roots of F of each shifted algebra, whose entries
-    for n = 1..dim-1 are the one band that A (offset +1) and Adag (offset -1)
-    share, and row p holds F itself, whose p + 1 windows of dim levels from
-    level mu are H^(mu) = F(N + mu).
+    float64 table whose row mu is F of alpha rotated by mu.  The square roots
+    of its entries for n = 1..dim-1 are one read-only (p, dim - 1) band that
+    A (offset +1) and Adag (offset -1) share, and the p + 1 windows of dim
+    levels of row 0 from level mu are the read-only (p + 1, dim) band of
+    H^(mu) = F(N + mu).
     Each shifted algebra's Fock condition F(k) > 0, k = 1..p-1, is read off
     that table, in shift order, before any square root.
     """
@@ -97,13 +96,11 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     for row in ~(fvals[1:, 1:p] > 0.0):
         if row.any():
             raise InvalidParamsError(tuple((np.flatnonzero(row) + 1).tolist()))
-    table = np.empty((p + 1, dim + p))
-    table[:p] = np.sqrt(fvals)
-    table[p] = fvals[0]
-    table.setflags(write=False)
-    roots, f = table[:p, 1:dim], table[p]
-    # H^(mu) is the window of dim levels of F from level mu: p + 1 overlapping views.
-    windows = np.lib.stride_tricks.as_strided(f, (p + 1, dim), f.strides * 2, writeable=False)
+    roots = np.sqrt(fvals[:, 1:dim])
+    # H^(mu) is the window of dim levels of F from level mu.
+    windows = fvals[0][np.add.outer(np.arange(p + 1), np.arange(dim))]
+    for v in (roots, windows):
+        v.setflags(write=False)
     return Hierarchy(
         params=params,
         a=BandOp.wrap(dim, {1: roots}),

@@ -73,7 +73,8 @@ class SweepRecord:
     """One grid point of a parameter sweep.
 
     report is None at a point outside the Fock domain (valid is False) and at
-    a valid point whose first n_max + 1 levels resolve no full period.
+    a valid point whose first n_max + 1 levels resolve no full period, or whose
+    levels float64 cannot tell apart at the clustering tolerance.
     """
 
     params: AlgebraParams
@@ -141,10 +142,15 @@ def classify_degeneracy(
 
     Clusters reaching past the shortest ladder's top level may be truncated,
     so the pattern is read off the last period whose clusters are complete,
-    and stabilization requires the period before it to agree.
+    and stabilization requires the period before it to agree.  Raises
+    DomainError when float64 spaces the largest |level| by more than tol, as
+    clusters there would be rounding, not degeneracy.
     """
     energies = [line.energy for line in analytic_spectrum(params, n_max)]
     lam = params.lam
+    top = max(map(abs, energies))
+    if math.ulp(top) > tol:
+        raise DomainError(f"levels near {top:.3g} lie {math.ulp(top):.3g} apart in float64, more than tol = {tol:g}")
     if n_max < lam - 1:
         raise _unresolved(params, n_max, "leaves a ladder empty")
     clusters = _cluster_energies(energies, tol)
@@ -202,7 +208,8 @@ def _sweep_point(
     try:
         report = classify_degeneracy(params, n_max, tol)
     except DomainError:
-        # The point is Fock-valid and sweep checked n_max, so no period resolved.
+        # The point is Fock-valid and sweep checked n_max, so no period resolved
+        # or float64 cannot resolve the levels.
         report = None
     return SweepRecord(params=params, valid=True, report=report)
 
@@ -216,7 +223,9 @@ def sweep(
     """Classify every point of a rectangular grid over (alpha_0..alpha_{lam-2}).
 
     Yields one record per grid point in row-major order; invalid points, and
-    valid ones that n_max leaves unresolved, are flagged rather than skipped.
+    valid ones that n_max leaves unresolved or whose levels are too large for
+    float64 to resolve at tol, are flagged rather than skipped: a valid point
+    without a report is written `true,,` by the CLI.
     The order, the axes and n_max are checked when sweep is called; results
     then stream one at a time.
     """

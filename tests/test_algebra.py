@@ -350,6 +350,7 @@ class TestSerialization:
         (lambda: AlgebraParams(lam=1, alpha=(0.0,)), "order must be >= 2"),
         (lambda: KappaParams(kappa=[[0.5 + 0j]]), "nonempty vector"),
         (lambda: KappaParams(kappa=[complex(math.nan, 0.0)]), "must be finite"),
+        (lambda: KappaParams(kappa=[10**400]), "kappa entries must be finite"),
         (lambda: params_from_dict({"lambda": 3, "alpha": [1.0]}), "length 3 or 2"),
         (lambda: params_from_dict({"lambda": math.inf, "alpha": [0.5, 0.1]}), "lambda must be an integer"),
         (lambda: params_from_dict({"lambda": 3.9, "alpha": [0.5, 0.1]}), "lambda must be an integer"),
@@ -362,7 +363,8 @@ class TestSerialization:
         (lambda: params_from_dict({"lambda": 3, "alpha": [1e308, 1e308, -1e308]}), "float64 range"),
     ],
     ids=[
-        "AlgebraParams-order-1", "KappaParams-2d", "KappaParams-nan", "params_from_dict-length",
+        "AlgebraParams-order-1", "KappaParams-2d", "KappaParams-nan", "KappaParams-huge-int",
+        "params_from_dict-length",
         "lambda-inf", "lambda-float", "lambda-bool", "alpha-str", "alpha-dict", "alpha-bool",
         "alpha-inf", "alpha-huge-int", "alpha-sum-overflow",
     ],

@@ -368,6 +368,11 @@ class TestSweep:
         assert call([*argv, "--output", str(output)])[0] == 0
         assert output.read_text() == out
 
+    def test_levels_float64_cannot_resolve_flagged_not_fatal(self):
+        rc, out, err = call(["sweep", "--lambda", "2", "--grid", "a0=1e300:1e300:1"])
+        assert (rc, err) == (0, "")
+        assert csv_rows(out)[1] == ["1e+300,true,,"]
+
     def test_known_classification_row(self, capsys):
         rc, out, _ = run(
             capsys, "sweep", "--lambda", "3", "--grid", "a0=0:1:1,a1=3:4:1"
@@ -596,15 +601,17 @@ class TestMemoryBudget:
             cli._require_sizes(args)
 
 
-# Run with np.longdouble and np.clongdouble aliased to float64 and complex128,
-# as where they are no wider, and every RuntimeWarning an error.
-FLOAT64_LONGDOUBLE_SCRIPT = """
-import sys
-import numpy as np
-np.longdouble, np.clongdouble = np.float64, np.complex128
-from cycosc.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
+def run_aliased(*argv):
+    """A child interpreter with tools/float64_longdouble first on PYTHONPATH, whose
+    sitecustomize aliases np.longdouble and np.clongdouble to float64 and complex128,
+    as where they are no wider."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(cycosc.__file__))
+    path = os.pathsep.join([os.path.join(root, "tools", "float64_longdouble"), src])
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 # Every suite but the parasupersymmetric ones, whose charge alone is built in np.longdouble.
@@ -622,15 +629,14 @@ FLOAT64_SUITES = [
 
 
 class TestFloat64Longdouble:
+    def test_the_alias_takes_effect(self):
+        proc = run_aliased("-c", "import numpy as np; print(np.finfo(np.longdouble).nmant)")
+        assert (proc.returncode, proc.stdout) == (0, "52\n"), proc.stderr
+
     @pytest.mark.parametrize("suite", FLOAT64_SUITES)
     def test_verify_prints_the_native_bytes(self, capsys, suite):
         argv = ["verify", "--format", "json", "--dim", "480", "--suite", *suite.split()]
-        src = os.path.dirname(os.path.dirname(cycosc.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", FLOAT64_LONGDOUBLE_SCRIPT, *argv],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
+        proc = run_aliased("-m", "cycosc.cli", *argv)
         rc, out, _ = run(capsys, *argv)
         assert proc.returncode == rc == 0, out
         if not suite.startswith("pseudo"):
@@ -644,12 +650,9 @@ class TestFloat64Longdouble:
 
     def test_pssqm_range_error_is_one_line(self):
         # 2 F(n) overflows float64 here, so the range check must come before Q is formed.
-        src = os.path.dirname(os.path.dirname(cycosc.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", FLOAT64_LONGDOUBLE_SCRIPT,
-             "variant", "--kind", "pssqm", "--lambda", "3", "--alpha", "1e308,0"],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=src),
+        proc = run_aliased(
+            "-W", "error::RuntimeWarning", "-m", "cycosc.cli",
+            "variant", "--kind", "pssqm", "--lambda", "3", "--alpha", "1e308,0",
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
@@ -821,6 +824,10 @@ class TestArgHandling:
             ),
             # An --alpha entry that is not a number.
             (("spectrum", "--lambda", "3", "--alpha", "1,x"), "--alpha"),
+            # Levels float64 spaces by more than --tol, where clusters would be rounding.
+            (("spectrum", "--lambda", "2", "--alpha", "1e16"), "apart in float64, more than tol = 1e-09"),
+            (("spectrum", "--lambda", "2", "--alpha", "1e300"), "apart in float64"),
+            (("spectrum", "--lambda", "3", "--alpha", "1e300,-1e300"), "apart in float64"),
         ],
     )
     def test_bad_value_exits_2_naming_flag(self, argv, flag):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycosc import (
@@ -121,6 +121,26 @@ class TestClassifyDegeneracy:
             m = 1 if report.pattern == "nondegenerate" else int(report.pattern.removesuffix("-fold"))
             assert 1 <= m <= params.lam
 
+    def test_levels_float64_cannot_resolve_rejected(self):
+        # Levels near 5e15 lie 1 apart in float64, so ladders 2 apart would merge.
+        with pytest.raises(DomainError, match="apart in float64"):
+            classify_degeneracy(new_params(2, [1e16]), 60)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=3))
+    @example([1e16])
+    @example([1e300])
+    @example([1e300, -1e300])
+    def test_reported_multiplicity_never_exceeds_lam(self, head):
+        # No energy is shared by more than one level per ladder, at any scale.
+        lam = len(head) + 1
+        try:
+            report = classify_degeneracy(new_params(lam, head), 60)
+        except DomainError:
+            return
+        m = 1 if report.pattern == "nondegenerate" else int(report.pattern.removesuffix("-fold"))
+        assert m <= lam
+
     def test_threefold_merge(self):
         # gamma = (1, 3, 2) aligns the ladders across periods: levels 4.5,
         # 7.5, ... are shared by all three, above a lone ground state at 1.5.
@@ -212,6 +232,11 @@ class TestSweep:
         assert [rec.valid for rec in records] == [True, True, True]
         assert records[0].report.pattern == "nondegenerate"
         assert records[1].report is None and records[2].report is None
+
+    def test_levels_float64_cannot_resolve_flagged_not_fatal(self):
+        records = list(sweep(2, [[1e16, 0.5]]))
+        assert [rec.valid for rec in records] == [True, True]
+        assert records[0].report is None and records[1].report is not None
 
     def test_single_point_grid(self):
         records = list(sweep(3, [[0.0], [4.0]], n_max=40))
