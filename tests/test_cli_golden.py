@@ -33,8 +33,22 @@ PLAIN = [
         0, "3b8149c0db3bcdb8414ff7cf2c5d69d0104bc6350449870819e21f73867ab41c",
     ),
     (
+        # 2-fold from 2.5 on, with no uniform spacing.
+        "spectrum --lambda 3 --alpha 2,-2 --nmax 12",
+        0, "4ebe56965f18212bf0e20009ddab76124611e40a4fe4ca92d9e9fa7454dfe0f7",
+    ),
+    (
+        "spectrum --lambda 3 --alpha 2,-2 --nmax 12 --format json",
+        0, "2ab841236bbc8a150f47e8616ffad070d5ed1d86e647e1be44148517bd1bc960",
+    ),
+    (
         "sweep --lambda 3 --grid a0=-0.5:1:0.5,a1=-0.5:1:0.75 --nmax 30",
         0, "02dae2e5c3a94b822c9b7fea214b50af38a5e3b3090aa657677df23c35244be2",
+    ),
+    (
+        # Invalid, nondegenerate, 2-fold and unresolved (true,,) rows.
+        "sweep --lambda 3 --grid a0=-30:60:30,a1=-0.9:4:4.9 --nmax 12",
+        0, "4c8a6960edd219af3d296ee47449404fb030ded08a55d217bbc53fc618ed3ee2",
     ),
     (
         "hierarchy --lambda 4 --alpha 0.3,-0.2,0.4 --dim 40 --nmax 9",
@@ -55,6 +69,11 @@ PLAIN = [
 ]
 
 WITH_RESIDUALS = [
+    (
+        # The text report, with six FAIL lines at a tolerance below every nonzero residual.
+        "verify --suite algebra --lambda 4 --alpha 0.3,-0.2,0.4 --tol 1e-30",
+        1, "b9473753e605320d6bfd6e94ab6054478ab7355372b2260f7a204fdfc85335d7",
+    ),
     (
         "verify --suite algebra --lambda 4 --alpha 0.3,-0.2,0.4 --format json",
         0, "a4f4d5af62db3aa2b4303ee118deb1aa516d82463794e76c6065519db8a7d37e",
@@ -243,6 +262,13 @@ def _check(command, rc, digest):
 @pytest.mark.parametrize("command, rc, digest", PLAIN, ids=[c for c, _, _ in PLAIN])
 def test_plain_output_bytes(command, rc, digest):
     _check(command, rc, digest)
+
+
+@pytest.mark.parametrize("command, rc, digest", PLAIN, ids=[c for c, _, _ in PLAIN])
+def test_output_file_gets_the_stdout_bytes(command, rc, digest, tmp_path):
+    path = tmp_path / "out"
+    assert _run(f"{command} --output {path}") == (rc, hashlib.sha256(b"").hexdigest())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.skipif(not EXTENDED_64, reason="residual digests recorded with a 64-bit np.longdouble mantissa")
