@@ -1,5 +1,10 @@
 """Command-line front-end: spectra, relation suites, sweeps, and dumps.
 
+Each subcommand builds its result once and _write writes it: as indented
+JSON, or, where the subcommand has a text form and --format is not json, as
+the CSV or text lines rendered from that same result (for sweep, from its
+record stream), so the two forms cannot drift apart.
+
 Exit codes: 0 success, 1 a relation check failed, 2 bad input or parameters
 (a size over MAX_ENTRIES included, and an operator subcommand run without
 numpy), 3 I/O failure.  Numbers are printed with round-trip-exact
@@ -13,6 +18,7 @@ import argparse
 import contextlib
 import json
 import math
+import operator
 import re
 import sys
 
@@ -51,12 +57,13 @@ MAX_ENTRIES = 1 << 20
 
 
 def _fmt(value) -> str:
-    """Round-trip-exact text for a scalar; empty for None, lowercase booleans."""
+    """Round-trip-exact text for a float (repr), lowercase for a boolean, empty
+    for None; a string as it is."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return repr(float(value))
+    return value if isinstance(value, str) else repr(float(value))
 
 
 def _resolve_params(args) -> AlgebraParams:
@@ -143,66 +150,39 @@ def _parse_grid(text: str, lam: int) -> list[list[float]]:
     ]
 
 
-@contextlib.contextmanager
-def _open_output(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+def _write(args, result, lines=None) -> None:
+    """Write a subcommand's result to --output, or stdout without one.
+
+    lines, text lines rendered lazily from result, are written as they are
+    generated unless --format is json; otherwise result is written as indented
+    JSON (a numpy array as its list) and a final newline.
+    """
+    with contextlib.nullcontext(sys.stdout) if args.output is None else open(
+        args.output, "w", encoding="utf-8"
+    ) as fh:
+        if lines is not None and getattr(args, "format", None) != "json":
+            fh.writelines(line + "\n" for line in lines)
+        else:
+            json.dump(result, fh, indent=2, default=operator.methodcaller("tolist"))
+            fh.write("\n")
 
 
-def _write_json(obj, path: str | None) -> None:
-    """Write obj to path (stdout if None) as indented JSON and a final newline."""
-    with _open_output(path) as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
-def _print_report(report: cycosc.fock.RelationReport, suite: str, fh) -> None:
-    width = max(len(e.name) for e in report.entries)
-    for e in report.entries:
-        status = "pass" if e.passed else "FAIL"
-        print(f"{e.name:<{width}}  residual {e.residual:.3e}  {status}", file=fh)
-    n_pass = sum(e.passed for e in report.entries)
-    verdict = "OK" if report.ok else "FAIL"
-    print(
-        f"suite {suite}: {verdict} ({n_pass}/{len(report.entries)} pass,"
-        f" headroom {report.headroom}, tol {_fmt(report.tol)})",
-        file=fh,
-    )
+def _spectrum_csv(result):
+    yield "n,k,mu,energy"
+    for level in result["levels"]:
+        yield f"{level['n']},{level['k']},{level['mu']},{_fmt(level['energy'])}"
+    yield "# " + ",".join(f"{key}={_fmt(value)}" for key, value in result["classification"].items())
 
 
 def cmd_spectrum(args) -> int:
     lines = analytic_spectrum(args.params, args.nmax)
     report = classify_degeneracy(args.params, args.nmax, args.tol)
-    if args.format == "json":
-        obj = {
-            "params": params_to_dict(args.params),
-            "levels": [
-                {"n": l.n, "k": l.k, "mu": l.mu, "energy": l.energy}
-                for l in lines
-            ],
-            "classification": {
-                "pattern": report.pattern,
-                "threshold_energy": report.threshold_energy,
-                "stabilized": report.stabilized,
-                "uniform_spacing": report.uniform_spacing,
-            },
-        }
-        _write_json(obj, args.output)
-    else:
-        with _open_output(args.output) as fh:
-            print("n,k,mu,energy", file=fh)
-            for l in lines:
-                print(f"{l.n},{l.k},{l.mu},{_fmt(l.energy)}", file=fh)
-            print(
-                f"# pattern={report.pattern}"
-                f",threshold_energy={_fmt(report.threshold_energy)}"
-                f",stabilized={_fmt(report.stabilized)}"
-                f",uniform_spacing={_fmt(report.uniform_spacing)}",
-                file=fh,
-            )
+    result = {
+        "params": params_to_dict(args.params),
+        "levels": [{"n": l.n, "k": l.k, "mu": l.mu, "energy": l.energy} for l in lines],
+        "classification": vars(report),
+    }
+    _write(args, result, _spectrum_csv(result))
     return 0
 
 
@@ -268,75 +248,79 @@ SUITES = {
 }
 
 
+def _verify_text(result):
+    relations = result["relations"]
+    width = max(len(r["name"]) for r in relations)
+    for r in relations:
+        yield f"{r['name']:<{width}}  residual {r['residual']:.3e}  {'pass' if r['pass'] else 'FAIL'}"
+    n_pass = sum(r["pass"] for r in relations)
+    yield (
+        f"suite {result['suite']}: {'OK' if result['ok'] else 'FAIL'} ({n_pass}/{len(relations)} pass,"
+        f" headroom {result['headroom']}, tol {_fmt(result['tol'])})"
+    )
+
+
 def cmd_verify(args) -> int:
     run, _ = SUITES[args.suite]
     _, report = run(args, args.params)
-    if args.format == "json":
-        obj = {
-            "suite": args.suite,
-            "ok": report.ok,
-            "headroom": report.headroom,
-            "tol": report.tol,
-            "relations": report.relation_dicts(),
-        }
-        _write_json(obj, args.output)
-    else:
-        with _open_output(args.output) as fh:
-            _print_report(report, args.suite, fh)
+    result = {
+        "suite": args.suite,
+        "ok": report.ok,
+        "headroom": report.headroom,
+        "tol": report.tol,
+        "relations": report.relation_dicts(),
+    }
+    _write(args, result, _verify_text(result))
     return 0 if report.ok else 1
+
+
+def _sweep_csv(records, lam: int):
+    yield ",".join([f"alpha_{k}" for k in range(lam - 1)] + ["valid", "pattern", "threshold_energy"])
+    for rec in records:
+        row = [*rec.params.alpha[: lam - 1], rec.valid]
+        row += [rec.report.pattern, rec.report.threshold_energy] if rec.report else [None, None]
+        yield ",".join(map(_fmt, row))
 
 
 def cmd_sweep(args) -> int:
     require_order(args.lam)
-    # sweep checks its arguments when called, so a bad one writes nothing.
+    # sweep checks its arguments, every grid point's head included, when called,
+    # so a bad one writes nothing.
     records = sweep(args.lam, _parse_grid(args.grid, args.lam), n_max=args.nmax, tol=args.tol)
-    head = [f"alpha_{k}" for k in range(args.lam - 1)]
-    with _open_output(args.output) as fh:
-        print(",".join(head + ["valid", "pattern", "threshold_energy"]), file=fh)
-        for rec in records:
-            values = [_fmt(v) for v in rec.params.alpha[: args.lam - 1]]
-            if rec.report is None:
-                pattern, threshold = "", ""
-            else:
-                pattern = rec.report.pattern
-                threshold = _fmt(rec.report.threshold_energy)
-            print(",".join(values + [_fmt(rec.valid), pattern, threshold]), file=fh)
+    _write(args, records, _sweep_csv(records, args.lam))
     return 0
+
+
+def _hierarchy_csv(result):
+    yield "sector,n,energy"
+    for sector in result["sectors"]:
+        for n, energy in enumerate(sector["energies"]):
+            yield f"{sector['sector']},{n},{_fmt(energy)}"
 
 
 def cmd_hierarchy(args) -> int:
     h = cycosc.shape_invariance.build_hierarchy(args.params, args.dim)
-    energies = h.hmats.real_diagonal()[:, : args.nmax + 1]
-    if args.format == "json":
-        obj = {
-            "params": params_to_dict(args.params),
-            "sectors": [
-                {
-                    "sector": mu,
-                    "energies": row.tolist(),
-                }
-                for mu, row in enumerate(energies)
-            ],
-        }
-        _write_json(obj, args.output)
-    else:
-        with _open_output(args.output) as fh:
-            print("sector,n,energy", file=fh)
-            for mu, row in enumerate(energies):
-                for n, e in enumerate(row):
-                    print(f"{mu},{n},{_fmt(e)}", file=fh)
+    # Each row stays a numpy array: the CSV streams it, and JSON lists it when written.
+    result = {
+        "params": params_to_dict(args.params),
+        "sectors": [
+            {"sector": mu, "energies": row}
+            for mu, row in enumerate(h.hmats.real_diagonal()[:, : args.nmax + 1])
+        ],
+    }
+    _write(args, result, _hierarchy_csv(result))
     return 0
 
 
 def cmd_variant(args) -> int:
     run, _ = SUITES[args.kind]
     sol, report = run(args, args.params)
-    _write_json(cycosc.variants.variant_to_dict(sol, report, n_levels=args.nmax + 1), args.output)
+    _write(args, cycosc.variants.variant_to_dict(sol, report, n_levels=args.nmax + 1))
     return 0 if report.ok else 1
 
 
 def cmd_dump(args) -> int:
-    _write_json(cycosc.fock.rep_to_dict(cycosc.fock.build_rep(args.params, args.dim)), args.output)
+    _write(args, cycosc.fock.rep_to_dict(cycosc.fock.build_rep(args.params, args.dim)))
     return 0
 
 
