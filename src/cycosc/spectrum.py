@@ -226,8 +226,9 @@ def sweep(
     valid ones that n_max leaves unresolved or whose levels are too large for
     float64 to resolve at tol, are flagged rather than skipped: a valid point
     without a report is written `true,,` by the CLI.
-    The order, the axes and n_max are checked when sweep is called; results
-    then stream one at a time.
+    The order, the axes and n_max are checked when sweep is called, every
+    point's head too (each value finite, its sum within float64 range);
+    results then stream one at a time, and none raises.
     """
     require_order(lam)
     values = [[float(v) for v in axis] for axis in axes]
@@ -235,5 +236,13 @@ def sweep(
         raise DomainError(f"grid needs {lam - 1} axes for order {lam}, got {len(values)}")
     if not all(values):
         raise DomainError("grid axes must be nonempty")
+    bad = [v for axis in values for v in axis if not math.isfinite(v)]
+    if bad:
+        raise DomainError(f"grid values must be finite, got {bad[0]}")
+    # Rounded addition is monotone in each operand, so every point's left-to-right
+    # sum lies between the two corners' sums: new_params accepts every head if it
+    # accepts both corners.
+    for corner in (min, max):
+        new_params(lam, [corner(axis) for axis in values])
     _require_ladders(lam, n_max)
     return (_sweep_point(lam, point, n_max, tol) for point in itertools.product(*values))

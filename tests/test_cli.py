@@ -425,6 +425,8 @@ class TestSweep:
         [
             (["--lambda", "1", "--grid", "a0=0:1:1"], "order must be >= 2, got 1"),
             (["--lambda", "2", "--grid", "a0=0:1:1", "--nmax", "0"], "leaves a ladder empty"),
+            # Its first point is valid; the last one's head sums past float64.
+            (["--lambda", "3", "--grid", "a0=0:1e308:1e308,a1=1e308:1e308:1"], "leaves float64 range"),
         ],
     )
     def test_bad_arguments_write_nothing(self, tmp_path, argv, message):

@@ -257,9 +257,18 @@ class TestSweep:
             (1, [], 20, "order must be >= 2"),
             (3, [[0.0], [1.0]], 1, "leaves a ladder empty"),
             (2, [[-1.5]], 0, "leaves a ladder empty"),
+            # A grid point's head, not its first: the nan, and the 1e308 + 1e308 corner.
+            (3, [[0.0, math.nan, 1.0], [0.5]], 20, "must be finite, got nan"),
+            (3, [[0.0, 1e308], [1e308]], 20, "leaves float64 range"),
         ],
     )
     def test_arguments_checked_before_the_first_record(self, lam, axes, n_max, match):
         # Raised by the call itself, so a caller can check them before writing.
         with pytest.raises(DomainError, match=match):
             sweep(lam, axes, n_max=n_max)
+
+    def test_corners_whose_sums_cancel_stream(self):
+        records = list(sweep(3, [[1e308], [-1e308]]))
+        assert [(rec.params.alpha, rec.valid, rec.report) for rec in records] == [
+            ((1e308, -1e308, -0.0), True, None)
+        ]
