@@ -228,7 +228,7 @@ def sweep(
     without a report is written `true,,` by the CLI.
     The order, the axes and n_max are checked when sweep is called, every
     point's head too (each value finite, its sum within float64 range);
-    results then stream one at a time, and none raises.
+    results then stream one at a time.
     """
     require_order(lam)
     values = [[float(v) for v in axis] for axis in axes]
