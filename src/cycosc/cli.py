@@ -299,14 +299,11 @@ def _hierarchy_csv(result):
 
 
 def cmd_hierarchy(args) -> int:
-    h = cycosc.shape_invariance.build_hierarchy(args.params, args.dim)
+    energies = cycosc.shape_invariance.build_hierarchy(args.params, args.dim).hmats.real_diagonal()
     # Each row stays a numpy array: the CSV streams it, and JSON lists it when written.
     result = {
         "params": params_to_dict(args.params),
-        "sectors": [
-            {"sector": mu, "energies": row}
-            for mu, row in enumerate(h.hmats.real_diagonal()[:, : args.nmax + 1])
-        ],
+        "sectors": [{"sector": mu, "energies": row[: args.nmax + 1]} for mu, row in enumerate(energies)],
     }
     _write(args, result, _hierarchy_csv(result))
     return 0
