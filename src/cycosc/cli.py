@@ -300,7 +300,8 @@ def _hierarchy_csv(result):
 
 def cmd_hierarchy(args) -> int:
     energies = cycosc.shape_invariance.build_hierarchy(args.params, args.dim).hmats.real_diagonal()
-    # Each row stays a numpy array: the CSV streams it, and JSON lists it when written.
+    # The hierarchy itself is not kept, so its bands are freed before writing.  Each
+    # row stays a numpy array: the CSV streams it, and JSON lists it when written.
     result = {
         "params": params_to_dict(args.params),
         "sectors": [{"sector": mu, "energies": row[: args.nmax + 1]} for mu, row in enumerate(energies)],

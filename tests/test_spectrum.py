@@ -268,10 +268,7 @@ class TestSweep:
             sweep(lam, axes, n_max=n_max)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        lam=st.integers(2, 5),
-        data=st.data(),
-    )
+    @given(lam=st.integers(2, 5), data=st.data())
     def test_a_grid_accepted_at_call_time_streams_to_the_end(self, lam, data):
         edge = st.sampled_from([0.0, -0.0, 5e-324, 0.5, -1.0, 3.0, 1e16, -1e300, 8e307, -8e307, 1e308, 1.7e308])
         axes = data.draw(st.lists(st.lists(edge, min_size=1, max_size=3), min_size=lam - 1, max_size=lam - 1))
