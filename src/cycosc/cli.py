@@ -33,7 +33,7 @@ from .algebra import (
     params_to_dict,
     require_order,
 )
-from .spectrum import _CLUSTER_TOL, analytic_spectrum, classify_degeneracy, sweep
+from .spectrum import _CLUSTER_TOL, _classify, analytic_spectrum, sweep
 
 # Other package modules are reached as cycosc.<module>, whose lazy export imports
 # a module on first use, so each subcommand loads only the modules it runs.
@@ -51,7 +51,7 @@ MAX_GRID_POINTS = 1_000_000
 # process is then killed without a message.  Measured peaks (x86-64, numpy 2)
 # stay under about 1 GiB at the budget: at most ~850 B per --dim level (ossqm;
 # the algebra suite ~170 B per level plus ~37 B per band entry; partners ~59 B
-# and pssqm ~34 B per lam dim entry), ~560 B per spectrum level, ~155 B per
+# and pssqm ~34 B per lam dim entry), ~520 B per spectrum level, ~155 B per
 # dumped entry.
 MAX_ENTRIES = 1 << 20
 
@@ -176,7 +176,7 @@ def _spectrum_csv(result):
 
 def cmd_spectrum(args) -> int:
     lines = analytic_spectrum(args.params, args.nmax)
-    report = classify_degeneracy(args.params, args.nmax, args.tol)
+    report = _classify(args.params, lines, args.tol)
     result = {
         "params": params_to_dict(args.params),
         "levels": [{"n": l.n, "k": l.k, "mu": l.mu, "energy": l.energy} for l in lines],

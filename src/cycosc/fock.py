@@ -178,8 +178,9 @@ class BandOp:
 
     def take(self, sectors) -> BandOp:
         """The operator of the given sectors: an index array (in that order) or a slice over
-        the sector axis, or one index, which gives that sector as an unstacked operator."""
-        return BandOp.wrap(self.dim, {k: v[sectors] for k, v in self.bands.items()})
+        the sector axis, or one index, which gives that sector as an unstacked operator;
+        a shared band is kept as it is."""
+        return BandOp.wrap(self.dim, {k: v[sectors] if v.ndim > 1 else v for k, v in self.bands.items()})
 
     def contract(self, weights: np.ndarray) -> BandOp:
         """The unstacked operator sum_s weights[s] x sector s, band by band, in the

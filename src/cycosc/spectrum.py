@@ -45,10 +45,6 @@ class Cluster:
     energy: float
     levels: tuple[int, ...]
 
-    @property
-    def multiplicity(self) -> int:
-        return len(self.levels)
-
 
 @dataclass(frozen=True)
 class DegeneracyReport:
@@ -84,6 +80,8 @@ class SweepRecord:
 
 def analytic_spectrum(params: AlgebraParams, n_max: int) -> list[SpectrumLine]:
     """Labeled energies E_{k lam + mu} = k lam + mu + gamma_mu + 1/2 for n = 0..n_max."""
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
     require_fock(params)
     gamma = derived_constants(params).gamma
     lam = params.lam
@@ -146,8 +144,14 @@ def classify_degeneracy(
     DomainError when float64 spaces the largest |level| by more than tol, as
     clusters there would be rounding, not degeneracy.
     """
-    energies = [line.energy for line in analytic_spectrum(params, n_max)]
+    return _classify(params, analytic_spectrum(params, n_max), tol)
+
+
+def _classify(params: AlgebraParams, lines: list[SpectrumLine], tol: float) -> DegeneracyReport:
+    """classify_degeneracy of the levels analytic_spectrum built for params."""
+    energies = [line.energy for line in lines]
     lam = params.lam
+    n_max = len(energies) - 1
     top = max(map(abs, energies))
     if math.ulp(top) > tol:
         raise DomainError(f"levels near {top:.3g} lie {math.ulp(top):.3g} apart in float64, more than tol = {tol:g}")
@@ -159,31 +163,24 @@ def classify_degeneracy(
     complete_limit = min(max(energies[mu::lam]) for mu in range(lam))
     complete = [c for c in clusters if c.energy <= complete_limit + tol]
 
-    cluster_of = {}
+    # mult[n]: the multiplicity of level n's complete cluster, 0 if none holds n.
+    mult = [0] * len(energies)
     for c in complete:
         for n in c.levels:
-            cluster_of[n] = c
-
-    signatures = []
-    n_periods = (n_max + 1) // lam
-    for k in range(n_periods):
-        period = range(k * lam, (k + 1) * lam)
-        if all(n in cluster_of for n in period):
-            signatures.append(
-                (k, tuple(cluster_of[n].multiplicity for n in period))
-            )
+            mult[n] = len(c.levels)
+    periods = (mult[k : k + lam] for k in range(0, len(mult) - lam + 1, lam))
+    signatures = [sig for sig in periods if all(sig)]
     if not signatures:
         raise _unresolved(params, n_max, "leaves no fully resolved period")
-    last_k, last_sig = signatures[-1]
-    stabilized = len(signatures) >= 2 and signatures[-2][1] == last_sig
+    stabilized = len(signatures) >= 2 and signatures[-2] == signatures[-1]
 
-    m = max(last_sig)
+    m = max(signatures[-1])
     if m == 1:
         pattern = NONDEGENERATE
         threshold = None
     else:
         pattern = f"{m}-fold"
-        threshold = min(c.energy for c in complete if c.multiplicity == m)
+        threshold = min(c.energy for c in complete if len(c.levels) == m)
 
     distinct = [c.energy for c in complete]
     gaps = [b - a for a, b in zip(distinct, distinct[1:])]

@@ -494,17 +494,12 @@ def variant_to_dict(
     diag = sol.H.real_diagonal()
     if n_levels is not None:
         diag = diag[:n_levels]
-    ground = ground_state_analysis(sol)
     return {
         "kind": sol.kind,
         "mu": sol.mu,
         "free_params": {k: float(v) for k, v in sol.free_params.items()},
         "r_values": {k: float(v) for k, v in sol.r_values.items()},
-        "spectrum": [float(e) for e in diag],
-        "ground_state": {
-            "energy": ground.energy,
-            "multiplicity": ground.multiplicity,
-            "broken": ground.broken,
-        },
+        "spectrum": diag.tolist(),
+        "ground_state": vars(ground_state_analysis(sol)),
         "relations": report.relation_dicts(),
     }

@@ -71,6 +71,16 @@ def test_take_selects_sectors_in_order():
     assert taken.bands[0][:, 0].tolist() == [2.0, 0.0, 2.0]
 
 
+def test_take_keeps_a_shared_band():
+    x = BandOp(6, {0: np.arange(18.0).reshape(3, 6), 1: np.ones(5)})
+    one = x.take(1)
+    assert one.bands[1].shape == (5,)
+    assert np.array_equal(one.dense(), sector(x, 1).dense())
+    two = x.take(np.array([0, 2]))
+    assert two.bands[0].shape == (2, 6) and two.bands[1].shape == (5,)
+    assert np.array_equal(two.take(1).dense(), sector(x, 2).dense())
+
+
 def test_stack_keeps_integer_bands_and_widens_to_one_type():
     count = BandOp.diag(np.arange(6))
     assert BandOp.stack([count, count]).bands[0].dtype == np.int64

@@ -167,6 +167,21 @@ class TestSpectrum:
         assert header == "n,k,mu,energy"
         assert len(rows) == 4
 
+    def test_levels_are_built_once(self, capsys, monkeypatch):
+        # Both names tracing wraps: the defining module's and the CLI's own.
+        calls = []
+        original = cycosc.spectrum.analytic_spectrum
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cycosc.spectrum, "analytic_spectrum", record)
+        monkeypatch.setattr(cli, "analytic_spectrum", record)
+        rc, _, err = run(capsys, "spectrum", "--lambda", "3", "--alpha", "0.5,0.1", "--nmax", "12")
+        assert rc == 0, err
+        assert len(calls) == 1
+
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         rc, _, err = run(
             capsys,

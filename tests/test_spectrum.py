@@ -173,6 +173,12 @@ class TestClassifyDegeneracy:
         with pytest.raises(DomainError):
             classify_degeneracy(new_params(3, [0.0, 4.0]), n_max, 1e-9)
 
+    @pytest.mark.parametrize("build", [analytic_spectrum, classify_degeneracy])
+    @pytest.mark.parametrize("n_max", [-1, -5])
+    def test_negative_nmax_rejected_by_name(self, build, n_max):
+        with pytest.raises(DomainError, match=f"n_max must be >= 0, got {n_max}$"):
+            build(new_params(3, [0.0, 4.0]), n_max)
+
     def test_invalid_params_rejected(self):
         with pytest.raises(InvalidParamsError):
             classify_degeneracy(new_params(3, [-2.0, 0.0]), 30, 1e-9)
