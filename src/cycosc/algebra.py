@@ -54,7 +54,10 @@ class AlgebraParams:
     """Order lam and the full parameter vector alpha, with sum(alpha) = 0.
 
     Use new_params to construct: the last entry is always derived from the
-    first lam - 1, so the zero-sum constraint holds by construction.
+    first lam - 1, so the zero-sum constraint holds by construction.  The
+    derived constants and the Fock verdict are computed once, here, and
+    derived_constants, validate_fock and require_fock read them; they are not
+    fields, so ==, hash, repr and params_to_dict see lam and alpha alone.
     """
 
     lam: int
@@ -62,7 +65,15 @@ class AlgebraParams:
 
     def __post_init__(self):
         require_order(self.lam)
-        object.__setattr__(self, "alpha", _finite_floats(self.alpha, "alpha", self.lam))
+        alpha = _finite_floats(self.alpha, "alpha", self.lam)
+        object.__setattr__(self, "alpha", alpha)
+        # Prefix sums left to right, as np.cumsum takes them.
+        beta = (0.0, *itertools.accumulate(alpha[:-1]))
+        gamma = tuple(b + a / 2.0 for b, a in zip(beta, alpha))
+        omega = tuple(1.0 + a for a in alpha)
+        violations = tuple(mu for mu, b in enumerate(beta[1:], 1) if not mu + b > 0.0)
+        object.__setattr__(self, "_constants", DerivedConstants(beta=beta, gamma=gamma, omega=omega))
+        object.__setattr__(self, "_fock", FockValidation(ok=not violations, violations=violations))
 
 
 @dataclass(frozen=True)
@@ -162,25 +173,21 @@ def new_params(lam: int, alpha_head: Iterable[float]) -> AlgebraParams:
 
 
 def derived_constants(params: AlgebraParams) -> DerivedConstants:
-    """Compute beta, gamma, omega from alpha by prefix sums, left to right as np.cumsum."""
-    alpha = params.alpha
-    beta = (0.0, *itertools.accumulate(alpha[:-1]))
-    gamma = tuple(b + a / 2.0 for b, a in zip(beta, alpha))
-    omega = tuple(1.0 + a for a in alpha)
-    return DerivedConstants(beta=beta, gamma=gamma, omega=omega)
+    """Beta, gamma, omega from alpha by prefix sums, left to right as np.cumsum.
+
+    Derived once, when params is made; every call returns that one object.
+    """
+    return params._constants
 
 
 def validate_fock(params: AlgebraParams) -> FockValidation:
-    """Check the Fock-space existence condition F(mu) > 0, mu = 1..lam-1.
+    """The Fock-space existence condition F(mu) > 0, mu = 1..lam-1.
 
     Returns the violations instead of raising, so invalid parameter regions can
-    still be swept and mapped.
+    still be swept and mapped.  Checked once, when params is made; every call
+    returns that one verdict.
     """
-    beta = derived_constants(params).beta
-    violations = tuple(
-        mu for mu in range(1, params.lam) if not mu + beta[mu] > 0.0
-    )
-    return FockValidation(ok=not violations, violations=violations)
+    return params._fock
 
 
 def require_fock(params: AlgebraParams) -> None:

@@ -12,7 +12,10 @@ build_rep derives F(0..dim) once and keeps it on the representation, beside
 the ladder roots taken from it, and holds the lam projectors P_mu as the
 sectors of one stacked operator, so that check_relations evaluates each
 projector family as one product and each sum over mu as one contraction
-(BandOp.contract).
+(BandOp.contract).  The arrays that depend on (lam, dim) alone (N, T, the P_mu,
+I and the index tables of the checks) are made once per pair and shared
+read-only by every build and check (shape_tables); only a and adag, F and
+what is computed from them are made per call.
 Truncation corrupts only the top of the tower, so every identity is verified
 on the rows and columns that kept_levels leaves for its degree.  Dense arrays
 are made only for the JSON dump (BandOp.dense).
@@ -20,6 +23,7 @@ are made only for the JSON dump (BandOp.dense).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,6 +337,89 @@ def require_dim(lam: int, dim: int) -> None:
         raise DomainError(f"dimension must be >= {2 * lam}, got {dim}")
 
 
+def _frozen(v: np.ndarray) -> np.ndarray:
+    v.setflags(write=False)
+    return v
+
+
+def _delta(bands: dict[int, np.ndarray], lam: int) -> dict[int, np.ndarray]:
+    """delta_{mu,nu} P_mu over sectors mu lam + nu, from the bands of the stacked
+    P_mu: each band written into sectors mu (lam + 1) of zeros."""
+    out = {k: np.zeros((lam * lam, v.shape[-1]), v.dtype) for k, v in bands.items()}
+    for k, v in bands.items():
+        out[k][:: lam + 1] = v
+    return out
+
+
+class ShapeTables:
+    """The read-only arrays that depend on (lam, dim) alone, each made on first use.
+
+    levels: N's diagonal n = 0..dim-1, int64; classes: n mod lam; proj: the
+    (lam, dim) int64 band of the stacked P_mu; tphase: T's diagonal
+    exp(2i pi (n mod lam) / lam); eye: I's diagonal, int64 ones; pairs: the
+    sector indices (mu, nu) of sector mu lam + nu; delta: the (lam^2, dim)
+    band of delta_{mu,nu} P_mu; klein: (-1)^n; windows: the (lam + 1, dim)
+    index mu + n of H^(mu)'s window of levels; spacings: the (lam + 1, dim - 4)
+    index (mu + n) mod lam of partner_check's spacing targets, one n per
+    spacing between the levels kept at degree 2.
+    """
+
+    def __init__(self, lam: int, dim: int):
+        self.lam, self.dim = lam, dim
+
+    @functools.cached_property
+    def levels(self) -> np.ndarray:
+        return _frozen(np.arange(self.dim))
+
+    @functools.cached_property
+    def classes(self) -> np.ndarray:
+        return _frozen(self.levels % self.lam)
+
+    @functools.cached_property
+    def proj(self) -> np.ndarray:
+        return _frozen((self.classes == np.arange(self.lam)[:, None]).astype(np.int64))
+
+    @functools.cached_property
+    def tphase(self) -> np.ndarray:
+        return _frozen(np.exp(2j * np.pi * np.arange(self.lam) / self.lam)[self.classes])
+
+    @functools.cached_property
+    def eye(self) -> np.ndarray:
+        return _frozen(np.ones(self.dim, np.int64))
+
+    @functools.cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(_frozen, np.divmod(np.arange(self.lam * self.lam), self.lam)))
+
+    @functools.cached_property
+    def delta(self) -> np.ndarray:
+        return _frozen(_delta({0: self.proj}, self.lam)[0])
+
+    @functools.cached_property
+    def klein(self) -> np.ndarray:
+        return _frozen((-1) ** self.levels)
+
+    @functools.cached_property
+    def windows(self) -> np.ndarray:
+        return _frozen(np.add.outer(np.arange(self.lam + 1), self.levels))
+
+    @functools.cached_property
+    def spacings(self) -> np.ndarray:
+        span = np.arange(kept_levels(self.dim, 2) - 1)
+        return _frozen((span + np.arange(self.lam + 1)[:, None]) % self.lam)
+
+
+# The most (lam, dim) pairs whose tables are kept, least recently used first out:
+# every relation suite over lam = 2..5 at two dims fits.
+SHAPE_TABLES_KEPT = 8
+
+
+@functools.lru_cache(maxsize=SHAPE_TABLES_KEPT)
+def shape_tables(lam: int, dim: int) -> ShapeTables:
+    """The shared tables of (lam, dim): one object for as long as the pair stays cached."""
+    return ShapeTables(lam, dim)
+
+
 def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
     """Build the truncated representation of a valid algebra.
 
@@ -341,26 +428,22 @@ def build_rep(params: AlgebraParams, dim: int) -> TruncatedRep:
     read-only float64 diagonal, sqrt(F(1..dim-1)).  N is diagonal, P_mu projects
     onto levels n = mu mod lam, all lam of them one (lam, dim) band, and
     T = exp(2i pi N / lam) is built from the phases at n mod lam, so it is
-    exactly lam-periodic.  N and the P_mu are np.int64.
+    exactly lam-periodic.  N and the P_mu are np.int64.  The diagonals of N, T
+    and the P_mu are the shared tables of (lam, dim); fvals and the ladders'
+    band are this algebra's own.
     """
     require_rep(params, dim)
-    fvals = structure_values(params, dim)
-    roots = np.sqrt(fvals[1:dim])
-    levels = np.arange(dim)
-    classes = levels % params.lam
-    sectors = np.arange(params.lam)
-    proj = (classes == sectors[:, None]).astype(np.int64)
-    tphase = np.exp(2j * np.pi * sectors / params.lam)[classes]
-    for v in (fvals, roots, levels, proj, tphase):
-        v.setflags(write=False)
+    fvals = _frozen(structure_values(params, dim))
+    roots = _frozen(np.sqrt(fvals[1:dim]))
+    t = shape_tables(params.lam, dim)
     return TruncatedRep(
         params=params,
         a=BandOp.wrap(dim, {1: roots}),
         adag=BandOp.wrap(dim, {-1: roots}),
         fvals=fvals,
-        nmat=BandOp.wrap(dim, {0: levels}),
-        proj=BandOp.wrap(dim, {0: proj}),
-        tmat=BandOp.wrap(dim, {0: tphase}),
+        nmat=BandOp.wrap(dim, {0: t.levels}),
+        proj=BandOp.wrap(dim, {0: t.proj}),
+        tmat=BandOp.wrap(dim, {0: t.tphase}),
     )
 
 
@@ -392,18 +475,17 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     """
     lam, dim, alpha = rep.params.lam, rep.a.dim, np.array(rep.params.alpha)
     a, adag, nmat, tmat, proj, fvals = rep.a, rep.adag, rep.nmat, rep.tmat, rep.proj, rep.fvals
-    mu, nu = np.divmod(np.arange(lam * lam), lam)
-    # Fresh vectors: wrapped, not copied as BandOp.diag would.
-    eye = BandOp.wrap(dim, {0: np.ones(dim, np.int64)})
+    t = shape_tables(lam, dim)
+    mu, nu = t.pairs
+    eye = BandOp.wrap(dim, {0: t.eye})
     tpow = tmat
     for _ in range(lam - 1):
         tpow = tpow @ tmat
     w = np.exp(-2j * np.pi / lam)
     a_adag, adag_a = a @ adag, adag @ a
-    # delta_{mu,nu} P_mu: each band of P_mu written into sectors mu (lam + 1) of zeros.
-    delta = BandOp.wrap(dim, {k: np.zeros((lam * lam, v.shape[-1]), v.dtype) for k, v in proj.bands.items()})
-    for k, v in proj.bands.items():
-        delta.bands[k][:: lam + 1] = v
+    # delta_{mu,nu} P_mu, shared for the representation's own P_mu.
+    own = proj.bands.keys() == {0} and proj.bands[0] is t.proj
+    delta = BandOp.wrap(dim, {0: t.delta} if own else _delta(proj.bands, lam))
     relations = [
         ("[N, adag] = adag", commutator(nmat, adag) - adag),
         ("[N, P_mu] = 0", commutator(nmat, proj)),
@@ -430,9 +512,8 @@ def klein_reduction_check(rep: TruncatedRep, tol: float = 1e-12) -> RelationRepo
         raise DomainError(f"reduction requires order 2, got {rep.params.lam}")
     dim = rep.a.dim
     kappa = rep.params.alpha[0]
-    # Fresh vectors: wrapped, not copied as BandOp.diag would.
-    klein = BandOp.wrap(dim, {0: (-1) ** np.arange(dim)})
-    eye = BandOp.wrap(dim, {0: np.ones(dim, np.int64)})
+    t = shape_tables(2, dim)
+    klein, eye = BandOp.wrap(dim, {0: t.klein}), BandOp.wrap(dim, {0: t.eye})
     relations = [
         ("T = (-1)^N", (rep.tmat - klein).block_max(dim)),
         ("[a, adag] = I + kappa (-1)^N", rep.a @ rep.adag - rep.adag @ rep.a - (eye + kappa * klein)),

@@ -30,6 +30,7 @@ from .fock import (
     kept_levels,
     relation_report,
     require_dim,
+    shape_tables,
 )
 
 
@@ -98,7 +99,7 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
             raise InvalidParamsError(tuple((np.flatnonzero(row) + 1).tolist()))
     roots = np.sqrt(fvals[:, 1:dim])
     # H^(mu) is the window of dim levels of F from level mu.
-    windows = fvals[0][np.add.outer(np.arange(p + 1), np.arange(dim))]
+    windows = fvals[0][shape_tables(p, dim).windows]
     for v in (roots, windows):
         v.setflags(write=False)
     return Hierarchy(
@@ -124,7 +125,8 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
     H = h.hmats
     top = kept_levels(dim, 2)
     sectors = np.arange(p + 1)
-    ground = np.array(h.e0)[:, None] * BandOp.wrap(dim, {0: np.ones(dim)})
+    t = shape_tables(p, dim)
+    ground = np.array(h.e0)[:, None] * BandOp.wrap(dim, {0: t.eye})
     # Adag_0 A_0 enters twice (sectors 0 and p), so each product is formed once.
     down = (H - (h.adag @ h.a).take(sectors % p) - ground).sector_max(top).tolist()
     up = (H.take(sectors[1:]) - h.a @ h.adag - ground.take(sectors[:-1])).sector_max(top).tolist()
@@ -137,7 +139,7 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
     # over the (p + 1, kept levels) table of energies in one pass; 0.0 when the
     # kept block holds one level and so no spacing.
     energies = H.real_diagonal()[:, :top]
-    target = np.array(h.omega)[(np.arange(top - 1) + sectors[:, None]) % p]
+    target = np.array(h.omega)[t.spacings]
     worst = float(np.abs(np.diff(energies) - target).max(initial=0.0))
     relations.append(("H^(mu) spacings realize omega cyclically", worst))
     return relation_report(relations, dim, 2, tol)

@@ -42,7 +42,7 @@ from .algebra import (
     structure_table,
     structure_values,
 )
-from .fock import BandOp, RelationReport, commutator, kept_levels, relation_report, require_rep
+from .fock import BandOp, RelationReport, commutator, kept_levels, relation_report, require_rep, shape_tables
 
 KIND_PSSQM = "pssqm"
 KIND_PSEUDO1 = "pseudo-family1"
@@ -86,10 +86,10 @@ def _h_diagonal(lam: int, dim: int, shift: float, weights: dict[int, float]) -> 
     weights maps a residue class to its w; classes it omits get 0.  Raises
     DomainError if an entry is not finite (an overflowing shift or weight).
     """
-    n = np.arange(dim, dtype=float)
+    t = shape_tables(lam, dim)
     w = np.array([weights.get(k, 0.0) for k in range(lam)], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = n + shift + w[np.arange(dim) % lam]
+        diag = t.levels + shift + w[t.classes]
     if not np.isfinite(diag).all():
         raise DomainError(f"the parameters give the Hamiltonian a non-finite shift or level, shift {shift}")
     return BandOp.diag(diag)
@@ -103,9 +103,9 @@ def _masked_ladders(params: AlgebraParams, dim: int, lower: int, upper: int):
     """
     require_rep(params, dim)
     roots = np.sqrt(structure_values(params, dim - 1)[1:])
-    n = np.arange(1, dim)
-    lowering = np.where(n % params.lam == lower, roots, 0.0)
-    raising = np.where((n - 1) % params.lam == upper, roots, 0.0)
+    classes = shape_tables(params.lam, dim).classes
+    lowering = np.where(classes[1:] == lower, roots, 0.0)
+    raising = np.where(classes[:-1] == upper, roots, 0.0)
     return lowering, raising
 
 
@@ -195,9 +195,8 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
 
     # F(n) from alpha in extended precision; band -1 holds Q[n, n - 1] at entry
     # n - 1, n = 1..dim-1: F(n) on the levels Q leaves, 0 on those it maps to zero.
-    n = np.arange(1, dim)
     f = structure_table(np.array(params.alpha, np.longdouble), dim)
-    fvals = np.where((n - 1) % lam != mu, f[1:], 0)
+    fvals = np.where(shape_tables(lam, dim).classes[:-1] != mu, f[1:], 0)
 
     weights = {(mu + nu) % lam: p + 1 - nu for nu in range(1, p + 1)}
     H = _h_diagonal(lam, dim, _order2_shift(gamma[m2], r, p), weights)

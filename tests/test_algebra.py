@@ -275,6 +275,13 @@ class TestKappaChart:
         with pytest.raises(SymmetryError):
             alpha_from_kappa(KappaParams(kappa=kappa))
 
+    def test_non_real_alpha_rejected(self):
+        # Each conjugate pair passes the 1e-12 symmetry check, but the imaginary
+        # parts of the transform add up to 1.8e-12.
+        kappa = KappaParams(kappa=(0.1 + 0.2j, 0.3 + 0.05j, 0.3 - 0.05j + 0.9e-12j, 0.1 - 0.2j + 0.9e-12j))
+        with pytest.raises(SymmetryError, match="transform produced non-real alpha"):
+            alpha_from_kappa(kappa)
+
     def test_inverse_requires_zero_sum(self):
         bad = AlgebraParams(lam=2, alpha=np.array([0.5, 0.5]))
         with pytest.raises(DomainError):
@@ -361,12 +368,16 @@ class TestSerialization:
         (lambda: params_from_dict({"lambda": 3, "alpha": [math.inf, -math.inf, 0.0]}), "must be finite"),
         (lambda: params_from_dict({"lambda": 3, "alpha": [10**400, 0.1]}), "must be finite"),
         (lambda: params_from_dict({"lambda": 3, "alpha": [1e308, 1e308, -1e308]}), "float64 range"),
+        (lambda: new_params(3, ["x", 0.0]), "alpha_head must be a vector of 2 numbers"),
+        (lambda: new_params(3, [None, 0.0]), "alpha_head must be a vector of 2 numbers"),
+        (lambda: structure_values(new_params(3, [0.5, 0.25]), -1), "got -1"),
     ],
     ids=[
         "AlgebraParams-order-1", "KappaParams-2d", "KappaParams-nan", "KappaParams-huge-int",
         "params_from_dict-length",
         "lambda-inf", "lambda-float", "lambda-bool", "alpha-str", "alpha-dict", "alpha-bool",
         "alpha-inf", "alpha-huge-int", "alpha-sum-overflow",
+        "new_params-str", "new_params-None", "structure_values-negative",
     ],
 )
 def test_malformed_input_rejected(make, match):
