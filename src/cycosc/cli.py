@@ -50,7 +50,7 @@ MAX_GRID_POINTS = 1_000_000
 # built, since Linux overcommit lets numpy's allocations succeed and the
 # process is then killed without a message.  Measured peaks (x86-64, numpy 2)
 # stay under about 1 GiB at the budget: at most ~860 B per --dim level (ossqm;
-# the algebra suite ~180 B per level plus ~37 B per band entry; partners ~73 B
+# the algebra suite ~180 B per level plus ~37 B per band entry; partners ~57 B
 # and pssqm ~34 B per lam dim entry), ~520 B per spectrum level, ~155 B per
 # dumped entry.
 MAX_ENTRIES = 1 << 20

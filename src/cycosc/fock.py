@@ -12,10 +12,10 @@ build_rep derives F(0..dim) once and keeps it on the representation, beside
 the ladder roots taken from it, and holds the lam projectors P_mu as the
 sectors of one stacked operator, so that check_relations evaluates each
 projector family as one product and each sum over mu as one contraction
-(BandOp.contract).  The arrays that depend on (lam, dim) alone (N, T, the P_mu,
-I and the index tables of the checks) are made once per pair and shared
-read-only by every build and check (shape_tables); only a and adag, F and
-what is computed from them are made per call.
+(BandOp.contract).  The arrays that depend on (lam, dim) alone (N, T, the P_mu
+and the class index n mod lam) are made once per pair and shared read-only by
+every build (shape_tables); only a and adag, F and what is computed from them
+are made per call.
 Truncation corrupts only the top of the tower, so every identity is verified
 on the rows and columns that kept_levels leaves for its degree.  Dense arrays
 are made only for the JSON dump (BandOp.dense).
@@ -342,26 +342,12 @@ def _frozen(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _delta(bands: dict[int, np.ndarray], lam: int) -> dict[int, np.ndarray]:
-    """delta_{mu,nu} P_mu over sectors mu lam + nu, from the bands of the stacked
-    P_mu: each band written into sectors mu (lam + 1) of zeros."""
-    out = {k: np.zeros((lam * lam, v.shape[-1]), v.dtype) for k, v in bands.items()}
-    for k, v in bands.items():
-        out[k][:: lam + 1] = v
-    return out
-
-
 class ShapeTables:
     """The read-only arrays that depend on (lam, dim) alone, each made on first use.
 
     levels: N's diagonal n = 0..dim-1, int64; classes: n mod lam; proj: the
     (lam, dim) int64 band of the stacked P_mu; tphase: T's diagonal
-    exp(2i pi (n mod lam) / lam); eye: I's diagonal, int64 ones; pairs: the
-    sector indices (mu, nu) of sector mu lam + nu; delta: the (lam^2, dim)
-    band of delta_{mu,nu} P_mu; klein: (-1)^n; windows: the (lam + 1, dim)
-    index mu + n of H^(mu)'s window of levels; spacings: the (lam + 1, dim - 4)
-    index (mu + n) mod lam of partner_check's spacing targets, one n per
-    spacing between the levels kept at degree 2.
+    exp(2i pi (n mod lam) / lam).
     """
 
     def __init__(self, lam: int, dim: int):
@@ -382,31 +368,6 @@ class ShapeTables:
     @functools.cached_property
     def tphase(self) -> np.ndarray:
         return _frozen(np.exp(2j * np.pi * np.arange(self.lam) / self.lam)[self.classes])
-
-    @functools.cached_property
-    def eye(self) -> np.ndarray:
-        return _frozen(np.ones(self.dim, np.int64))
-
-    @functools.cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(map(_frozen, np.divmod(np.arange(self.lam * self.lam), self.lam)))
-
-    @functools.cached_property
-    def delta(self) -> np.ndarray:
-        return _frozen(_delta({0: self.proj}, self.lam)[0])
-
-    @functools.cached_property
-    def klein(self) -> np.ndarray:
-        return _frozen((-1) ** self.levels)
-
-    @functools.cached_property
-    def windows(self) -> np.ndarray:
-        return _frozen(np.add.outer(np.arange(self.lam + 1), self.levels))
-
-    @functools.cached_property
-    def spacings(self) -> np.ndarray:
-        span = np.arange(kept_levels(self.dim, 2) - 1)
-        return _frozen((span + np.arange(self.lam + 1)[:, None]) % self.lam)
 
 
 # The most (lam, dim) pairs whose tables are kept, least recently used first out:
@@ -475,17 +436,16 @@ def check_relations(rep: TruncatedRep, tol: float = 1e-12) -> RelationReport:
     """
     lam, dim, alpha = rep.params.lam, rep.a.dim, np.array(rep.params.alpha)
     a, adag, nmat, tmat, proj, fvals = rep.a, rep.adag, rep.nmat, rep.tmat, rep.proj, rep.fvals
-    t = shape_tables(lam, dim)
-    mu, nu = t.pairs
-    eye = BandOp.wrap(dim, {0: t.eye})
+    mu, nu = np.divmod(np.arange(lam * lam), lam)
+    # Fresh vectors: wrapped, not copied as BandOp.diag would.
+    eye = BandOp.wrap(dim, {0: np.ones(dim, np.int64)})
     tpow = tmat
     for _ in range(lam - 1):
         tpow = tpow @ tmat
     w = np.exp(-2j * np.pi / lam)
     a_adag, adag_a = a @ adag, adag @ a
-    # delta_{mu,nu} P_mu, shared for the representation's own P_mu.
-    own = proj.bands.keys() == {0} and proj.bands[0] is t.proj
-    delta = BandOp.wrap(dim, {0: t.delta} if own else _delta(proj.bands, lam))
+    # delta_{mu,nu} P_mu: P_mu in the sectors mu = nu, zero in the others.
+    delta = (mu == nu)[:, None] * proj.take(mu)
     relations = [
         ("[N, adag] = adag", commutator(nmat, adag) - adag),
         ("[N, P_mu] = 0", commutator(nmat, proj)),
@@ -512,8 +472,9 @@ def klein_reduction_check(rep: TruncatedRep, tol: float = 1e-12) -> RelationRepo
         raise DomainError(f"reduction requires order 2, got {rep.params.lam}")
     dim = rep.a.dim
     kappa = rep.params.alpha[0]
-    t = shape_tables(2, dim)
-    klein, eye = BandOp.wrap(dim, {0: t.klein}), BandOp.wrap(dim, {0: t.eye})
+    # Fresh vectors: wrapped, not copied as BandOp.diag would.
+    klein = BandOp.wrap(dim, {0: (-1) ** np.arange(dim)})
+    eye = BandOp.wrap(dim, {0: np.ones(dim, np.int64)})
     relations = [
         ("T = (-1)^N", (rep.tmat - klein).block_max(dim)),
         ("[a, adag] = I + kappa (-1)^N", rep.a @ rep.adag - rep.adag @ rep.a - (eye + kappa * klein)),

@@ -30,7 +30,6 @@ from .fock import (
     kept_levels,
     relation_report,
     require_dim,
-    shape_tables,
 )
 
 
@@ -72,6 +71,14 @@ def window_violations(params: AlgebraParams) -> tuple[str, ...]:
     return tuple(violations)
 
 
+def _windows(v: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The read-only (rows, width) view of the contiguous 1-D v whose row r is
+    v[r : r + width]: overlapping windows, no copy and no index table."""
+    w = np.ndarray((rows, width), v.dtype, v, strides=(v.itemsize, v.itemsize))
+    w.setflags(write=False)
+    return w
+
+
 def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
     """Build the ladders of the p = lam shifted algebras and the partner Hamiltonians.
 
@@ -98,10 +105,9 @@ def build_hierarchy(params: AlgebraParams, dim: int) -> Hierarchy:
         if row.any():
             raise InvalidParamsError(tuple((np.flatnonzero(row) + 1).tolist()))
     roots = np.sqrt(fvals[:, 1:dim])
+    roots.setflags(write=False)
     # H^(mu) is the window of dim levels of F from level mu.
-    windows = fvals[0][shape_tables(p, dim).windows]
-    for v in (roots, windows):
-        v.setflags(write=False)
+    windows = _windows(fvals[0], p + 1, dim)
     return Hierarchy(
         params=params,
         a=BandOp.wrap(dim, {1: roots}),
@@ -125,8 +131,7 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
     H = h.hmats
     top = kept_levels(dim, 2)
     sectors = np.arange(p + 1)
-    t = shape_tables(p, dim)
-    ground = np.array(h.e0)[:, None] * BandOp.wrap(dim, {0: t.eye})
+    ground = np.array(h.e0)[:, None] * BandOp.wrap(dim, {0: np.ones(dim)})
     # Adag_0 A_0 enters twice (sectors 0 and p), so each product is formed once.
     down = (H - (h.adag @ h.a).take(sectors % p) - ground).sector_max(top).tolist()
     up = (H.take(sectors[1:]) - h.a @ h.adag - ground.take(sectors[:-1])).sector_max(top).tolist()
@@ -136,10 +141,11 @@ def partner_check(h: Hierarchy, tol: float = 1e-12) -> RelationReport:
         relations.append((f"H^({mu}) = Adag_{mu} A_{mu} + E0^({mu})", down[mu]))
 
     # Spacing claim: consecutive diagonal entries of H^(mu) differ by omega cyclically,
-    # over the (p + 1, kept levels) table of energies in one pass; 0.0 when the
-    # kept block holds one level and so no spacing.
+    # over the (p + 1, kept levels) table of energies in one pass, against
+    # omega_{(mu + n) mod p} at row mu, column n; 0.0 when the kept block holds
+    # one level and so no spacing.
     energies = H.real_diagonal()[:, :top]
-    target = np.array(h.omega)[t.spacings]
+    target = _windows(np.array(h.omega)[np.arange(top - 1 + p) % p], p + 1, top - 1)
     worst = float(np.abs(np.diff(energies) - target).max(initial=0.0))
     relations.append(("H^(mu) spacings realize omega cyclically", worst))
     return relation_report(relations, dim, 2, tol)
