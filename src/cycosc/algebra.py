@@ -287,12 +287,14 @@ def params_to_dict(params: AlgebraParams) -> dict:
 def params_from_dict(obj: dict) -> AlgebraParams:
     """Load the canonical JSON form, accepting either full alpha or its head.
 
-    lambda must be an integer and alpha a list of numbers, as JSON gives them
-    (a JSON boolean is neither).
+    obj must be a dict (a JSON object), lambda an integer and alpha a list of
+    numbers, as JSON gives them (a JSON boolean is neither).
     """
+    if type(obj) is not dict:
+        raise DomainError(f"malformed params object: expected a JSON object, got {type(obj).__name__}")
     try:
         lam, alpha = obj["lambda"], obj["alpha"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise DomainError(f"malformed params object: {exc}") from None
     if type(lam) is not int:
         raise DomainError(f"malformed params object: lambda must be an integer, got {type(lam).__name__}")

@@ -11,12 +11,17 @@ and xi = sqrt(2) produce exact zeros instead of rounding dust.  The diagonal
 shift shared by the order-2 parasupersymmetric and family-1 pseudosupersymmetric
 Hamiltonians goes through one helper so the two coincide bitwise.
 
-Every charge and Hamiltonian is a fock.BandOp whose coefficient vectors are
-float64, or complex128 where a phase enters (xi and the orthosupercharge
-phases), and every relation is evaluated in the type of its operands.  Each
-builder takes F from algebra.structure_table, whose precision is that of the
-alpha passed in.  The one exception to float64 is the parasupercharge, whose
-F pssqm_build takes from alpha as np.longdouble: its order-p relation cancels
+Every charge is a sum of coefficient x adag P_nu and coefficient x a P_nu
+terms, and every Hamiltonian is n + shift + w_{n mod lam}: each builder
+computes only its coefficients, its shift and weights, and its range checks.
+One ladder helper (_ladders) gives the masked sqrt(F) diagonals, and one
+private builder (_solution) forms every operator from those fresh vectors as
+a fock.BandOp: one np.result_type per operator, read-only, not copied.  The
+vectors are float64, or complex128 where a phase enters (xi and the
+orthosupercharge phases), and every relation is evaluated in the type of its
+operands.  F is algebra.structure_table of alpha, in the precision alpha is
+passed in.  The one exception to float64 is the parasupercharge, whose F
+pssqm_build takes from alpha as np.longdouble: its order-p relation cancels
 p + 1 terms of ~2 F(n)^{p/2} (1e6 at p = 4, dim = 60), so one float64
 rounding per entry would leave ~2e-10 however it is evaluated.  Where
 np.longdouble is float64 (not x86-64), that floor returns at order 4.  Each
@@ -24,8 +29,9 @@ np.longdouble is float64 (not x86-64), that floor returns at order 4.  Each
 entry (fock.commutator).  Q Qdag Q = 4 c^2 Q H is evaluated
 in np.longdouble from the float64 charge (pseudo_check), as it sits at its
 float64 floor at dim 480.  The lam = 3 families (both pseudosupercharges and
-equal_spacing_r) check their order and mu and take alpha, gamma and the
-classes mu + 1, mu + 2 in one prelude.
+equal_spacing_r) check their order, mu, finite free parameters and c != 0
+and take alpha, gamma and the classes mu + 1, mu + 2 in one prelude; family
+1 and the orthosupercharges check phi and take e^{i phi} in one (_phase).
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from .algebra import (
     DomainError,
     derived_constants,
     structure_table,
-    structure_values,
 )
 from .fock import BandOp, RelationReport, commutator, kept_levels, relation_report, require_rep, shape_tables
 
@@ -54,6 +59,8 @@ KIND_OSSQM = "ossqm"
 class VariantSolution:
     """A charge/Hamiltonian pair (plus a second charge for orthosupersymmetry).
 
+    Every builder makes it through _solution, which forms each operator from
+    fresh vectors: its bands share one type and are read-only, not copied.
     Q's bands hold float64 or complex128 values, except the parasupercharge's,
     computed in np.longdouble to check its order-p relations below the float64
     floor.  H is diagonal with float64 entries, and so the relations of every
@@ -80,8 +87,8 @@ class GroundState:
     broken: bool
 
 
-def _h_diagonal(lam: int, dim: int, shift: float, weights: dict[int, float]) -> BandOp:
-    """Diagonal n + shift + w_{n mod lam} in float64, shared by all builders.
+def _h_diagonal(lam: int, dim: int, shift: float, weights: dict[int, float]) -> np.ndarray:
+    """Diagonal n + shift + w_{n mod lam} as a fresh float64 vector, shared by all builders.
 
     weights maps a residue class to its w; classes it omits get 0.  Raises
     DomainError if an entry is not finite (an overflowing shift or weight).
@@ -92,21 +99,46 @@ def _h_diagonal(lam: int, dim: int, shift: float, weights: dict[int, float]) -> 
         diag = t.levels + shift + w[t.classes]
     if not np.isfinite(diag).all():
         raise DomainError(f"the parameters give the Hamiltonian a non-finite shift or level, shift {shift}")
-    return BandOp.diag(diag)
+    return diag
 
 
-def _masked_ladders(params: AlgebraParams, dim: int, lower: int, upper: int):
-    """Float64 diagonals of a P_lower (offset +1) and adag P_upper (offset -1).
+def _ladders(params: AlgebraParams, dim: int, *sides, dtype=np.float64, scale=1):
+    """Fresh diagonals of a P_k (offset +1) or adag P_k (offset -1), one per (offset, k) of sides.
 
-    Entry n - 1 of each is sqrt(F(n)), n = 1..dim-1, where level n is in class
-    lower (for a) or level n - 1 is in class upper (for adag), else 0.
+    Entry n - 1 of each is sqrt(scale F(n)), n = 1..dim-1, where level n (for
+    a) or level n - 1 (for adag) lies in k, a class or a list of classes, else
+    0.  F is algebra.structure_table of alpha in dtype; the roots are taken
+    once for every side.  A scale F past dtype's range gives inf, silently.
     """
     require_rep(params, dim)
-    roots = np.sqrt(structure_values(params, dim - 1)[1:])
+    f = structure_table(np.array(params.alpha, dtype), dim)
     classes = shape_tables(params.lam, dim).classes
-    lowering = np.where(classes[1:] == lower, roots, 0.0)
-    raising = np.where(classes[:-1] == upper, roots, 0.0)
-    return lowering, raising
+    with np.errstate(over="ignore"):
+        roots = np.sqrt(scale * f[1:])
+    out = []
+    for offset, k in sides:
+        keep = np.zeros(params.lam, bool)
+        keep[k] = True
+        out.append(np.where(keep[classes[1:] if offset > 0 else classes[:-1]], roots, 0))
+    return out
+
+
+def _solution(kind: str, params: AlgebraParams, mu: int, free_params: dict, r_values: dict, h: np.ndarray, *charges):
+    """The VariantSolution with Hamiltonian diag(h) and charges Q (and Q2), each {offset: vector}.
+
+    Every vector is fresh, so each operator's vectors are cast to their one
+    np.result_type (a copy only where a real band meets a complex one), made
+    read-only and wrapped without a further copy.
+    """
+    ops = []
+    for bands in ({0: h}, *charges):
+        dtype = np.result_type(*bands.values())
+        for k, v in bands.items():
+            bands[k] = v = v.astype(dtype, copy=False)
+            v.setflags(write=False)
+        ops.append(BandOp.wrap(len(h), bands))
+    H, Q, *Q2 = ops
+    return VariantSolution(kind, mu, free_params, r_values, Q, H, params, *Q2)
 
 
 def _require_finite(**values):
@@ -120,6 +152,13 @@ def _require_check_range(c: float, *ladders: np.ndarray):
     q = 2.0 * abs(c) * max(float(v.max()) for v in ladders)
     if not 8.0 * q * q * q < np.finfo(float).max:
         raise DomainError(f"c = {c!r} takes pseudo_check's terms beyond float64 range", name="c")
+
+
+def _phase(phi: float) -> complex:
+    """e^{i phi}, for a phi in [0, 2 pi)."""
+    if not 0.0 <= phi < 2.0 * math.pi:
+        raise DomainError(f"phi must lie in [0, 2 pi), got {phi}")
+    return complex(math.cos(phi), math.sin(phi))
 
 
 def _exact_rows(Q: BandOp, degree: int) -> int:
@@ -148,15 +187,19 @@ def _check_lam(params: AlgebraParams, lam: int, what: str):
         raise DomainError(f"{what} requires order {lam}, got {params.lam}")
 
 
-def _lam3_family(params: AlgebraParams, mu: int, what: str):
+def _lam3_family(params: AlgebraParams, mu: int, what: str, **values):
     """alpha, gamma and the classes mu + 1, mu + 2 of a lam = 3 family.
 
     Raises DomainError, naming the family as what, unless the order is 3 and
-    0 <= mu < 3.
+    0 <= mu < 3, then unless the free parameters in values are finite and c,
+    if among them, is nonzero.
     """
     _check_lam(params, 3, what)
     if not 0 <= mu < 3:
         raise DomainError(f"family index must satisfy 0 <= mu < 3, got {mu}")
+    _require_finite(**values)
+    if values.get("c") == 0.0:
+        raise DomainError("c must be nonzero")
     return params.alpha, derived_constants(params).gamma, (mu + 1) % 3, (mu + 2) % 3
 
 
@@ -189,32 +232,17 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
     r = pssqm_r_constant(params, mu)
     lam = params.lam
     p = lam - 1
-    require_rep(params, dim)
-    gamma = derived_constants(params).gamma
+    classes = [(mu + nu) % lam for nu in range(1, p + 1)]
+    (q,) = _ladders(params, dim, (-1, classes), dtype=np.longdouble, scale=2)
     m2 = (mu + 2) % lam
-
-    # F(n) from alpha in extended precision; band -1 holds Q[n, n - 1] at entry
-    # n - 1, n = 1..dim-1: F(n) on the levels Q leaves, 0 on those it maps to zero.
-    f = structure_table(np.array(params.alpha, np.longdouble), dim)
-    fvals = np.where(shape_tables(lam, dim).classes[:-1] != mu, f[1:], 0)
-
-    weights = {(mu + nu) % lam: p + 1 - nu for nu in range(1, p + 1)}
-    H = _h_diagonal(lam, dim, _order2_shift(gamma[m2], r, p), weights)
-    # The check terms stay below 4p t^(p + 1), t^2 = max(2 F, |H|) and |Q| = sqrt(2 F):
-    # checked before Q is formed, as 2 F may overflow where np.longdouble is float64.
-    t2 = max(2.0 * float(fvals.max()), float(np.abs(H.real_diagonal()).max()))
-    if not t2 < (np.finfo(float).max / (4.0 * p)) ** (2.0 / (p + 1)):
+    weights = {k: p + 1 - nu for nu, k in enumerate(classes, 1)}
+    h = _h_diagonal(lam, dim, _order2_shift(derived_constants(params).gamma[m2], r, p), weights)
+    # The check terms stay below 4p t^(p + 1), t^2 = max(|Q|^2, |H|) and |Q|^2 = 2 F;
+    # an entry that left float64 (possible where np.longdouble is float64) reads inf.
+    qmax = float(q.max())
+    if not max(qmax * qmax, float(np.abs(h).max())) < (np.finfo(float).max / (4.0 * p)) ** (2.0 / (p + 1)):
         raise DomainError(f"alpha takes the order-{p + 1} check terms beyond float64 range", name="alpha")
-    Q = BandOp(dim, {-1: np.sqrt(2 * fvals)})
-    return VariantSolution(
-        kind=KIND_PSSQM,
-        mu=mu,
-        free_params={},
-        r_values={f"r_{m2}": r},
-        Q=Q,
-        H=H,
-        params=params,
-    )
+    return _solution(KIND_PSSQM, params, mu, {}, {f"r_{m2}": r}, h, {-1: q})
 
 
 def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationReport:
@@ -293,37 +321,22 @@ def pseudo_family1_build(
     At eta = sqrt(2)|c|, phi = 0 the r constant vanishes and the Hamiltonian
     coincides bitwise with the order-2 parasupersymmetric one.
     """
-    alpha, gamma, m1, m2 = _lam3_family(params, mu, "family-1 pseudosupersymmetry")
-    _require_finite(c=c, eta=eta, phi=phi)
-    if c == 0.0:
-        raise DomainError("c must be nonzero")
+    alpha, gamma, m1, m2 = _lam3_family(params, mu, "family-1 pseudosupersymmetry", c=c, eta=eta, phi=phi)
     if 2.0 * c * c == 0.0:
         raise DomainError(f"c = {c!r} is so small that 2 c^2 underflows to 0", name="c")
     if not 0.0 < eta < 2.0 * abs(c):
         raise DomainError(f"eta must lie in (0, 2|c|) = (0, {2.0 * abs(c)}), got {eta}")
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise DomainError(f"phi must lie in [0, 2 pi), got {phi}")
-    lower, upper = _masked_ladders(params, dim, m2, m2)
+    phase = _phase(phi)
+    lower, upper = _ladders(params, dim, (1, m2), (-1, m2))
     _require_check_range(c, lower, upper)
 
     # Factored forms: exact zeros at eta = sqrt(2)|c| and at the 2|c| boundary.
-    xi = complex(math.cos(phi), math.sin(phi)) * math.sqrt(
-        (2.0 * abs(c) - eta) * (2.0 * abs(c) + eta)
-    )
+    xi = phase * math.sqrt((2.0 * abs(c) - eta) * (2.0 * abs(c) + eta))
     root2c = math.sqrt(2.0) * abs(c)
     r = (1.0 + alpha[m2]) * ((eta - root2c) * (eta + root2c)) / (2.0 * c * c)
-
-    Q = BandOp(dim, {-1: eta * upper, 1: xi * lower})
-    H = _h_diagonal(3, dim, _order2_shift(gamma[m2], r, 2), {m1: 2.0, m2: 1.0})
-    return VariantSolution(
-        kind=KIND_PSEUDO1,
-        mu=mu,
-        free_params={"c": c, "eta": eta, "phi": phi},
-        r_values={f"r_{m2}": r},
-        Q=Q,
-        H=H,
-        params=params,
-    )
+    h = _h_diagonal(3, dim, _order2_shift(gamma[m2], r, 2), {m1: 2.0, m2: 1.0})
+    free = {"c": c, "eta": eta, "phi": phi}
+    return _solution(KIND_PSEUDO1, params, mu, free, {f"r_{m2}": r}, h, {-1: eta * upper, 1: xi * lower})
 
 
 def pseudo_family2_build(
@@ -334,24 +347,13 @@ def pseudo_family2_build(
     dim: int = 60,
 ) -> VariantSolution:
     """One-parameter pseudosupercharge 2|c| a P_{mu+2} with spectrum knob r_mu."""
-    alpha, gamma, m1, m2 = _lam3_family(params, mu, "family-2 pseudosupersymmetry")
-    _require_finite(c=c, r_mu=r_mu)
-    if c == 0.0:
-        raise DomainError("c must be nonzero")
-    lower = _masked_ladders(params, dim, m2, m2)[0]
+    alpha, gamma, m1, m2 = _lam3_family(params, mu, "family-2 pseudosupersymmetry", c=c, r_mu=r_mu)
+    (lower,) = _ladders(params, dim, (1, m2))
     _require_check_range(c, lower)
-    Q = BandOp(dim, {1: 2.0 * abs(c) * lower})
     weights = {mu: 0.5 * (1.0 - alpha[m1] + alpha[m2] + r_mu), m1: 1.0}
-    H = _h_diagonal(3, dim, 0.5 * (2.0 * gamma[m2] - alpha[m2]), weights)
-    return VariantSolution(
-        kind=KIND_PSEUDO2,
-        mu=mu,
-        free_params={"c": c, "r_mu": r_mu},
-        r_values={f"r_{mu}": r_mu},
-        Q=Q,
-        H=H,
-        params=params,
-    )
+    h = _h_diagonal(3, dim, 0.5 * (2.0 * gamma[m2] - alpha[m2]), weights)
+    free = {"c": c, "r_mu": r_mu}
+    return _solution(KIND_PSEUDO2, params, mu, free, {f"r_{mu}": r_mu}, h, {1: 2.0 * abs(c) * lower})
 
 
 def equal_spacing_r(params: AlgebraParams, mu: int) -> float:
@@ -410,34 +412,21 @@ def ossqm_build(
     root2 = math.sqrt(2.0)
     if not 0.0 < xi <= root2:
         raise DomainError(f"xi must lie in (0, sqrt(2)], got {xi}")
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise DomainError(f"phi must lie in [0, 2 pi), got {phi}")
+    phase = _phase(phi)
     alpha = params.alpha
     m1, m2 = (mu + 1) % 3, (mu + 2) % 3
     if abs(alpha[m1] + 1.0) > 1e-12:
         raise DomainError(
             f"alpha_{m1} must equal -1 for the mu = {mu} family, got {alpha[m1]}"
         )
-    lower, upper = _masked_ladders(params, dim, m2, mu)
-    gamma = derived_constants(params).gamma
+    lower, upper = _ladders(params, dim, (1, m2), (-1, mu))
 
     # Factored so xi = sqrt(2) yields an exact zero partner coefficient.
     w = math.sqrt((root2 - xi) * (root2 + xi))
-    phase = complex(math.cos(phi), math.sin(phi))
-    Q1 = BandOp(dim, {-1: (phase * w) * upper, 1: xi * lower})
-    Q2 = BandOp(dim, {-1: xi * upper, 1: (-np.conj(phase) * w) * lower})
-
-    H = _h_diagonal(3, dim, _order2_shift(gamma[m1], 0.0, 2), {mu: 2.0, m1: 1.0})
-    return VariantSolution(
-        kind=KIND_OSSQM,
-        mu=mu,
-        free_params={"xi": xi, "phi": phi},
-        r_values={},
-        Q=Q1,
-        H=H,
-        params=params,
-        Q2=Q2,
-    )
+    h = _h_diagonal(3, dim, _order2_shift(derived_constants(params).gamma[m1], 0.0, 2), {mu: 2.0, m1: 1.0})
+    q1 = {-1: (phase * w) * upper, 1: xi * lower}
+    q2 = {-1: xi * upper, 1: (-np.conj(phase) * w) * lower}
+    return _solution(KIND_OSSQM, params, mu, {"xi": xi, "phi": phi}, {}, h, q1, q2)
 
 
 def ossqm_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:

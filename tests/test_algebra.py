@@ -359,6 +359,10 @@ class TestSerialization:
         (lambda: KappaParams(kappa=[complex(math.nan, 0.0)]), "must be finite"),
         (lambda: KappaParams(kappa=[10**400]), "kappa entries must be finite"),
         (lambda: params_from_dict({"lambda": 3, "alpha": [1.0]}), "length 3 or 2"),
+        (lambda: params_from_dict([3, [0.5, 0.25]]), "^malformed params object: expected a JSON object, got list$"),
+        (lambda: params_from_dict("abc"), "^malformed params object: expected a JSON object, got str$"),
+        (lambda: params_from_dict(3), "^malformed params object: expected a JSON object, got int$"),
+        (lambda: params_from_dict(None), "^malformed params object: expected a JSON object, got NoneType$"),
         (lambda: params_from_dict({"lambda": math.inf, "alpha": [0.5, 0.1]}), "lambda must be an integer"),
         (lambda: params_from_dict({"lambda": 3.9, "alpha": [0.5, 0.1]}), "lambda must be an integer"),
         (lambda: params_from_dict({"lambda": True, "alpha": [0.5]}), "lambda must be an integer"),
@@ -374,7 +378,7 @@ class TestSerialization:
     ],
     ids=[
         "AlgebraParams-order-1", "KappaParams-2d", "KappaParams-nan", "KappaParams-huge-int",
-        "params_from_dict-length",
+        "params_from_dict-length", "params-list", "params-str", "params-int", "params-null",
         "lambda-inf", "lambda-float", "lambda-bool", "alpha-str", "alpha-dict", "alpha-bool",
         "alpha-inf", "alpha-huge-int", "alpha-sum-overflow",
         "new_params-str", "new_params-None", "structure_values-negative",

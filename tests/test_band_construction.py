@@ -155,6 +155,25 @@ def test_band_vectors_are_read_only_float64_unless_phased():
             assert scaled.dtype == (np.complex128 if isinstance(c, complex) else np.float64)
             assert np.array_equal(scaled, c * op.bands[0].astype(np.float64))
             assert np.array_equal((op * c).bands[0], scaled)
+    # Each variant operator's bands share one type and are read-only: the
+    # parasupercharge in np.longdouble, a phased charge in complex128 (also at
+    # phi = 0), family 2's charge and every Hamiltonian in float64.
+    params = new_params(3, [0.5, -1.0])
+    variants = [
+        (pssqm_build(params, 0, 12), [np.longdouble]),
+        (pseudo_family1_build(params, 1, 0.7, 0.5, 0.0, 12), [np.complex128]),
+        (pseudo_family2_build(params, 2, 0.7, 1.5, 12), [np.float64]),
+        (ossqm_build(params, 0, 1.0, 2.0, 12), [np.complex128, np.complex128]),
+        (ossqm_build(params, 0, math.sqrt(2.0), 0.0, 12), [np.complex128, np.complex128]),
+    ]
+    for sol, charge_types in variants:
+        ops = [sol.Q] + ([sol.Q2] if sol.Q2 is not None else [])
+        assert len(ops) == len(charge_types), sol.kind
+        for op, dtype in zip([*ops, sol.H], [*charge_types, np.float64]):
+            assert op.bands, sol.kind
+            for v in op.bands.values():
+                assert v.dtype == dtype, sol.kind
+                assert not v.flags.writeable, sol.kind
 
 
 def test_hamiltonian_energies_read_back_exactly():

@@ -147,6 +147,10 @@ class TestSpectrum:
             (b'{"lambda": 3, "alpha": {"0.5": 1, "0.1": 2}}', "alpha must be a list of numbers"),
             (b'{"lambda": 3, "alpha": [Infinity, -Infinity, 0]}', "must be finite"),
             (b'{"lambda": 3, "alpha": [1e308, 1e308, -1e308]}', "float64 range"),
+            (b"[3, [0.5, 0.25]]", "expected a JSON object, got list"),
+            (b'"abc"', "expected a JSON object, got str"),
+            (b"3", "expected a JSON object, got int"),
+            (b"null", "expected a JSON object, got NoneType"),
         ]:
             path.write_bytes(content)
             rc, out, err = call(["spectrum", "--params", str(path)])
