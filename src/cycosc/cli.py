@@ -179,7 +179,8 @@ def cmd_spectrum(args) -> int:
     report = _classify(args.params, lines, args.tol)
     result = {
         "params": params_to_dict(args.params),
-        "levels": [{"n": l.n, "k": l.k, "mu": l.mu, "energy": l.energy} for l in lines],
+        # Each line's own field dict, in field order: no second per-level copy.
+        "levels": [vars(l) for l in lines],
         "classification": vars(report),
     }
     _write(args, result, _spectrum_csv(result))

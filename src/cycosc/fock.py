@@ -116,13 +116,17 @@ class BandOp:
     sums them with weights), with a band of shape (dim - |k|,) shared by
     every sector.  A band of any other shape, or two sector counts, is a
     ValueError.
-    An operator's vectors are read-only and share one type, the np.result_type
-    of the vectors it was built from: np.int64 for the integer operators (N,
-    P_mu, I), float64 for real ones, complex128 where a phase enters, and
-    np.longdouble only for the parasupercharge, which is built in it.  A product
-    has one type too, numpy's promotion of its operands' types; sums and
-    scalar multiples promote band by band, so a sum may hold real and complex
-    bands side by side.
+    An operator built by the package (BandOp(dim, bands), build_rep,
+    build_hierarchy, the variant builders) holds read-only vectors of one type,
+    the np.result_type of the vectors it was built from: np.int64 for the
+    integer operators (N, P_mu, I), float64 for real ones, complex128 where a
+    phase enters, and np.longdouble only for the parasupercharge, which is built
+    in it.  Arithmetic leaves its results writable: a product, scalar multiple
+    or dag holds fresh arrays ((rep.a @ rep.adag).bands[0] is writable), and a
+    sum or difference shares, as it is, a band that only its left operand has.
+    A product has one type too, numpy's promotion of its operands' types; sums
+    and scalar multiples promote band by band, so a sum may hold real and
+    complex bands side by side.
     """
 
     dim: int

@@ -53,9 +53,12 @@ class Hierarchy:
 def window_violations(params: AlgebraParams) -> tuple[str, ...]:
     """Inequalities the starting parameters must satisfy for the hierarchy.
 
-    -1 < alpha_0 < lam - 1, and for mu = 1..lam-2:
-    -1 < alpha_mu < lam - mu - 1 - sum(alpha_nu for nu < mu).
-    Together with the zero-sum constraint these make every spacing positive.
+    -1 < alpha_0 < lam - 1; for mu = 1..lam-2,
+    -1 < alpha_mu < lam - mu - 1 - sum(alpha_nu for nu < mu); and
+    -1 < alpha_{lam-1}, which the others imply in exact arithmetic but not in
+    float64 (a head one ulp inside the alpha_{lam-2} bound can derive
+    alpha_{lam-1} = -1), so it is reported only when they hold.  Every spacing
+    omega_mu = 1 + alpha_mu is then positive.
     """
     lam, alpha = params.lam, params.alpha
     beta = derived_constants(params).beta
@@ -68,6 +71,9 @@ def window_violations(params: AlgebraParams) -> tuple[str, ...]:
             violations.append(
                 f"-1 < alpha_{mu} < {upper} fails: alpha_{mu} = {alpha[mu]}"
             )
+    # The bounds above imply this one in exact arithmetic, so it is read only when they hold.
+    if not violations and not -1.0 < alpha[-1]:
+        violations.append(f"-1 < alpha_{lam - 1} fails: alpha_{lam - 1} = {alpha[-1]}")
     return tuple(violations)
 
 

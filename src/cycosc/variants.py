@@ -12,16 +12,26 @@ shift shared by the order-2 parasupersymmetric and family-1 pseudosupersymmetric
 Hamiltonians goes through one helper so the two coincide bitwise.
 
 Every charge is a sum of coefficient x adag P_nu and coefficient x a P_nu
-terms, and every Hamiltonian is n + shift + w_{n mod lam}: each builder
-computes only its coefficients, its shift and weights, and its range checks.
-One ladder helper (_ladders) gives the masked sqrt(F) diagonals, and one
-private builder (_solution) forms every operator from those fresh vectors as
-a fock.BandOp: one np.result_type per operator, read-only, not copied.  The
-vectors are float64, or complex128 where a phase enters (xi and the
-orthosupercharge phases), and every relation is evaluated in the type of its
-operands.  F is algebra.structure_table of alpha, in the precision alpha is
-passed in.  The one exception to float64 is the parasupercharge, whose F
-pssqm_build takes from alpha as np.longdouble: its order-p relation cancels
+terms, and every Hamiltonian is n + shift + w_{n mod lam}.  So each builder
+states its charge as data, a table {offset: {class: coeff}} with offset -1
+for adag P_k and +1 for a P_k, as the paper writes it:
+
+    pssqm    {-1: {mu + nu: 1 for nu = 1..p}}, over sqrt(2 F)
+    pseudo1  {-1: {mu + 2: eta}, 1: {mu + 2: xi}}
+    pseudo2  {1: {mu + 2: 2|c|}}
+    ossqm    {-1: {mu: e^{i phi} w}, 1: {mu + 2: xi}} and
+             {-1: {mu: xi}, 1: {mu + 2: -e^{-i phi} w}}, w = sqrt(2 - xi^2)
+
+and computes only those coefficients, its H shift and weights and its range
+checks.  One helper (_charges) forms every table's bands from the sqrt(F)
+roots, taken once, and reads the largest root a term reads for the range
+checks; one private builder (_solution) wraps them and the H diagonal as
+fock.BandOps: one type per operator, read-only, not copied.  The bands are
+float64, or complex128 where a phase enters (xi and the orthosupercharge
+phases), and every relation is evaluated in the type of its operands.  F is
+algebra.structure_table of alpha, in the precision alpha is passed in.  The
+one exception to float64 is the parasupercharge, whose F pssqm_build takes
+from alpha as np.longdouble: its order-p relation cancels
 p + 1 terms of ~2 F(n)^{p/2} (1e6 at p = 4, dim = 60), so one float64
 rounding per entry would leave ~2e-10 however it is evaluated.  Where
 np.longdouble is float64 (not x86-64), that floor returns at order 4.  Each
@@ -59,8 +69,9 @@ KIND_OSSQM = "ossqm"
 class VariantSolution:
     """A charge/Hamiltonian pair (plus a second charge for orthosupersymmetry).
 
-    Every builder makes it through _solution, which forms each operator from
-    fresh vectors: its bands share one type and are read-only, not copied.
+    Every builder states Q (and Q2) as a {offset: {class: coeff}} table, which
+    _charges forms into fresh bands of one type; _solution makes them and H's
+    diagonal read-only and wraps them, not copied.
     Q's bands hold float64 or complex128 values, except the parasupercharge's,
     computed in np.longdouble to check its order-p relations below the float64
     floor.  H is diagonal with float64 entries, and so the relations of every
@@ -102,42 +113,49 @@ def _h_diagonal(lam: int, dim: int, shift: float, weights: dict[int, float]) -> 
     return diag
 
 
-def _ladders(params: AlgebraParams, dim: int, *sides, dtype=np.float64, scale=1):
-    """Fresh diagonals of a P_k (offset +1) or adag P_k (offset -1), one per (offset, k) of sides.
+def _charges(params: AlgebraParams, dim: int, *tables, dtype=np.float64, scale=1):
+    """The fresh bands of each charge table {offset: {class: coeff}}, and the largest root a term reads.
 
-    Entry n - 1 of each is sqrt(scale F(n)), n = 1..dim-1, where level n (for
-    a) or level n - 1 (for adag) lies in k, a class or a list of classes, else
-    0.  F is algebra.structure_table of alpha in dtype; the roots are taken
-    once for every side.  A scale F past dtype's range gives inf, silently.
+    Offset +1 is coeff x a P_k and offset -1 is coeff x adag P_k: entry n - 1
+    of the band is coeff sqrt(scale F(n)), n = 1..dim-1, where level n (for a)
+    or level n - 1 (for adag) lies in class k, and 0 where no term's class
+    does.  Each term writes only its class's stride of lam entries, so a root
+    no term reads never enters a band, and a table's bands share the
+    np.result_type of the roots and its coefficients.  F is
+    algebra.structure_table of alpha in dtype, and the roots are taken once.
+    F grows by lam per period inside a class, so the largest root a term reads
+    is the last of its stride.  A root or entry past its type's range gives
+    inf or NaN, silently: the callers' range checks read the largest root.
     """
     require_rep(params, dim)
+    lam = params.lam
     f = structure_table(np.array(params.alpha, dtype), dim)
-    classes = shape_tables(params.lam, dim).classes
-    with np.errstate(over="ignore"):
+    out, peak = [], 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
         roots = np.sqrt(scale * f[1:])
-    out = []
-    for offset, k in sides:
-        keep = np.zeros(params.lam, bool)
-        keep[k] = True
-        out.append(np.where(keep[classes[1:] if offset > 0 else classes[:-1]], roots, 0))
-    return out
+        for table in tables:
+            band_type = np.result_type(roots, *(c for terms in table.values() for c in terms.values()))
+            bands = {offset: np.zeros(dim - 1, band_type) for offset in table}
+            for offset, terms in table.items():
+                for k, c in terms.items():
+                    # Entry j of band +1 reads level j + 1, of band -1 level j.
+                    j = (k - (offset > 0)) % lam
+                    stride = roots[j::lam]
+                    bands[offset][j::lam] = c * stride
+                    peak = max(peak, stride[-1])
+            out.append(bands)
+    return out, float(peak)
 
 
 def _solution(kind: str, params: AlgebraParams, mu: int, free_params: dict, r_values: dict, h: np.ndarray, *charges):
-    """The VariantSolution with Hamiltonian diag(h) and charges Q (and Q2), each {offset: vector}.
+    """The VariantSolution with Hamiltonian diag(h) and charges Q (and Q2) as _charges forms them.
 
-    Every vector is fresh, so each operator's vectors are cast to their one
-    np.result_type (a copy only where a real band meets a complex one), made
-    read-only and wrapped without a further copy.
+    Every vector is fresh and each operator's share one type, so they are made
+    read-only and wrapped without a copy.
     """
-    ops = []
-    for bands in ({0: h}, *charges):
-        dtype = np.result_type(*bands.values())
-        for k, v in bands.items():
-            bands[k] = v = v.astype(dtype, copy=False)
-            v.setflags(write=False)
-        ops.append(BandOp.wrap(len(h), bands))
-    H, Q, *Q2 = ops
+    for v in (h, *(v for bands in charges for v in bands.values())):
+        v.setflags(write=False)
+    H, Q, *Q2 = (BandOp.wrap(len(h), bands) for bands in ({0: h}, *charges))
     return VariantSolution(kind, mu, free_params, r_values, Q, H, params, *Q2)
 
 
@@ -147,9 +165,12 @@ def _require_finite(**values):
             raise DomainError(f"{name} must be finite, got {value}")
 
 
-def _require_check_range(c: float, *ladders: np.ndarray):
-    """Reject a c for which Q Qdag Q or 4 c^2 Q H (< 8 q^3, q = 2|c| max sqrt F) leave float64."""
-    q = 2.0 * abs(c) * max(float(v.max()) for v in ladders)
+def _require_check_range(c: float, peak: float):
+    """Reject a c for which Q Qdag Q or 4 c^2 Q H (< 8 q^3, q = 2|c| peak) leave float64.
+
+    peak is the largest sqrt F the charge reads, as _charges gives it.
+    """
+    q = 2.0 * abs(c) * peak
     if not 8.0 * q * q * q < np.finfo(float).max:
         raise DomainError(f"c = {c!r} takes pseudo_check's terms beyond float64 range", name="c")
 
@@ -233,16 +254,15 @@ def pssqm_build(params: AlgebraParams, mu: int, dim: int = 60) -> VariantSolutio
     lam = params.lam
     p = lam - 1
     classes = [(mu + nu) % lam for nu in range(1, p + 1)]
-    (q,) = _ladders(params, dim, (-1, classes), dtype=np.longdouble, scale=2)
+    (q,), qmax = _charges(params, dim, {-1: dict.fromkeys(classes, 1)}, dtype=np.longdouble, scale=2)
     m2 = (mu + 2) % lam
     weights = {k: p + 1 - nu for nu, k in enumerate(classes, 1)}
     h = _h_diagonal(lam, dim, _order2_shift(derived_constants(params).gamma[m2], r, p), weights)
     # The check terms stay below 4p t^(p + 1), t^2 = max(|Q|^2, |H|) and |Q|^2 = 2 F;
     # an entry that left float64 (possible where np.longdouble is float64) reads inf.
-    qmax = float(q.max())
     if not max(qmax * qmax, float(np.abs(h).max())) < (np.finfo(float).max / (4.0 * p)) ** (2.0 / (p + 1)):
         raise DomainError(f"alpha takes the order-{p + 1} check terms beyond float64 range", name="alpha")
-    return _solution(KIND_PSSQM, params, mu, {}, {f"r_{m2}": r}, h, {-1: q})
+    return _solution(KIND_PSSQM, params, mu, {}, {f"r_{m2}": r}, h, q)
 
 
 def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationReport:
@@ -287,12 +307,15 @@ def pssqm_check(sol: VariantSolution, p: int, tol: float = 1e-10) -> RelationRep
 def pssqm_cubic_check(sol: VariantSolution, tol: float = 1e-10) -> RelationReport:
     """Residual of the alternative cubic relation [Q, [Qdag, Q]] = 2QH at p = 2.
 
-    Whether it passes depends on the algebra parameters: the locus where both
-    this and the multilinear relation hold is empirical data, not an assertion.
-    A vanishing charge satisfies the relation trivially, so the report also
-    carries a nonzero-charge entry flagging that degenerate case, read on
-    every row when Q is triangular, as in pssqm_check.  Evaluated band by band
-    in the charge's type, as in pssqm_check.
+    It holds exactly on the locus alpha_{mu+2} = -1 and nowhere else: the
+    bracket leaves 3 sqrt(2) (1 + alpha_{mu+2}) sqrt(F(n)) on band -1 at every
+    row n whose column n - 1 lies outside the mu class, so the residual is
+    3 sqrt(2) |1 + alpha_{mu+2}| times the largest such root over the kept
+    rows n = 1..dim-5.  For mu = 1 the locus is alpha_0 = -1, outside the Fock
+    domain (F(1) = 0).  A vanishing charge satisfies the relation trivially,
+    so the report also carries a nonzero-charge entry flagging that degenerate
+    case, read on every row when Q is triangular, as in pssqm_check.
+    Evaluated band by band in the charge's type, as in pssqm_check.
     """
     if sol.kind != KIND_PSSQM:
         raise DomainError(f"expected a {KIND_PSSQM} solution, got {sol.kind}")
@@ -326,17 +349,14 @@ def pseudo_family1_build(
         raise DomainError(f"c = {c!r} is so small that 2 c^2 underflows to 0", name="c")
     if not 0.0 < eta < 2.0 * abs(c):
         raise DomainError(f"eta must lie in (0, 2|c|) = (0, {2.0 * abs(c)}), got {eta}")
-    phase = _phase(phi)
-    lower, upper = _ladders(params, dim, (1, m2), (-1, m2))
-    _require_check_range(c, lower, upper)
-
     # Factored forms: exact zeros at eta = sqrt(2)|c| and at the 2|c| boundary.
-    xi = phase * math.sqrt((2.0 * abs(c) - eta) * (2.0 * abs(c) + eta))
+    xi = _phase(phi) * math.sqrt((2.0 * abs(c) - eta) * (2.0 * abs(c) + eta))
+    (q,), peak = _charges(params, dim, {-1: {m2: eta}, 1: {m2: xi}})
+    _require_check_range(c, peak)
     root2c = math.sqrt(2.0) * abs(c)
     r = (1.0 + alpha[m2]) * ((eta - root2c) * (eta + root2c)) / (2.0 * c * c)
     h = _h_diagonal(3, dim, _order2_shift(gamma[m2], r, 2), {m1: 2.0, m2: 1.0})
-    free = {"c": c, "eta": eta, "phi": phi}
-    return _solution(KIND_PSEUDO1, params, mu, free, {f"r_{m2}": r}, h, {-1: eta * upper, 1: xi * lower})
+    return _solution(KIND_PSEUDO1, params, mu, {"c": c, "eta": eta, "phi": phi}, {f"r_{m2}": r}, h, q)
 
 
 def pseudo_family2_build(
@@ -348,12 +368,11 @@ def pseudo_family2_build(
 ) -> VariantSolution:
     """One-parameter pseudosupercharge 2|c| a P_{mu+2} with spectrum knob r_mu."""
     alpha, gamma, m1, m2 = _lam3_family(params, mu, "family-2 pseudosupersymmetry", c=c, r_mu=r_mu)
-    (lower,) = _ladders(params, dim, (1, m2))
-    _require_check_range(c, lower)
+    (q,), peak = _charges(params, dim, {1: {m2: 2.0 * abs(c)}})
+    _require_check_range(c, peak)
     weights = {mu: 0.5 * (1.0 - alpha[m1] + alpha[m2] + r_mu), m1: 1.0}
     h = _h_diagonal(3, dim, 0.5 * (2.0 * gamma[m2] - alpha[m2]), weights)
-    free = {"c": c, "r_mu": r_mu}
-    return _solution(KIND_PSEUDO2, params, mu, free, {f"r_{mu}": r_mu}, h, {1: 2.0 * abs(c) * lower})
+    return _solution(KIND_PSEUDO2, params, mu, {"c": c, "r_mu": r_mu}, {f"r_{mu}": r_mu}, h, q)
 
 
 def equal_spacing_r(params: AlgebraParams, mu: int) -> float:
@@ -419,13 +438,12 @@ def ossqm_build(
         raise DomainError(
             f"alpha_{m1} must equal -1 for the mu = {mu} family, got {alpha[m1]}"
         )
-    lower, upper = _ladders(params, dim, (1, m2), (-1, mu))
-
     # Factored so xi = sqrt(2) yields an exact zero partner coefficient.
     w = math.sqrt((root2 - xi) * (root2 + xi))
+    table1 = {-1: {mu: phase * w}, 1: {m2: xi}}
+    table2 = {-1: {mu: xi}, 1: {m2: -np.conj(phase) * w}}
+    (q1, q2), _ = _charges(params, dim, table1, table2)
     h = _h_diagonal(3, dim, _order2_shift(derived_constants(params).gamma[m1], 0.0, 2), {mu: 2.0, m1: 1.0})
-    q1 = {-1: (phase * w) * upper, 1: xi * lower}
-    q2 = {-1: xi * upper, 1: (-np.conj(phase) * w) * lower}
     return _solution(KIND_OSSQM, params, mu, {"xi": xi, "phi": phi}, {}, h, q1, q2)
 
 

@@ -45,6 +45,21 @@ class TestWindow:
         violations = window_violations(new_params(3, [0.5, 0.6]))
         assert any("alpha_1" in v for v in violations)
 
+    def test_derived_last_entry_bound(self):
+        # alpha_1 passes its bound by one ulp, yet the derived alpha_2 rounds to
+        # -1, which would make omega_2 = 0 and the shift-2 algebra lose F(1) > 0.
+        params = new_params(3, [0.5419176366915246, 0.45808236330847535])
+        assert params.alpha[2] == -1.0
+        assert validate_fock(params).ok
+        assert window_violations(params) == ("-1 < alpha_2 fails: alpha_2 = -1.0",)
+        with pytest.raises(DomainError, match="alpha_2"):
+            build_hierarchy(params, 12)
+
+    def test_derived_bound_stays_silent_beside_the_others(self):
+        # Out of window by alpha_0, the derived alpha_2 = -2.5 adds no entry:
+        # in exact arithmetic the other bounds imply it.
+        assert len(window_violations(new_params(3, [2.5, 0.0]))) == 2
+
     def test_window_implies_fock_valid_for_all_shifts(self):
         from cycosc import cyclic_shift, validate_fock
 

@@ -22,8 +22,10 @@ from cycosc import (
     pssqm_check,
     pssqm_cubic_check,
     pssqm_r_constant,
+    structure_values,
     variant_to_dict,
 )
+from cycosc.variants import _charges
 from conftest import fock_valid_params
 
 
@@ -34,6 +36,53 @@ def sorted_level_spacings(sol, n_levels, cluster_tol=1e-9):
         if e - clusters[-1] > cluster_tol:
             clusters.append(e)
     return np.diff(np.asarray(clusters))
+
+
+class TestCharges:
+    """The one helper that forms every charge table {offset: {class: coeff}}."""
+
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5])
+    def test_each_term_is_a_masked_ladder_and_its_largest_root(self, lam):
+        # A term coeff x a P_k (offset +1) or coeff x adag P_k (offset -1) is
+        # coeff sqrt(F(n)) where level n (for a) or n - 1 (for adag) lies in k,
+        # and the largest root it reads, taken from its stride's last entry,
+        # is the masked maximum, bit for bit.
+        rng = np.random.default_rng(70 + lam)
+        params = fock_valid_params(rng, lam)
+        for dim in range(2 * lam, 4 * lam + 2):
+            roots = np.sqrt(structure_values(params, dim - 1)[1:])
+            n = np.arange(1, dim)
+            for offset in (1, -1):
+                for k in range(lam):
+                    mask = (n if offset > 0 else n - 1) % lam == k
+                    (bands,), peak = _charges(params, dim, {offset: {k: 0.75}})
+                    assert list(bands) == [offset]
+                    assert np.array_equal(bands[offset], np.where(mask, 0.75 * roots, 0.0))
+                    assert peak == roots[mask].max()
+
+    def test_tables_share_roots_and_the_peak_spans_every_term(self):
+        params = new_params(3, [0.4, -0.3])
+        roots = np.sqrt(structure_values(params, 19)[1:])
+        # Classes of the level that entry n - 1 lowers from (a) and raises from (adag).
+        lowered, raised = np.arange(1, 20) % 3, np.arange(19) % 3
+        (q1, q2), peak = _charges(params, 20, {-1: {0: 1j}, 1: {2: 2.0}}, {1: {0: 1.0, 1: 1.0}})
+        assert {k: v.dtype for k, v in q1.items()} == {-1: np.complex128, 1: np.complex128}
+        assert {k: v.dtype for k, v in q2.items()} == {1: np.float64}
+        assert np.array_equal(q1[-1], np.where(raised == 0, 1j * roots, 0))
+        assert np.array_equal(q1[1], np.where(lowered == 2, 2.0 * roots, 0))
+        assert np.array_equal(q2[1], np.where(lowered != 2, roots, 0))
+        assert peak == roots.max()
+
+    def test_a_root_no_term_reads_never_enters_a_band(self):
+        # At alpha_0 = 1e308, 2 F(n) leaves float64 on the levels n = 1 mod 3,
+        # which the adag P_1 and adag P_2 terms never read: their entries are
+        # 0, not 0 x inf, and the largest root is finite.
+        params = new_params(3, [1e308, -1e308])
+        (bands,), peak = _charges(params, 12, {-1: {1: 1, 2: 1}}, scale=2)
+        roots = np.sqrt(2.0 * structure_values(params, 11)[1:][np.arange(11) % 3 != 0])
+        assert np.isfinite(bands[-1]).all()
+        assert not bands[-1][::3].any()
+        assert peak == roots.max()
 
 
 class TestPssqmBuild:
@@ -228,9 +277,10 @@ class TestPssqmCheck:
 
 
 class TestCubicVariant:
-    # Where the cubic form of the order-2 relation holds is an empirical
-    # locus in parameter space, not an identity: alpha_{mu+2} = -1 works
-    # for mu = 0 and mu = 2, and no parameter choice was found for mu = 1.
+    # The cubic form of the order-2 relation leaves 3 sqrt(2) (1 + alpha_{mu+2})
+    # sqrt(F(n)) on band -1 at every row n whose column n - 1 lies outside the
+    # mu class, so it holds exactly on the locus alpha_{mu+2} = -1.  For mu = 1
+    # that is alpha_0 = -1, which makes F(1) = 0: outside the Fock domain.
 
     def test_holds_on_locus_mu0(self):
         for head in ([0.5, 0.5], [0.37, 0.63]):
@@ -247,6 +297,21 @@ class TestCubicVariant:
         report = pssqm_cubic_check(sol, tol=1e-10)
         assert not report.ok
         assert report.residual("[Q, [Qdag, Q]] = 2 Q H") > 0.1
+
+    def test_residual_off_the_locus_is_closed_form(self):
+        # The kept block of a degree-3 relation ends at row dim - 5.
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            params = fock_valid_params(rng, 3)
+            for dim in (30, 60, 240):
+                roots = np.sqrt(structure_values(params, dim)[1 : dim - 4])
+                n = np.arange(1, dim - 4)
+                for mu in range(3):
+                    sol = pssqm_build(params, mu, dim=dim)
+                    residual = pssqm_cubic_check(sol).residual("[Q, [Qdag, Q]] = 2 Q H")
+                    expected = 3.0 * math.sqrt(2.0) * abs(1.0 + params.alpha[(mu + 2) % 3])
+                    expected *= roots[(n - 1) % 3 != mu].max()
+                    assert residual == pytest.approx(expected, rel=1e-11, abs=0.0)
 
     def test_fails_for_middle_family_on_candidate_locus(self):
         sol = pssqm_build(new_params(3, [0.5, 0.5]), 1, dim=30)
